@@ -7,6 +7,7 @@ underflow and needless round-off.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,18 +46,24 @@ def interval_data(
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
 ) -> list[IntervalEntry]:
-    """Abelian section data for every subgroup between stabilizer and group."""
+    """Abelian section data for every subgroup between stabilizer and group.
+
+    Computed in the group's index space on its table: H' is the normal
+    closure in H of the commutators of H's small generating set, and H'Y is
+    grown from H' by the stabilizer's generators, which normalise H'
+    because Y <= H.
+    """
     key = ("interval-data", frozenset(group.index_of(p) for p in stabilizer.elements))
     cached = group._cache.get(key)
     if cached is not None:
         return cached
     entries = []
-    stab_idx = [group.index_of(p) for p in stabilizer.elements]
+    stab_gens = [group.index_of(p) for p in stabilizer.generators]
     for sub in intermediate_subgroups(group, stabilizer, limit=limit):
-        derived = derived_subgroup(sub)
-        join_seed = {sub.index_of(p) for p in derived.elements}
-        join_seed.update(sub.index_of(group.elements[i]) for i in stab_idx)
-        join = sub._closure(join_seed)
+        gens = [group.index_of(p) for p in sub.generators]
+        commutators = {group.commutator(a, b) for a, b in itertools.combinations(gens, 2)}
+        derived = group._normal_closure(commutators, gens)
+        join = group._closure(stab_gens, base=derived)
         entries.append(
             IntervalEntry(
                 subgroup=sub,

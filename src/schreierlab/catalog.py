@@ -12,9 +12,11 @@ import itertools
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 from typing import Optional
 
+from .errors import GroupTooLargeError
 from .notation import parse_group_text
 from .permutations import (
     DEFAULT_ORDER_CAP,
@@ -216,10 +218,20 @@ def _cache_path(name: str) -> Optional[Path]:
 
 
 def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build (or load from cache) the named catalog group."""
+    """Build (or load from cache) the named catalog group.
+
+    A cached group larger than ``cap`` raises GroupTooLargeError, as the
+    enumeration would.  The cache file is written to a temporary name and
+    moved into place, so a reader never sees a partial file.
+    """
     path = _cache_path(name)
     if path is not None and path.exists():
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if len(payload["elements"]) > cap:
+            raise GroupTooLargeError(
+                f"cached group {name!r} has {len(payload['elements'])} elements, "
+                f"above the configured cap of {cap}"
+            )
         elements = [Permutation(tuple(im)) for im in payload["elements"]]
         generators = [Permutation(tuple(im)) for im in payload["generators"]]
         return FiniteGroup(elements, generators)
@@ -232,7 +244,14 @@ def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             "generators": [list(g.images) for g in group.generators],
             "elements": [list(p.images) for p in group.elements],
         }
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return group
 
 

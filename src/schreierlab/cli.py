@@ -45,7 +45,7 @@ from .schreier import (
     schreier_graph,
     symmetrize,
 )
-from .spectral import DEFAULT_DIM_CAP, dump_matrix, spectral_summary
+from .spectral import DEFAULT_DIM_CAP, GAP_TOL, dump_matrix, spectral_summary
 from .sweeps import run_all
 
 COMMANDS = (
@@ -58,8 +58,6 @@ COMMANDS = (
     "search-counterexample",
     "sweep",
 )
-
-GAP_TOL = 1e-8
 
 
 @dataclass
@@ -467,6 +465,7 @@ def _cmd_search(config: ExperimentConfig, report: Report) -> None:
         "connected_sets": outcome.connected_count,
         "witness_count": len(outcome.witnesses),
         "used_default_transversal": outcome.used_default_transversal,
+        "transversals_scanned": outcome.transversals_scanned,
         "witnesses": [
             {
                 "connection_set": _multiset_json(w.connection_set),

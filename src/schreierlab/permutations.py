@@ -10,9 +10,13 @@ compact stabilizer-chain machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import GroupTooLargeError, NotASubgroupError, SubgroupLimitError
 
@@ -22,6 +26,44 @@ DEFAULT_SUBGROUP_LIMIT = 20_000
 # Multiplication tables are materialised for groups up to this order; beyond
 # it, products fall back to composing image tuples.
 _TABLE_LIMIT = 512
+
+
+def _least_prime_factor(n: int) -> int:
+    """Least prime factor of an integer n >= 2."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
+def _distinguishing_points(images: np.ndarray) -> list[int]:
+    """Points, chosen greedily from point 0 on, whose images tell the rows
+    of ``images`` apart."""
+    n, d = images.shape
+    base, labels, count = [], np.zeros(n, dtype=np.int64), 0
+    for x in range(d):
+        values, refined = np.unique(labels * d + images[:, x], return_inverse=True)
+        if len(values) > count:
+            base.append(x)
+            labels, count = refined, len(values)
+            if count == n:
+                break
+    return base
+
+
+class _ProductRow:
+    """Row ``x`` of the multiplication table of a group too large to tabulate."""
+
+    __slots__ = ("group", "x")
+
+    def __init__(self, group: "FiniteGroup", x: int):
+        self.group = group
+        self.x = x
+
+    def __getitem__(self, j: int) -> int:
+        return self.group.mult(self.x, j)
 
 
 class Permutation:
@@ -190,16 +232,45 @@ class FiniteGroup:
     # -- index arithmetic --------------------------------------------------
 
     def _table(self) -> Optional[list[list[int]]]:
+        """Cayley table as rows of element indices, up to ``_TABLE_LIMIT``.
+
+        ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  Row
+        ``i`` is one numpy gather over the ``order x degree`` image array
+        (every element applied after ``elements[i]``).  The products are
+        looked up against the sorted element keys, their images at a few
+        points that tell the elements apart, and each match is checked on
+        all points, so a product that is not an element raises ValueError.
+        Rows are kept as Python lists because the hot loops read single
+        entries.
+        """
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
-            idx = self._index
-            table = [
-                [idx[(p * q).images] for q in self.elements] for p in self.elements
-            ]
+            images = np.array([p.images for p in self.elements], dtype=np.int32)
+            base = _distinguishing_points(images)
+            key = np.dtype((np.void, images.itemsize * len(base)))
+            keys = np.ascontiguousarray(images[:, base]).view(key).ravel()
+            by_key = np.argsort(keys)
+            sorted_keys = keys[by_key]
+            last = self.order - 1
+            table = []
+            for image in images:
+                products = images[:, image]
+                wanted = np.ascontiguousarray(products[:, base]).view(key).ravel()
+                found = by_key[np.minimum(np.searchsorted(sorted_keys, wanted), last)]
+                if not np.array_equal(images[found], products):
+                    raise ValueError("the element table is not closed under products")
+                table.append(found.tolist())
             self._cache["table"] = table
         return table
+
+    def _rows(self):
+        """``rows(i)[j]`` is the index of ``elements[i] * elements[j]``."""
+        table = self._table()
+        if table is not None:
+            return table.__getitem__
+        return functools.partial(_ProductRow, self)
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
@@ -259,35 +330,101 @@ class FiniteGroup:
 
     # -- subgroup construction ----------------------------------------------
 
-    def _closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Closure of element indices under multiplication (subgroup)."""
-        gens = sorted(set(seed) - {0})
-        members = {0}
-        members.update(gens)
-        frontier = list(members)
-        while frontier:
-            i = frontier.pop()
-            for g in gens:
-                j = self.mult(i, g)
-                if j not in members:
-                    members.add(j)
-                    frontier.append(j)
+    def _closure(
+        self,
+        seed: Iterable[int],
+        base: Optional[Iterable[int]] = None,
+        base_gens: Sequence[int] = (),
+    ) -> frozenset[int]:
+        """Subgroup generated by the seed indices and a known subgroup.
+
+        Dimino's algorithm: a seed element outside the subgroup found so far
+        enlarges it by whole left cosets of that subgroup, so known members
+        are never recomputed and seed elements already inside cost one
+        lookup.  ``base`` holds the members of a subgroup contained in the
+        result (the trivial group by default) and ``base_gens`` generate it;
+        they may be left out when the seed normalises ``base``.
+        """
+        row = self._rows()
+        members = set(base) if base is not None else {0}
+        gen_rows = [row(t) for t in base_gens]
+        for s in seed:
+            if s in members:
+                continue
+            gen_rows.append(row(s))
+            # Lagrange: the result's order divides the group's and is a multiple
+            # of the old order, so a proper result has at most order / p
+            # members, p the least prime factor of the old index
+            ceiling = self.order // _least_prime_factor(self.order // len(members))
+            # the left coset x * old is row x read at the old members; the
+            # extra index 0 (x itself) keeps itemgetter returning a tuple
+            coset = operator.itemgetter(0, *members)
+            reps = [0]
+            for r in reps:
+                for t_row in gen_rows:
+                    x = t_row[r]
+                    if x not in members:
+                        reps.append(x)
+                        members.update(coset(row(x)))
+                        if len(members) > ceiling:
+                            return frozenset(range(self.order))
         return frozenset(members)
 
     def _normal_closure(self, seed: Iterable[int], conjugators: Sequence[int]) -> frozenset[int]:
-        """Smallest subgroup containing seed and stable under the conjugators."""
+        """Smallest subgroup containing seed and stable under the conjugators.
+
+        Each element that enlarges the subgroup becomes a generator, and
+        its conjugates are queued; a subgroup whose generators' conjugates
+        all lie inside is stable.
+        """
         inv = self.inverse_indices()
-        members = self._closure(seed)
-        while True:
-            extra = set()
-            for i in members:
-                for g in conjugators:
-                    c = self.mult(self.mult(inv[g], i), g)
-                    if c not in members:
-                        extra.add(c)
-            if not extra:
-                return members
-            members = self._closure(set(members) | extra)
+        row = self._rows()
+        inverse_rows = [(row(inv[g]), g) for g in conjugators]
+        members = frozenset((0,))
+        gens: list[int] = []
+        queue = list(seed)
+        while queue:
+            x = queue.pop()
+            if x in members:
+                continue
+            members = self._closure((x,), base=members, base_gens=gens)
+            gens.append(x)
+            queue.extend(row(left[x])[g] for left, g in inverse_rows)
+        return members
+
+    def _greedy_generators(self, members: Iterable[int]) -> tuple[int, ...]:
+        """Generators of the subgroup on ``members``: each least member that
+        the ones before it do not generate."""
+        gens: list[int] = []
+        generated = frozenset((0,))
+        for i in sorted(members):
+            if i not in generated:
+                generated = self._closure((i,), base=generated, base_gens=gens)
+                gens.append(i)
+        return tuple(gens)
+
+    def _cyclic_reps(self) -> tuple[int, ...]:
+        """One generator per nontrivial cyclic subgroup, ascending: the least
+        index among the generators of that subgroup."""
+        reps = self._cache.get("cyclic_reps")
+        if reps is None:
+            row = self._rows()
+            covered = [False] * self.order
+            found = []
+            for g in range(1, self.order):
+                if covered[g]:
+                    continue
+                found.append(g)
+                powers = [g]  # powers[k - 1] is g^k; the last one is the identity
+                while powers[-1] != 0:
+                    powers.append(row(powers[-1])[g])
+                m = len(powers)
+                for k in range(1, m):
+                    if math.gcd(k, m) == 1:
+                        covered[powers[k - 1]] = True
+            reps = tuple(found)
+            self._cache["cyclic_reps"] = reps
+        return reps
 
     def subgroup_from_indices(
         self, indices: Iterable[int], generator_indices: Optional[Sequence[int]] = None
@@ -536,12 +673,19 @@ def intermediate_subgroups(
 ) -> list[FiniteGroup]:
     """All subgroups H with floor <= H <= group.
 
-    Computed as the fixed point of adjoining one element at a time, starting
-    from the floor.  Results are sorted canonically by (order, element
-    indices); the enumeration fails explicitly when it exceeds ``limit``.
+    Enumerated by cyclic extension (Neubueser): every such H is the floor
+    joined with cyclic subgroups of the group, so starting from the floor
+    each subgroup found is extended by one generator of every cyclic
+    subgroup it does not contain, and <H, z> is grown coset by coset from
+    the members of H.  Every cyclic subgroup is tried, not only those that
+    normalise H, so perfect subgroups such as A5 < S5 are found too.
+    Results are sorted canonically by (order, element indices); each
+    carries a small generating set, the floor's chosen greedily.  The
+    enumeration fails explicitly when it exceeds ``limit``.
     """
     require_subgroup(group, floor)
-    key = ("interval", frozenset(group.index_of(p) for p in floor.elements))
+    floor_idx = frozenset(group.index_of(p) for p in floor.elements)
+    key = ("interval", floor_idx)
     cached = group._cache.get(key)
     if cached is not None:
         if len(cached) > limit:
@@ -550,22 +694,22 @@ def intermediate_subgroups(
             )
         return cached
 
-    floor_idx = frozenset(group.index_of(p) for p in floor.elements)
-    floor_gens = tuple(sorted(floor_idx - {0}))
+    floor_gens = group._greedy_generators(floor_idx)
+    cyclic_reps = group._cyclic_reps()
     known: dict[frozenset[int], tuple[int, ...]] = {floor_idx: floor_gens}
     frontier = [(floor_idx, floor_gens)]
     while frontier:
         members, gens = frontier.pop()
-        for g in range(group.order):
-            if g in members:
+        for z in cyclic_reps:
+            if z in members:
                 continue
-            new_gens = gens + (g,)
-            grown = group._closure(new_gens)
+            grown = group._closure((z,), base=members, base_gens=gens)
             if grown not in known:
                 if len(known) >= limit:
                     raise SubgroupLimitError(
                         f"more than {limit} subgroups between the given groups"
                     )
+                new_gens = gens + (z,)
                 known[grown] = new_gens
                 frontier.append((grown, new_gens))
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))

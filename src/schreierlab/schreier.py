@@ -289,6 +289,7 @@ class DedupSearchResult:
     sets_examined: int
     connected_count: int
     used_default_transversal: bool
+    transversals_scanned: int
 
 
 def _symmetric_subsets(group: FiniteGroup) -> Iterable[tuple[int, ...]]:
@@ -335,7 +336,9 @@ def dedup_counterexample_search(
     violation is reported separately as an error signal.
 
     Tries the deterministic transversal first and falls back to scanning
-    all transversals when no witness shows up.
+    the other transversals when no witness shows up.  The result says
+    whether the witnesses came from the deterministic transversal and how
+    many transversals were scanned.
     """
     from .spectral import spectral_summary
 
@@ -386,29 +389,21 @@ def dedup_counterexample_search(
 
     default = right_transversal(group, subgroup)
     witnesses, bad_multisets = scan(default)
-    if witnesses:
-        return DedupSearchResult(
-            witnesses=tuple(witnesses),
-            multiset_violations=tuple(bad_multisets),
-            sets_examined=examined,
-            connected_count=len(connected_sets),
-            used_default_transversal=True,
-        )
-    for transversal in _all_transversals(group, subgroup, transversal_cap):
-        witnesses, extra_bad = scan(transversal)
-        bad_multisets.extend(extra_bad)
-        if witnesses:
-            return DedupSearchResult(
-                witnesses=tuple(witnesses),
-                multiset_violations=tuple(bad_multisets),
-                sets_examined=examined,
-                connected_count=len(connected_sets),
-                used_default_transversal=False,
-            )
+    scanned = 1
+    if not witnesses:
+        for transversal in _all_transversals(group, subgroup, transversal_cap):
+            if transversal.rep_indices == default.rep_indices:
+                continue
+            witnesses, extra_bad = scan(transversal)
+            bad_multisets.extend(extra_bad)
+            scanned += 1
+            if witnesses:
+                break
     return DedupSearchResult(
-        witnesses=(),
+        witnesses=tuple(witnesses),
         multiset_violations=tuple(bad_multisets),
         sets_examined=examined,
         connected_count=len(connected_sets),
-        used_default_transversal=True,
+        used_default_transversal=bool(witnesses) and scanned == 1,
+        transversals_scanned=scanned,
     )

@@ -17,6 +17,8 @@ from .schreier import SchreierGraph
 
 DEFAULT_DIM_CAP = 3000
 _SYMMETRY_TOL = 1e-12
+# slack allowed when a measured gap is compared with a bound
+GAP_TOL = 1e-8
 
 
 def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:

@@ -45,9 +45,8 @@ from .schreier import (
     rs_induce,
     schreier_graph,
 )
-from .spectral import rayleigh_quotient, spectral_summary, sym_eigenvalues
+from .spectral import GAP_TOL, rayleigh_quotient, spectral_summary, sym_eigenvalues
 
-GAP_TOL = 1e-8
 LOG_TOL = 1e-9
 CONTAINMENT_TOL = 1e-6
 
@@ -362,6 +361,7 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
             "witnesses": len(result.witnesses),
             "multiset_violations": len(result.multiset_violations),
             "default_transversal": result.used_default_transversal,
+            "transversals_scanned": result.transversals_scanned,
         },
         seconds=seconds,
     )

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -122,6 +123,33 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     second = catalog_group("dihedral:12")
     assert first.same_elements(second)
     assert [p.images for p in first.elements] == [p.images for p in second.elements]
+
+
+def test_disk_cache_respects_the_cap(tmp_path, monkeypatch):
+    from schreierlab import GroupTooLargeError
+
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    assert catalog_group("sym:5").order == 120
+    with pytest.raises(GroupTooLargeError, match="cap of 10"):
+        catalog_group("sym:5", cap=10)
+    assert catalog_group("sym:5", cap=120).order == 120
+
+
+def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        catalog_group("dihedral:12")
+    # a failed write leaves neither a cache file nor its temporary behind
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    catalog_group("dihedral:12")
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
 
 def test_natural_action_of_alternating_groups():

@@ -342,6 +342,24 @@ def test_dedup_search_trivial_when_subgroup_is_whole_group(c4):
     result = dedup_counterexample_search(c4, c4, c4.trivial_subgroup())
     assert result.witnesses == ()
     assert result.multiset_violations == ()
+    assert not result.used_default_transversal
+    # one coset, so each of the four elements is a transversal on its own
+    assert result.transversals_scanned == 4
+    trivial = catalog_group("cyclic:1")
+    result = dedup_counterexample_search(trivial, trivial, trivial)
+    assert result.witnesses == ()
+    assert not result.used_default_transversal
+    assert result.transversals_scanned == 1
+
+
+def test_dedup_search_without_witness_reports_every_transversal(c4):
+    # no gap can drop by more than 2, so this margin rules every witness out
+    h = c4.subgroup_generated([c4.elements[2]])
+    result = dedup_counterexample_search(c4, h, c4.trivial_subgroup(), gap_margin=2.0)
+    assert result.witnesses == ()
+    assert not result.used_default_transversal
+    # two cosets of two elements each: 2 * 2 transversals, the default among them
+    assert result.transversals_scanned == 4
 
 
 def test_dedup_search_dihedral_finds_witnesses(d8):
@@ -349,6 +367,8 @@ def test_dedup_search_dihedral_finds_witnesses(d8):
     h = d8.subgroup_generated([rotation])
     result = dedup_counterexample_search(d8, h, d8.trivial_subgroup())
     assert len(result.witnesses) >= 1
+    assert result.used_default_transversal
+    assert result.transversals_scanned == 1
     assert result.multiset_violations == ()
     for witness in result.witnesses:
         assert all(m == 1 for _, m in witness.connection_set.entries)
