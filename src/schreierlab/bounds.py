@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .permutations import (
@@ -20,7 +20,8 @@ from .permutations import (
     lower_central_series,
     require_subgroup,
 )
-from .schreier import SymmetricMultiset
+from .schreier import SymmetricMultiset, schreier_graph
+from .spectral import DEFAULT_DIM_CAP, LOG_TOL, spectral_summary
 
 # A bound on the spectral gap can never bite above this value, since the
 # gap itself lives in [0, 2]; such bounds are flagged instead of hidden.
@@ -217,7 +218,7 @@ def derived_index_check(
     index = group.order // stabilizer.order
     _, beta = nilpotent_exponents(d, class_c)
     rhs = math.exp(beta * math.log(index)) if index > 1 else 1.0
-    ok = math.log(lhs) >= beta * math.log(index) - 1e-9
+    ok = math.log(lhs) >= beta * math.log(index) - LOG_TOL
     return DerivedIndexReport(
         hypotheses_hold=True,
         lhs=lhs,
@@ -251,20 +252,7 @@ class BoundReport:
     vacuous: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "glwi_bound": self.glwi_bound,
-            "glwi_argmin_order": self.glwi_argmin_order,
-            "glwi_argmin_index": self.glwi_argmin_index,
-            "abelian_bound": self.abelian_bound,
-            "nilpotent_bound": self.nilpotent_bound,
-            "nilpotent_class": self.nilpotent_class,
-            "measured_gap": self.measured_gap,
-            "measured_lambda": self.measured_lambda,
-            "epsilon_used": self.epsilon_used,
-            "min_set_size": self.min_set_size,
-            "vacuous": list(self.vacuous),
-        }
+        return asdict(self)
 
 
 def build_bound_report(
@@ -276,9 +264,6 @@ def build_bound_report(
     dim_cap: Optional[int] = None,
 ) -> BoundReport:
     """Assemble every applicable bound next to the measured spectrum."""
-    from .schreier import schreier_graph
-    from .spectral import DEFAULT_DIM_CAP, spectral_summary
-
     summary = spectral_summary(
         schreier_graph(group, stabilizer, multiset),
         dim_cap=DEFAULT_DIM_CAP if dim_cap is None else dim_cap,

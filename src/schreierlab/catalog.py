@@ -3,7 +3,8 @@
 Catalog names: ``cyclic:n``, ``dihedral:n`` (n = group order, even, >= 4),
 ``elem-abelian:p^k``, ``sym:n``, ``alt:n``, ``heisenberg:p``, and direct
 products joined with an ``x`` (or a multiplication sign).  Enumerated
-element tables can be cached on disk under SCHREIERLAB_CACHE_DIR.
+element tables can be cached on disk under SCHREIERLAB_CACHE_DIR; a cached
+table is checked on load and rebuilt when it does not match.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import GroupTooLargeError
 from .notation import parse_group_text
 from .permutations import (
@@ -23,6 +26,7 @@ from .permutations import (
     FiniteGroup,
     Permutation,
     group_from_generators,
+    group_from_images,
 )
 
 CACHE_ENV_VAR = "SCHREIERLAB_CACHE_DIR"
@@ -217,25 +221,46 @@ def _cache_path(name: str) -> Optional[Path]:
     return Path(root) / f"{safe}.json"
 
 
+def _load_cached(
+    path: Path, name: str, generators: list[Permutation], cap: int
+) -> Optional[FiniteGroup]:
+    """The group in a cache file, or None unless the file holds exactly
+    what ``group_from_generators(generators)`` enumerates.  A file listing
+    more than ``cap`` elements raises GroupTooLargeError first."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        count = len(payload["elements"])
+    except (ValueError, KeyError, TypeError):
+        return None
+    if count > cap:
+        raise GroupTooLargeError(
+            f"cached group {name!r} has {count} elements, "
+            f"above the configured cap of {cap}"
+        )
+    if payload.get("generators") != [list(g.images) for g in generators]:
+        return None
+    try:
+        images = np.array(payload.pop("elements"))
+    except ValueError:  # rows of unequal lengths
+        return None
+    return group_from_images(generators, images)
+
+
 def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build (or load from cache) the named catalog group.
 
-    A cached group larger than ``cap`` raises GroupTooLargeError, as the
+    A cache file that does not hold exactly what the enumeration builds is
+    rebuilt; one larger than ``cap`` raises GroupTooLargeError, as the
     enumeration would.  The cache file is written to a temporary name and
     moved into place, so a reader never sees a partial file.
     """
+    generators = catalog_generators(name)
     path = _cache_path(name)
     if path is not None and path.exists():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if len(payload["elements"]) > cap:
-            raise GroupTooLargeError(
-                f"cached group {name!r} has {len(payload['elements'])} elements, "
-                f"above the configured cap of {cap}"
-            )
-        elements = [Permutation(tuple(im)) for im in payload["elements"]]
-        generators = [Permutation(tuple(im)) for im in payload["generators"]]
-        return FiniteGroup(elements, generators)
-    group = group_from_generators(catalog_generators(name), cap=cap)
+        cached = _load_cached(path, name, generators, cap)
+        if cached is not None:
+            return cached
+    group = group_from_generators(generators, cap=cap)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {

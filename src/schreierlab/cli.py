@@ -41,23 +41,21 @@ from .schreier import (
     SymmetricMultiset,
     connectivity_and_bipartiteness,
     dedup_counterexample_search,
-    rs_induce,
+    induce_with_laws,
     schreier_graph,
     symmetrize,
 )
-from .spectral import DEFAULT_DIM_CAP, GAP_TOL, dump_matrix, spectral_summary
+from .spectral import (
+    DEFAULT_DIM_CAP,
+    LOG_TOL,
+    ROUNDOFF_TOL,
+    dump_matrix,
+    gap_obeys,
+    spectral_summary,
+)
 from .sweeps import run_all
 
-COMMANDS = (
-    "spectrum",
-    "bounds",
-    "theta",
-    "rs-induce",
-    "verify-thm1",
-    "verify-nilpotent",
-    "search-counterexample",
-    "sweep",
-)
+_SUBGROUP_COMMANDS = ("rs-induce", "search-counterexample")
 
 
 @dataclass
@@ -91,13 +89,17 @@ class ExperimentConfig:
             raise ValueError(f"format must be json or csv, not {self.format!r}")
         if self.command != "sweep" and not self.group_spec:
             raise ValueError(f"command {self.command} needs --group")
-        if (
-            self.multiset_spec == "all-symmetric-subsets"
-            and self.command != "search-counterexample"
-        ):
+        search = self.command == "search-counterexample"
+        if self.multiset_spec == "all-symmetric-subsets" and not search:
             raise ValueError(
                 "all-symmetric-subsets is only meaningful for search-counterexample"
             )
+        if search and self.multiset_spec not in (None, "all-symmetric-subsets"):
+            raise ValueError(
+                "the search is exhaustive; --set accepts only all-symmetric-subsets"
+            )
+        if self.command in _SUBGROUP_COMMANDS and not self.subgroup_spec:
+            raise ValueError(f"{self.command} needs --subgroup")
         if self.randomized() and self.seed is None:
             raise ValueError(f"command {self.command} draws randomness: --seed is required")
 
@@ -120,9 +122,6 @@ class Verdict:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
 class Report:
@@ -139,7 +138,7 @@ class Report:
             "config": self.config.to_dict(),
             "seed": self.config.seed,
             "results": self.results,
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [asdict(v) for v in self.verdicts],
             "ok": self.ok,
         }
 
@@ -181,16 +180,21 @@ def render_report(report: Report) -> str:
     return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
 
 
+def _random_multiset(config: ExperimentConfig, group, rng) -> SymmetricMultiset:
+    """One draw for --set random:m: m uniform draws joined with their
+    inverses under --symmetrize, otherwise a symmetric sample of total size m."""
+    m = int(config.multiset_spec.split(":", 1)[1])
+    if config.symmetrize:
+        return symmetrize(sample_multiset(group, m, rng))
+    return sample_symmetric_multiset(group, m, rng)
+
+
 def _resolve_multiset(config: ExperimentConfig, group) -> SymmetricMultiset:
     spec = config.multiset_spec
     if not spec:
         raise ValueError(f"command {config.command} needs --set")
     if spec.startswith("random:"):
-        m = int(spec.split(":", 1)[1])
-        rng = np.random.default_rng(config.seed)
-        if config.symmetrize:
-            return symmetrize(sample_multiset(group, m, rng))
-        return sample_symmetric_multiset(group, m, rng)
+        return _random_multiset(config, group, np.random.default_rng(config.seed))
     entries = parse_multiset_text(
         Path(spec).read_text(encoding="utf-8"), degree=group.degree
     )
@@ -208,11 +212,22 @@ def _multiset_json(multiset: SymmetricMultiset) -> list:
     return [[permutation_to_text(p), m] for p, m in multiset.entries]
 
 
-def _spectrum_results(group, stabilizer, multiset, config) -> tuple[dict, object]:
+def _theta_range(value: float, omega: int, detail: str) -> Verdict:
+    """Theta lies between 1 and the number of points."""
+    return Verdict("theta-range", 1.0 - ROUNDOFF_TOL <= value <= omega + LOG_TOL, detail)
+
+
+# Every runner takes the configuration, the report it fills in, and what
+# run() resolved: the group, the action's stabilizer and the --subgroup
+# (None where the command has no use for them).
+
+
+def _cmd_spectrum(config, report, group, stabilizer, subgroup) -> None:
+    multiset = _resolve_multiset(config, group)
     graph = schreier_graph(group, stabilizer, multiset)
     summary = spectral_summary(graph, dim_cap=config.cap_dim)
     reachability = connectivity_and_bipartiteness(graph)
-    results = {
+    report.results = {
         "group_order": group.order,
         "stabilizer_order": stabilizer.order,
         "vertices": graph.vertex_count,
@@ -229,23 +244,12 @@ def _spectrum_results(group, stabilizer, multiset, config) -> tuple[dict, object
         Path(config.dump_matrix_path).write_text(
             dump_matrix(graph.walk), encoding="utf-8"
         )
-        results["matrix_dump"] = config.dump_matrix_path
-    return results, summary
+        report.results["matrix_dump"] = config.dump_matrix_path
 
 
-def _cmd_spectrum(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
+def _cmd_bounds(config, report, group, stabilizer, subgroup) -> None:
     multiset = _resolve_multiset(config, group)
-    results, _ = _spectrum_results(group, stabilizer, multiset, config)
-    report.results = results
-
-
-def _cmd_bounds(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
-    multiset = _resolve_multiset(config, group)
-    bound_report = build_bound_report(
+    bounds = build_bound_report(
         group,
         stabilizer,
         multiset,
@@ -253,55 +257,36 @@ def _cmd_bounds(config: ExperimentConfig, report: Report) -> None:
         limit=config.cap_subgroups,
         dim_cap=config.cap_dim,
     )
-    report.results = bound_report.to_dict()
+    report.results = bounds.to_dict()
     omega = group.order // stabilizer.order
     report.verdicts.append(
-        Verdict(
-            "theta-range",
-            1.0 - 1e-12 <= bound_report.theta <= omega + 1e-9,
-            f"theta={bound_report.theta:.6g}, omega={omega}",
-        )
+        _theta_range(bounds.theta, omega, f"theta={bounds.theta:.6g}, omega={omega}")
     )
-    report.verdicts.append(
-        Verdict(
-            "gap-under-subgroup-bound",
-            bound_report.measured_gap <= bound_report.glwi_bound + GAP_TOL,
-            f"gap={bound_report.measured_gap:.6g} vs {bound_report.glwi_bound:.6g}",
-        )
-    )
-    if bound_report.abelian_bound is not None:
-        report.verdicts.append(
-            Verdict(
-                "gap-under-abelian-bound",
-                bound_report.measured_gap <= bound_report.abelian_bound + GAP_TOL,
-                f"gap={bound_report.measured_gap:.6g} vs {bound_report.abelian_bound:.6g}",
-            )
-        )
-    if bound_report.nilpotent_bound is not None:
-        report.verdicts.append(
-            Verdict(
-                "gap-under-nilpotent-bound",
-                bound_report.measured_gap <= bound_report.nilpotent_bound + GAP_TOL,
-                f"gap={bound_report.measured_gap:.6g} vs {bound_report.nilpotent_bound:.6g}",
-            )
-        )
-    if (
-        bound_report.min_set_size is not None
-        and bound_report.epsilon_used is not None
-        and bound_report.measured_gap >= bound_report.epsilon_used
+    gap = bounds.measured_gap
+    for name, bound in (
+        ("subgroup", bounds.glwi_bound),
+        ("abelian", bounds.abelian_bound),
+        ("nilpotent", bounds.nilpotent_bound),
     ):
+        if bound is not None:
+            report.verdicts.append(
+                Verdict(
+                    f"gap-under-{name}-bound",
+                    gap_obeys(gap, bound),
+                    f"gap={gap:.6g} vs {bound:.6g}",
+                )
+            )
+    if bounds.epsilon_used is not None and gap >= bounds.epsilon_used:
         report.verdicts.append(
             Verdict(
                 "expanding-set-large-enough",
-                multiset.size >= bound_report.min_set_size - 1e-9,
-                f"|S|={multiset.size} vs {bound_report.min_set_size:.6g}",
+                multiset.size >= bounds.min_set_size - LOG_TOL,
+                f"|S|={multiset.size} vs {bounds.min_set_size:.6g}",
             )
         )
 
 
-def _cmd_theta(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
+def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
     value = theta(group, stabilizer, limit=config.cap_subgroups)
     omega = group.order // stabilizer.order
     report.results = {
@@ -311,23 +296,14 @@ def _cmd_theta(config: ExperimentConfig, report: Report) -> None:
         "group_order": group.order,
         "stabilizer_order": stabilizer.order,
     }
-    report.verdicts.append(
-        Verdict("theta-range", 1.0 - 1e-12 <= value <= omega + 1e-9, f"theta={value:.6g}")
-    )
+    report.verdicts.append(_theta_range(value, omega, f"theta={value:.6g}"))
 
 
-def _cmd_rs_induce(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
-    if not config.subgroup_spec:
-        raise ValueError("rs-induce needs --subgroup")
-    subgroup_gens = resolve_group(
-        config.subgroup_spec, cap=config.cap_order, degree=group.degree
-    )
-    subgroup = group.subgroup_generated(subgroup_gens.generators)
+def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
     multiset = _resolve_multiset(config, group)
     transversal = right_transversal(group, subgroup)
-    induced = rs_induce(group, subgroup, transversal, multiset)
+    induction = induce_with_laws(group, subgroup, transversal, multiset)
+    induced = induction.multiset
     index = group.order // subgroup.order
     report.results = {
         "group_order": group.order,
@@ -340,69 +316,58 @@ def _cmd_rs_induce(config: ExperimentConfig, report: Report) -> None:
         "transversal": [permutation_to_text(p) for p in transversal.reps],
         "stabilizer_order": stabilizer.order,
     }
-    report.verdicts.append(
-        Verdict(
-            "size-law",
-            induced.size == index * multiset.size,
-            f"{induced.size} == {index} * {multiset.size}",
-        )
-    )
-    report.verdicts.append(
+    report.verdicts += [
+        Verdict("size-law", induction.size_law, f"{induced.size} == {index} * {multiset.size}"),
         Verdict(
             "inverse-compatibility",
-            rs_induce(group, subgroup, transversal, multiset.inverse()) == induced.inverse(),
+            induction.inverse_law,
             "induced inverse equals inverse induced",
-        )
-    )
-    report.verdicts.append(
+        ),
         Verdict(
             "lands-in-subgroup",
             all(p in subgroup for p in induced.support()),
             "every induced element lies in the subgroup",
-        )
-    )
+        ),
+    ]
 
 
-def _cmd_verify_thm1(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
+def _cmd_verify_thm1(config, report, group, stabilizer, subgroup) -> None:
     epsilon = 0.25 if config.epsilon is None else config.epsilon
     delta = 0.25 if config.delta is None else config.delta
     trials = 400 if config.trials is None else config.trials
     stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, config.seed)
     report.results = stats.to_dict()
-    slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
-    report.verdicts.append(
+    report.verdicts += [
         Verdict(
             "empirical-tail",
-            stats.empirical_tail <= delta + slack,
-            f"tail={stats.empirical_tail:.6g} vs {delta + slack:.6g}",
-        )
-    )
-    report.verdicts.append(
+            stats.empirical_tail <= stats.tail_budget(),
+            f"tail={stats.empirical_tail:.6g} vs {stats.tail_budget():.6g}",
+        ),
         Verdict(
             "empirical-mean",
-            stats.empirical_mean <= epsilon + delta,
-            f"mean={stats.empirical_mean:.6g} vs {epsilon + delta:.6g}",
-        )
-    )
+            stats.empirical_mean <= stats.mean_budget(),
+            f"mean={stats.empirical_mean:.6g} vs {stats.mean_budget():.6g}",
+        ),
+    ]
 
 
-def _cmd_verify_nilpotent(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
+def _cmd_verify_nilpotent(config, report, group, stabilizer, subgroup) -> None:
     class_c = lower_central_series(group)[1]
     if class_c is None or class_c < 1:
         raise ValueError("the group is not nilpotent of class >= 1")
     omega = group.order // stabilizer.order
-    if config.multiset_spec and not config.multiset_spec.startswith("random:"):
+    spec = config.multiset_spec
+    if spec and not spec.startswith("random:"):
         multisets = [_resolve_multiset(config, group)]
     else:
         trials = 100 if config.trials is None else config.trials
         rng = np.random.default_rng(config.seed)
-        multisets = [
-            sample_symmetric_multiset(group, 2 + (i % 7), rng) for i in range(trials)
-        ]
+        if spec:
+            multisets = [_random_multiset(config, group, rng) for _ in range(trials)]
+        else:
+            multisets = [
+                sample_symmetric_multiset(group, 2 + (i % 7), rng) for i in range(trials)
+            ]
     gap_violations = 0
     derived_checked = 0
     derived_violations = 0
@@ -413,13 +378,11 @@ def _cmd_verify_nilpotent(config: ExperimentConfig, report: Report) -> None:
         )
         bound = nilpotent_gap_bound(omega, multiset.size, class_c)
         worst_margin = min(worst_margin, bound - summary.gap)
-        if summary.gap > bound + GAP_TOL:
+        if not gap_obeys(summary.gap, bound):
             gap_violations += 1
         derived = derived_index_check(group, stabilizer, multiset)
-        if derived.hypotheses_hold:
-            derived_checked += 1
-            if not derived.ok:
-                derived_violations += 1
+        derived_checked += derived.hypotheses_hold
+        derived_violations += derived.ok is False
     report.results = {
         "group_order": group.order,
         "omega": omega,
@@ -430,35 +393,21 @@ def _cmd_verify_nilpotent(config: ExperimentConfig, report: Report) -> None:
         "derived_index_violations": derived_violations,
         "worst_margin": worst_margin,
     }
-    report.verdicts.append(
+    report.verdicts += [
         Verdict(
             "gap-under-nilpotent-bound",
             gap_violations == 0,
             f"{gap_violations} violations over {len(multisets)} instances",
-        )
-    )
-    report.verdicts.append(
+        ),
         Verdict(
             "derived-index-inequality",
             derived_violations == 0,
             f"{derived_violations} violations over {derived_checked} applicable instances",
-        )
-    )
+        ),
+    ]
 
 
-def _cmd_search(config: ExperimentConfig, report: Report) -> None:
-    group = resolve_group(config.group_spec, cap=config.cap_order)
-    stabilizer = resolve_action(group, config.action_spec)
-    if config.multiset_spec not in (None, "all-symmetric-subsets"):
-        raise ValueError(
-            "the search is exhaustive; --set accepts only all-symmetric-subsets"
-        )
-    if not config.subgroup_spec:
-        raise ValueError("search-counterexample needs --subgroup")
-    subgroup_gens = resolve_group(
-        config.subgroup_spec, cap=config.cap_order, degree=group.degree
-    )
-    subgroup = group.subgroup_generated(subgroup_gens.generators)
+def _cmd_search(config, report, group, stabilizer, subgroup) -> None:
     outcome = dedup_counterexample_search(group, subgroup, stabilizer)
     report.results = {
         "sets_examined": outcome.sets_examined,
@@ -486,22 +435,10 @@ def _cmd_search(config: ExperimentConfig, report: Report) -> None:
     )
 
 
-def _cmd_sweep(config: ExperimentConfig, report: Report) -> None:
+def _cmd_sweep(config, report, group, stabilizer, subgroup) -> None:
     results = run_all(progress=lambda r: print(r.line(), file=sys.stderr, flush=True))
-    report.results = {
-        "criteria": [
-            {
-                "key": r.key,
-                "title": r.title,
-                "passed": r.passed,
-                "seconds": r.seconds,
-                "details": r.details,
-            }
-            for r in results
-        ]
-    }
-    for r in results:
-        report.verdicts.append(Verdict(r.key, r.passed, r.title))
+    report.results = {"criteria": [asdict(r) for r in results]}
+    report.verdicts = [Verdict(r.key, r.passed, r.title) for r in results]
 
 
 _RUNNERS = {
@@ -514,13 +451,27 @@ _RUNNERS = {
     "search-counterexample": _cmd_search,
     "sweep": _cmd_sweep,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> Report:
-    """Execute one experiment and return its report."""
+    """Execute one experiment and return its report.
+
+    The group and the action's stabilizer are resolved here for every
+    command but ``sweep``, and the subgroup for the commands that take one.
+    """
     config.validate()
     report = Report(config=config)
-    _RUNNERS[config.command](config, report)
+    group = stabilizer = subgroup = None
+    if config.command != "sweep":
+        group = resolve_group(config.group_spec, cap=config.cap_order)
+        stabilizer = resolve_action(group, config.action_spec)
+    if config.command in _SUBGROUP_COMMANDS:
+        generated = resolve_group(
+            config.subgroup_spec, cap=config.cap_order, degree=group.degree
+        )
+        subgroup = group.subgroup_generated(generated.generators)
+    _RUNNERS[config.command](config, report, group, stabilizer, subgroup)
     return report
 
 

@@ -8,7 +8,7 @@ element table, with replacement.  Trials derive their stream from the pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,24 +102,16 @@ class TrialStats:
     c_epsilon: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "sample_size": self.sample_size,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "lambdas": list(self.lambdas),
-            "empirical_mean": self.empirical_mean,
-            "empirical_tail": self.empirical_tail,
-            "bound_tail": self.bound_tail,
-            "seed": self.seed,
-            "c_epsilon": self.c_epsilon,
-        }
+        return {**asdict(self), "lambdas": list(self.lambdas)}
 
-    def to_csv(self) -> str:
-        lines = ["trial,lambda"]
-        for i, value in enumerate(self.lambdas):
-            lines.append(f"{i},{value:.17g}")
-        return "\n".join(lines) + "\n"
+    def tail_budget(self) -> float:
+        """What the empirical tail may reach: delta plus three standard
+        errors of a tail frequency delta over this many trials."""
+        return self.delta + 3.0 * math.sqrt(self.delta * (1.0 - self.delta) / self.trials)
+
+    def mean_budget(self) -> float:
+        """What the empirical mean of lambda may reach: epsilon + delta."""
+        return self.epsilon + self.delta
 
 
 def run_expansion_trials(

@@ -53,6 +53,29 @@ def _distinguishing_points(images: np.ndarray) -> list[int]:
     return base
 
 
+def _row_lookup(images: np.ndarray):
+    """Index of each row of an ``m x degree`` array among the rows of
+    ``images``, or -1 for a row that is not there.
+
+    Rows are keyed by their images at a few points that tell the rows of
+    ``images`` apart, found by binary search, and each match is then
+    checked on all points.
+    """
+    base = _distinguishing_points(images)
+    key = np.dtype((np.void, images.itemsize * len(base)))
+    keys = np.ascontiguousarray(images[:, base]).view(key).ravel()
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    last = len(images) - 1
+
+    def lookup(rows: np.ndarray) -> np.ndarray:
+        wanted = np.ascontiguousarray(rows[:, base]).view(key).ravel()
+        found = by_key[np.minimum(np.searchsorted(sorted_keys, wanted), last)]
+        return np.where((images[found] == rows).all(axis=1), found, -1)
+
+    return lookup
+
+
 class _ProductRow:
     """Row ``x`` of the multiplication table of a group too large to tabulate."""
 
@@ -236,30 +259,21 @@ class FiniteGroup:
 
         ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  Row
         ``i`` is one numpy gather over the ``order x degree`` image array
-        (every element applied after ``elements[i]``).  The products are
-        looked up against the sorted element keys, their images at a few
-        points that tell the elements apart, and each match is checked on
-        all points, so a product that is not an element raises ValueError.
-        Rows are kept as Python lists because the hot loops read single
-        entries.
+        (every element applied after ``elements[i]``), looked up with
+        ``_row_lookup``, so a product that is not an element raises
+        ValueError.  Rows are kept as Python lists because the hot loops
+        read single entries.
         """
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
             images = np.array([p.images for p in self.elements], dtype=np.int32)
-            base = _distinguishing_points(images)
-            key = np.dtype((np.void, images.itemsize * len(base)))
-            keys = np.ascontiguousarray(images[:, base]).view(key).ravel()
-            by_key = np.argsort(keys)
-            sorted_keys = keys[by_key]
-            last = self.order - 1
+            lookup = _row_lookup(images)
             table = []
             for image in images:
-                products = images[:, image]
-                wanted = np.ascontiguousarray(products[:, base]).view(key).ravel()
-                found = by_key[np.minimum(np.searchsorted(sorted_keys, wanted), last)]
-                if not np.array_equal(images[found], products):
+                found = lookup(images[:, image])
+                if found.min() < 0:
                     raise ValueError("the element table is not closed under products")
                 table.append(found.tolist())
             self._cache["table"] = table
@@ -288,6 +302,15 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse_indices()[i]
+
+    def inverse_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes {x, x^-1} as ascending index tuples, in ascending order."""
+        classes = self._cache.get("inverse_classes")
+        if classes is None:
+            inv = self.inverse_indices()
+            classes = tuple(sorted({tuple(sorted({i, inv[i]})) for i in range(self.order)}))
+            self._cache["inverse_classes"] = classes
+        return classes
 
     def commutator(self, i: int, j: int) -> int:
         """Index of [x, y] = x^-1 y^-1 x y for element indices i, j."""
@@ -494,6 +517,48 @@ def group_from_generators(
     return FiniteGroup(elements, generators)
 
 
+def group_from_images(
+    generators: Sequence[Permutation], images: np.ndarray
+) -> Optional[FiniteGroup]:
+    """The group ``group_from_generators(generators)`` builds, read from the
+    ``order x degree`` integer array of its element images; None when the
+    array holds anything else.
+
+    The array is checked, not recomputed: every row is a bijection and row
+    0 the identity; every element times every generator is an element; and,
+    scanning those products row by row, the elements other than the
+    identity first turn up in the order 1, 2, ..., n-1, each in a row before
+    its own.  That is the breadth-first discovery order, so a truncated
+    table, a table with extra cosets or one in another order is refused.
+    """
+    points = np.arange(generators[0].degree)
+    if not (
+        images.ndim == 2
+        and len(images) > 0
+        and images.shape[1:] == points.shape
+        and images.dtype.kind in "iu"
+        and np.array_equal(images[0], points)
+        and np.array_equal(np.sort(images, axis=1), np.broadcast_to(points, images.shape))
+    ):
+        return None
+    lookup = _row_lookup(images)
+    products = np.stack(
+        [lookup(np.array(g.images)[images]) for g in generators], axis=1
+    ).ravel()
+    if products.min() < 0:
+        return None
+    # found[0] is the identity (some g^-1 g); the rest must be 1, ..., n-1
+    found, first = np.unique(products, return_index=True)
+    found, first = found[1:], first[1:]
+    if not (
+        np.array_equal(found, np.arange(1, len(images)))
+        and np.all(np.diff(first) > 0)
+        and np.all(first // len(generators) < found)
+    ):
+        return None
+    return FiniteGroup([Permutation._raw(tuple(row)) for row in images.tolist()], generators)
+
+
 class Transversal:
     """Right-coset representatives of a subgroup, with the bar map.
 
@@ -528,6 +593,13 @@ class Transversal:
     @property
     def coset_count(self) -> int:
         return len(self.rep_indices)
+
+    def coset_members(self) -> list[list[int]]:
+        """The parent indices of each coset's members, by slot, ascending."""
+        members: list[list[int]] = [[] for _ in range(self.coset_count)]
+        for x, slot in enumerate(self.slot_of):
+            members[slot].append(x)
+        return members
 
     @classmethod
     def from_reps(
@@ -734,17 +806,8 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
         derived = derived_subgroup(group)
         seed = {group.index_of(p) for p in derived.elements}
         seed.update(group.mult(i, i) for i in range(group.order))
-        kernel = group._closure(seed)
-
-        slot_of = [-1] * group.order
-        cosets: list[int] = []
-        for x in range(group.order):
-            if slot_of[x] >= 0:
-                continue
-            slot = len(cosets)
-            cosets.append(x)
-            for k in kernel:
-                slot_of[group.mult(k, x)] = slot
+        quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
+        slot_of, cosets = quotient.slot_of, quotient.rep_indices
 
         # grow an F2 basis for the quotient, labelling each coset with a bitmask
         vec: dict[int, int] = {slot_of[0]: 0}
@@ -757,9 +820,7 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
             for other_slot, value in list(vec.items()):
                 product = slot_of[group.mult(rep, cosets[other_slot])]
                 vec[product] = bit | value
-        members_by_slot = [[] for _ in cosets]
-        for x in range(group.order):
-            members_by_slot[slot_of[x]].append(x)
+        members_by_slot = quotient.coset_members()
 
         hyperplanes = []
         for mask in range(1, 1 << rank):

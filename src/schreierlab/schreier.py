@@ -26,6 +26,7 @@ from .permutations import (
     require_subgroup,
     right_transversal,
 )
+from .spectral import LOG_TOL, spectral_summary
 
 
 class SymmetricMultiset:
@@ -272,6 +273,32 @@ def rs_induce(
 
 
 @dataclass(frozen=True)
+class Induction:
+    """An induced multiset and the two laws that induction must obey."""
+
+    multiset: SymmetricMultiset
+    size_law: bool
+    inverse_law: bool
+
+
+def induce_with_laws(
+    group: FiniteGroup,
+    subgroup: FiniteGroup,
+    transversal: Transversal,
+    multiset: SymmetricMultiset,
+) -> Induction:
+    """``rs_induce`` together with its size law, |S_H| = |G:H| |S|, and its
+    inverse compatibility: inducing S^-1 gives the inverse of inducing S."""
+    induced = rs_induce(group, subgroup, transversal, multiset)
+    return Induction(
+        multiset=induced,
+        size_law=induced.size == (group.order // subgroup.order) * multiset.size,
+        inverse_law=rs_induce(group, subgroup, transversal, multiset.inverse())
+        == induced.inverse(),
+    )
+
+
+@dataclass(frozen=True)
 class DedupWitness:
     """A connection set whose induced multiset loses its gap when collapsed."""
 
@@ -292,21 +319,20 @@ class DedupSearchResult:
     transversals_scanned: int
 
 
-def _symmetric_subsets(group: FiniteGroup) -> Iterable[tuple[int, ...]]:
-    inv = group.inverse_indices()
-    classes = sorted({tuple(sorted({i, inv[i]})) for i in range(group.order)})
+def symmetric_subsets(group: FiniteGroup) -> Iterable[SymmetricMultiset]:
+    """Every nonempty inverse-closed subset of the group, multiplicities 1:
+    the unions of inverse classes, fewest classes first."""
+    classes = group.inverse_classes()
     for r in range(1, len(classes) + 1):
         for combo in itertools.combinations(classes, r):
-            yield tuple(sorted(set(itertools.chain.from_iterable(combo))))
+            indices = sorted(set(itertools.chain.from_iterable(combo)))
+            yield SymmetricMultiset.from_elements(group.elements[i] for i in indices)
 
 
 def _all_transversals(
     group: FiniteGroup, subgroup: FiniteGroup, cap: int
 ) -> Iterable[Transversal]:
-    base = right_transversal(group, subgroup)
-    slots: list[list[Permutation]] = [[] for _ in range(base.coset_count)]
-    for x in range(group.order):
-        slots[base.slot_of[x]].append(group.elements[x])
+    slots = right_transversal(group, subgroup).coset_members()
     total = 1
     for members in slots:
         total *= len(members)
@@ -315,14 +341,14 @@ def _all_transversals(
                 f"more than {cap} transversals to enumerate; raise the cap"
             )
     for choice in itertools.product(*slots):
-        yield Transversal.from_reps(group, subgroup, choice)
+        yield Transversal.from_reps(group, subgroup, [group.elements[i] for i in choice])
 
 
 def dedup_counterexample_search(
     group: FiniteGroup,
     subgroup: FiniteGroup,
     stabilizer: FiniteGroup,
-    gap_margin: float = 1e-9,
+    gap_margin: float = LOG_TOL,
     class_cap: int = 22,
     transversal_cap: int = 10_000,
 ) -> DedupSearchResult:
@@ -340,24 +366,18 @@ def dedup_counterexample_search(
     whether the witnesses came from the deterministic transversal and how
     many transversals were scanned.
     """
-    from .spectral import spectral_summary
-
     require_subgroup(group, subgroup)
     require_subgroup(subgroup, stabilizer)
-    inv = group.inverse_indices()
-    classes = {tuple(sorted({i, inv[i]})) for i in range(group.order)}
-    if len(classes) > class_cap:
+    class_count = len(group.inverse_classes())
+    if class_count > class_cap:
         raise SearchSpaceError(
-            f"{len(classes)} inverse classes exceed the cap of {class_cap}"
+            f"{class_count} inverse classes exceed the cap of {class_cap}"
         )
 
     connected_sets: list[tuple[SymmetricMultiset, float]] = []
     examined = 0
-    for indices in _symmetric_subsets(group):
+    for multiset in symmetric_subsets(group):
         examined += 1
-        multiset = SymmetricMultiset.from_elements(
-            group.elements[i] for i in indices
-        )
         graph = schreier_graph(group, stabilizer, multiset)
         if not connectivity_and_bipartiteness(graph).connected:
             continue

@@ -2,23 +2,43 @@
 
 The full spectrum is computed rather than extremal eigenvalues only: desk
 scale makes that affordable, and spectrum-containment checks need all of it.
-Tolerances follow a one-decade-per-stage policy: structural checks at 1e-12,
-eigenvalue assertions at 1e-8, cross-graph comparisons at 1e-6.
+
+Every tolerance in the package is defined here, one per stage:
+
+* ``ROUNDOFF_TOL`` (1e-12): figures exact up to a few roundings: the
+  symmetry of a walk matrix, theta >= 1, the closed-form exponents.
+* ``LOG_TOL`` (1e-9): figures that pass through logarithms: theta <= |Omega|,
+  the least expanding-set size, the derived-index inequality, the
+  counterexample search's gap loss, and Rayleigh quotients against the
+  extreme eigenvalues.
+* ``GAP_TOL`` (1e-8): a computed eigenvalue against a closed form: gaps
+  under their bounds (``gap_obeys``), induced gaps against their parents',
+  the cycle oracle, and the walk spectrum's ends at 1 and -1.
+* ``CONTAINMENT_TOL`` (1e-6): eigenvalues of two different graphs compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MatrixTooLargeError
-from .schreier import SchreierGraph
+
+if TYPE_CHECKING:
+    from .schreier import SchreierGraph
 
 DEFAULT_DIM_CAP = 3000
-_SYMMETRY_TOL = 1e-12
-# slack allowed when a measured gap is compared with a bound
+ROUNDOFF_TOL = 1e-12
+LOG_TOL = 1e-9
 GAP_TOL = 1e-8
+CONTAINMENT_TOL = 1e-6
+
+
+def gap_obeys(gap: float, bound: float) -> bool:
+    """Whether a measured gap lies under a closed-form bound, up to GAP_TOL."""
+    return gap <= bound + GAP_TOL
 
 
 def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
@@ -30,8 +50,8 @@ def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nd
         raise MatrixTooLargeError(
             f"dimension {matrix.shape[0]} exceeds the cap of {dim_cap}"
         )
-    if np.max(np.abs(matrix - matrix.T)) > _SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-12")
+    if np.max(np.abs(matrix - matrix.T)) > ROUNDOFF_TOL:
+        raise ValueError(f"matrix is not symmetric within {ROUNDOFF_TOL:g}")
     return np.linalg.eigvalsh(matrix)[::-1].copy()
 
 
@@ -57,9 +77,9 @@ class SpectralSummary:
 def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralSummary:
     eigenvalues = sym_eigenvalues(graph.walk, dim_cap=dim_cap)
     leading = eigenvalues[0]
-    if abs(leading - 1.0) > 1e-8:
+    if abs(leading - 1.0) > GAP_TOL:
         raise ValueError(f"leading eigenvalue {leading} is not 1; bad walk matrix")
-    if eigenvalues[-1] < -1.0 - 1e-8:
+    if eigenvalues[-1] < -1.0 - GAP_TOL:
         raise ValueError(f"eigenvalue {eigenvalues[-1]} below -1; bad walk matrix")
     if len(eigenvalues) == 1:
         return SpectralSummary(

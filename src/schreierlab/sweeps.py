@@ -38,17 +38,25 @@ from .permutations import (
     right_transversal,
 )
 from .schreier import (
+    Induction,
     SymmetricMultiset,
     bipartite_criterion,
     connectivity_and_bipartiteness,
     dedup_counterexample_search,
-    rs_induce,
+    induce_with_laws,
     schreier_graph,
+    symmetric_subsets,
 )
-from .spectral import GAP_TOL, rayleigh_quotient, spectral_summary, sym_eigenvalues
-
-LOG_TOL = 1e-9
-CONTAINMENT_TOL = 1e-6
+from .spectral import (
+    CONTAINMENT_TOL,
+    GAP_TOL,
+    LOG_TOL,
+    ROUNDOFF_TOL,
+    gap_obeys,
+    rayleigh_quotient,
+    spectral_summary,
+    sym_eigenvalues,
+)
 
 
 @dataclass
@@ -68,12 +76,10 @@ class CriterionResult:
 class Instance:
     """One measured Schreier graph, kept for cross-criterion checks."""
 
-    label: str
     group: FiniteGroup
     stabilizer: FiniteGroup
     multiset: SymmetricMultiset
     gap: float
-    lam: float
 
 
 def _measure(group, stabilizer, multiset):
@@ -109,42 +115,21 @@ _MIDSIZE_POOL = [
     "cyclic:3xcyclic:9",
 ]
 
-_SMALL_POOL = [
-    "cyclic:2",
-    "cyclic:3",
-    "cyclic:4",
-    "cyclic:5",
-    "cyclic:6",
-    "cyclic:7",
-    "cyclic:8",
-    "cyclic:9",
-    "cyclic:10",
-    "cyclic:11",
-    "cyclic:12",
-    "cyclic:13",
-    "cyclic:14",
-    "cyclic:15",
-    "cyclic:16",
-    "dihedral:6",
-    "dihedral:8",
-    "dihedral:10",
-    "dihedral:12",
-    "dihedral:14",
-    "dihedral:16",
-    "elem-abelian:2^2",
-    "elem-abelian:2^3",
-    "elem-abelian:2^4",
-    "elem-abelian:3^2",
-    "sym:3",
-    "alt:4",
-    "cyclic:2xcyclic:4",
-    "cyclic:2xcyclic:6",
-    "cyclic:4xcyclic:4",
-]
+_SMALL_POOL = (
+    [f"cyclic:{n}" for n in range(2, 17)]
+    + [f"dihedral:{n}" for n in range(6, 17, 2)]
+    + ["elem-abelian:2^2", "elem-abelian:2^3", "elem-abelian:2^4", "elem-abelian:3^2"]
+    + ["sym:3", "alt:4", "cyclic:2xcyclic:4", "cyclic:2xcyclic:6", "cyclic:4xcyclic:4"]
+)
 
 
 def _group_pool(names: list[str]) -> list[tuple[str, FiniteGroup]]:
     return [(name, catalog_group(name)) for name in names]
+
+
+def _midsize_pool() -> list[tuple[str, FiniteGroup]]:
+    """The midsize pool's groups of order at most 48."""
+    return [(name, group) for name, group in _group_pool(_MIDSIZE_POOL) if group.order <= 48]
 
 
 def _stabilizer_candidates(
@@ -163,6 +148,23 @@ def _stabilizer_candidates(
 
 def _random_size(i: int) -> int:
     return 2 + (i % 7)
+
+
+def _random_transversal(
+    group: FiniteGroup,
+    subgroup: FiniteGroup,
+    members: list[list[int]],
+    rng: np.random.Generator,
+) -> Transversal:
+    """A transversal with one uniform member of each coset as representative."""
+    reps = [group.elements[slot[int(rng.integers(0, len(slot)))]] for slot in members]
+    return Transversal.from_reps(group, subgroup, reps)
+
+
+def _tally_laws(laws: dict, induction: Induction) -> None:
+    laws["size_law"] += 1
+    laws["inverse_law"] += 1
+    laws["failures"] += (not induction.size_law) + (not induction.inverse_law)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +197,7 @@ def check_cycle_gap() -> CriterionResult:
 def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
     start = time.perf_counter()
     rng = np.random.default_rng(20250801)
-    pool = [
-        (name, grp)
-        for name, grp in _group_pool(_MIDSIZE_POOL)
-        if grp.order <= 48
-    ]
+    pool = _midsize_pool()
     worst = 0.0
     checked = 0
     for i in range(instances_wanted):
@@ -240,20 +238,14 @@ def check_abelian_bound(
     for name in names:
         group = catalog_group(name)
         trivial = group.trivial_subgroup()
-        bound_cache: dict[int, float] = {}
         for i in range(multisets_per_group):
             multiset = sample_symmetric_multiset(group, _random_size(i), rng)
             summary = _measure(group, trivial, multiset)
-            bound = bound_cache.get(multiset.size)
-            if bound is None:
-                bound = abelian_gap_bound(group.order, multiset.size)
-                bound_cache[multiset.size] = bound
-            if summary.gap > bound + GAP_TOL:
+            bound = abelian_gap_bound(group.order, multiset.size)
+            if not gap_obeys(summary.gap, bound):
                 violations += 1
             tightest = min(tightest, bound - summary.gap)
-            instances.append(
-                Instance(name, group, trivial, multiset, summary.gap, summary.two_sided_lambda)
-            )
+            instances.append(Instance(group, trivial, multiset, summary.gap))
     seconds = time.perf_counter() - start
     result = CriterionResult(
         key="abelian-bound",
@@ -279,7 +271,7 @@ def check_induced_monotonicity(
 ) -> tuple[CriterionResult, list[Instance], dict]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250804)
-    pool = [(n, g) for n, g in _group_pool(_MIDSIZE_POOL) if g.order <= 48]
+    pool = _midsize_pool()
     candidates = {
         name: _stabilizer_candidates(group, rng) for name, group in pool
     }
@@ -299,24 +291,17 @@ def check_induced_monotonicity(
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
 
         parent = _measure(group, stabilizer, multiset)
-        transversal = right_transversal(group, subgroup)
-        induced = rs_induce(group, subgroup, transversal, multiset)
+        induction = induce_with_laws(
+            group, subgroup, right_transversal(group, subgroup), multiset
+        )
+        _tally_laws(law_checks, induction)
 
-        law_checks["size_law"] += 1
-        if induced.size != (group.order // subgroup.order) * multiset.size:
-            law_checks["failures"] += 1
-        law_checks["inverse_law"] += 1
-        if rs_induce(group, subgroup, transversal, multiset.inverse()) != induced.inverse():
-            law_checks["failures"] += 1
-
-        child = _measure(subgroup, stabilizer, induced)
+        child = _measure(subgroup, stabilizer, induction.multiset)
         if child.gap < parent.gap - GAP_TOL:
             gap_violations += 1
         if child.two_sided_lambda > parent.two_sided_lambda + GAP_TOL:
             lambda_violations += 1
-        instances.append(
-            Instance(name, group, stabilizer, multiset, parent.gap, parent.two_sided_lambda)
-        )
+        instances.append(Instance(group, stabilizer, multiset, parent.gap))
     seconds = time.perf_counter() - start
     result = CriterionResult(
         key="induced-monotonicity",
@@ -343,10 +328,7 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
     subgroup = group.subgroup_generated([rotation])
     result = dedup_counterexample_search(group, subgroup, group.trivial_subgroup())
     seconds = time.perf_counter() - start
-    law_extra = {
-        "group": group,
-        "subgroup": subgroup,
-    }
+    law_extra = {"group": group, "subgroup": subgroup}
     criterion = CriterionResult(
         key="dedup-counterexample",
         title="dihedral order 8 yields dedup witnesses, none with multiplicities",
@@ -378,7 +360,6 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
     stabilizer = group.point_stabilizer(0)
     epsilon = delta = 0.25
     stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, seed=2025)
-    slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     seconds = time.perf_counter() - start
     expected_m = required_sample_size(epsilon, delta, 6)
     return CriterionResult(
@@ -386,17 +367,17 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
         title="random multisets of the prescribed size expand with high probability",
         passed=(
             stats.sample_size == expected_m
-            and stats.empirical_tail <= delta + slack
-            and stats.empirical_mean <= epsilon + delta
+            and stats.empirical_tail <= stats.tail_budget()
+            and stats.empirical_mean <= stats.mean_budget()
             and seconds < 300.0
         ),
         details={
             "sample_size": stats.sample_size,
             "trials": stats.trials,
             "empirical_tail": stats.empirical_tail,
-            "tail_budget": delta + slack,
+            "tail_budget": stats.tail_budget(),
             "empirical_mean": stats.empirical_mean,
-            "mean_budget": epsilon + delta,
+            "mean_budget": stats.mean_budget(),
             "bound_tail": stats.bound_tail,
         },
         seconds=seconds,
@@ -424,7 +405,7 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
             ltheta = log_theta(inst.group, inst.stabilizer)
             theta_cache[key] = ltheta
         bound = math.exp(log5 - 2.0 * ltheta / inst.multiset.size)
-        if inst.gap > bound + GAP_TOL:
+        if not gap_obeys(inst.gap, bound):
             bound_violations += 1
         for epsilon in (0.1, 0.3, 0.5):
             if inst.gap >= epsilon:
@@ -472,21 +453,13 @@ def check_nilpotent_bound(
         for stabilizer in intermediate_subgroups(group, group.trivial_subgroup()):
             actions += 1
             omega = group.order // stabilizer.order
-            bound_cache: dict[int, float] = {}
             for i in range(multisets_per_action):
                 multiset = sample_symmetric_multiset(group, _random_size(i), rng)
                 summary = _measure(group, stabilizer, multiset)
-                bound = bound_cache.get(multiset.size)
-                if bound is None:
-                    bound = nilpotent_gap_bound(omega, multiset.size, class_c)
-                    bound_cache[multiset.size] = bound
-                if summary.gap > bound + GAP_TOL:
+                bound = nilpotent_gap_bound(omega, multiset.size, class_c)
+                if not gap_obeys(summary.gap, bound):
                     violations += 1
-                instances.append(
-                    Instance(
-                        name, group, stabilizer, multiset, summary.gap, summary.two_sided_lambda
-                    )
-                )
+                instances.append(Instance(group, stabilizer, multiset, summary.gap))
     seconds = time.perf_counter() - start
     result = CriterionResult(
         key="nilpotent-bound",
@@ -514,15 +487,13 @@ def check_derived_index(instances: list[Instance]) -> CriterionResult:
     violations = 0
     for inst in instances:
         report = derived_index_check(inst.group, inst.stabilizer, inst.multiset)
-        if report.hypotheses_hold:
-            applied += 1
-            if not report.ok:
-                violations += 1
+        applied += report.hypotheses_hold
+        violations += report.ok is False
 
     closed_form_ok = (
-        abs(nilpotent_exponents(2, 1)[0] - 1.0) < 1e-12
-        and abs(nilpotent_exponents(2, 2)[0] - 0.2) < 1e-12
-        and abs(nilpotent_exponents(2, 2)[1] - 0.2) < 1e-12
+        abs(nilpotent_exponents(2, 1)[0] - 1.0) < ROUNDOFF_TOL
+        and abs(nilpotent_exponents(2, 2)[0] - 0.2) < ROUNDOFF_TOL
+        and abs(nilpotent_exponents(2, 2)[1] - 0.2) < ROUNDOFF_TOL
     )
     floors_ok = True
     for d in range(2, 11):
@@ -560,12 +531,11 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
     disagreements = 0
     total = 0
     short_groups = []
-    for name, group in _group_pool([n for n in _SMALL_POOL]):
+    for name, group in _group_pool(_SMALL_POOL):
         if group.order > 16:
             continue
         stabilizer = group.trivial_subgroup()
-        inv = group.inverse_indices()
-        classes = sorted({tuple(sorted({i, inv[i]})) for i in range(group.order)})
+        classes = group.inverse_classes()
         found = 0
         attempts = 0
         while found < instances_per_group and attempts < 200 * instances_per_group:
@@ -609,45 +579,23 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
 
 def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionResult:
     start = time.perf_counter()
-    size_checks = carry.get("size_law", 0)
-    inverse_checks = carry.get("inverse_law", 0)
-    failures = carry.get("failures", 0)
+    laws = {key: carry.get(key, 0) for key in ("size_law", "inverse_law", "failures")}
 
     # revisit the dedup-search pair with several transversals
     group = carry["dedup"]["group"]
     subgroup = carry["dedup"]["subgroup"]
     rng = np.random.default_rng(20250811)
     base = right_transversal(group, subgroup)
-    transversals = [base]
-    slots = [[] for _ in range(base.coset_count)]
-    for x in range(group.order):
-        slots[base.slot_of[x]].append(group.elements[x])
-    for _ in range(3):
-        reps = [members[int(rng.integers(0, len(members)))] for members in slots]
-        transversals.append(Transversal.from_reps(group, subgroup, reps))
-    inv = group.inverse_indices()
-    classes = sorted({tuple(sorted({i, inv[i]})) for i in range(group.order)})
-    index = group.order // subgroup.order
-    for r in range(1, len(classes) + 1):
-        for combo in itertools.combinations(classes, r):
-            indices = sorted(set(itertools.chain.from_iterable(combo)))
-            multiset = SymmetricMultiset.from_elements(
-                group.elements[i] for i in indices
-            )
-            for transversal in transversals:
-                induced = rs_induce(group, subgroup, transversal, multiset)
-                size_checks += 1
-                if induced.size != index * multiset.size:
-                    failures += 1
-                inverse_checks += 1
-                if (
-                    rs_induce(group, subgroup, transversal, multiset.inverse())
-                    != induced.inverse()
-                ):
-                    failures += 1
+    members = base.coset_members()
+    transversals = [base] + [
+        _random_transversal(group, subgroup, members, rng) for _ in range(3)
+    ]
+    for multiset in symmetric_subsets(group):
+        for transversal in transversals:
+            _tally_laws(laws, induce_with_laws(group, subgroup, transversal, multiset))
 
     # randomized pairs across the pool, with random transversals
-    pool = [(n, g) for n, g in _group_pool(_MIDSIZE_POOL) if g.order <= 48]
+    pool = _midsize_pool()
     for i in range(extra_instances):
         name, group = pool[i % len(pool)]
         picks = [
@@ -655,30 +603,20 @@ def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionRe
             for j in rng.integers(0, group.order, size=int(rng.integers(0, 3)))
         ]
         subgroup = group.subgroup_generated(picks)
-        base = right_transversal(group, subgroup)
-        slots = [[] for _ in range(base.coset_count)]
-        for x in range(group.order):
-            slots[base.slot_of[x]].append(group.elements[x])
-        reps = [members[int(rng.integers(0, len(members)))] for members in slots]
-        transversal = Transversal.from_reps(group, subgroup, reps)
+        members = right_transversal(group, subgroup).coset_members()
+        transversal = _random_transversal(group, subgroup, members, rng)
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
-        induced = rs_induce(group, subgroup, transversal, multiset)
-        size_checks += 1
-        if induced.size != (group.order // subgroup.order) * multiset.size:
-            failures += 1
-        inverse_checks += 1
-        if rs_induce(group, subgroup, transversal, multiset.inverse()) != induced.inverse():
-            failures += 1
+        _tally_laws(laws, induce_with_laws(group, subgroup, transversal, multiset))
 
     seconds = time.perf_counter() - start
     return CriterionResult(
         key="induction-laws",
         title="induced multisets: exact size law and inverse-compatibility",
-        passed=(failures == 0),
+        passed=(laws["failures"] == 0),
         details={
-            "size_checks": size_checks,
-            "inverse_checks": inverse_checks,
-            "failures": failures,
+            "size_checks": laws["size_law"],
+            "inverse_checks": laws["inverse_law"],
+            "failures": laws["failures"],
         },
         seconds=seconds,
     )

@@ -6,9 +6,15 @@ Budgeted checks carry their wall-clock limits inside the matrix itself
 60 s, expansion trials under 5 min, nilpotent sweep under 10 min).
 """
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from schreierlab.sweeps import run_all
+
+REFERENCE = Path(__file__).parent / "data" / "sweep_reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +118,38 @@ def test_12_rayleigh_range(matrix):
     result = _assert_criterion(matrix, "rayleigh-range")
     assert result.details["worst_overshoot"] <= 1e-9
     assert result.details["vectors_per_matrix"] == 1000
+
+
+def _same(got, want) -> bool:
+    """Exact agreement, except floats, which agree within 1e-8 relative."""
+    if isinstance(want, float) or isinstance(got, float):
+        return (
+            isinstance(got, (int, float))
+            and not isinstance(got, bool)
+            and math.isclose(got, want, rel_tol=1e-8, abs_tol=0.0)
+        )
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and got.keys() == want.keys()
+            and all(_same(got[k], want[k]) for k in want)
+        )
+    if isinstance(want, list):
+        return (
+            isinstance(got, (list, tuple))
+            and len(got) == len(want)
+            and all(_same(g, w) for g, w in zip(got, want))
+        )
+    return type(got) is type(want) and got == want
+
+
+def test_sweep_matches_the_reference(matrix):
+    """The matrix's key, title, verdict and details, timings aside, are
+    those recorded in tests/data/sweep_reference.json."""
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert list(matrix) == [entry["key"] for entry in reference]
+    for entry in reference:
+        result = matrix[entry["key"]]
+        got = {"title": result.title, "passed": result.passed, "details": result.details}
+        want = {k: entry[k] for k in ("title", "passed", "details")}
+        assert _same(got, want), f"{entry['key']}: {got} != {want}"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -150,6 +151,70 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
     catalog_group("dihedral:12")
     assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+
+def _truncate_to_60(payload):
+    payload["elements"] = payload["elements"][:60]
+
+
+def _edit_a_generator(payload):
+    payload["generators"][0] = [0, 1, 2, 4, 3]
+
+
+def _swap_two_elements(payload):
+    elements = payload["elements"]
+    elements[3], elements[4] = elements[4], elements[3]
+
+
+def _add_a_coset(payload):
+    # cyclic:1xcyclic:3 has the identity as its first generator, so the
+    # coset t<c> of a transposition t meets each of its members in the
+    # member's own row: it is refused because discovery must come earlier
+    t = [1, 0, 2, 3]
+    payload["elements"] += [[row[i] for i in t] for row in payload["elements"]]
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("sym:5", _truncate_to_60),
+        ("sym:5", _edit_a_generator),
+        ("sym:5", _swap_two_elements),
+        ("sym:5", None),
+        ("cyclic:1xcyclic:3", _add_a_coset),
+    ],
+    ids=["truncated", "edited-generator", "reordered", "not-json", "extra-coset"],
+)
+def test_disk_cache_rebuilds_a_file_that_does_not_match(tmp_path, monkeypatch, name, corrupt):
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    expected = [list(p.images) for p in catalog_group(name).elements]
+    (path,) = tmp_path.glob("*.json")
+    if corrupt is None:
+        path.write_text("{not json", encoding="utf-8")
+    else:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = catalog_group(name)
+    assert [list(p.images) for p in loaded.elements] == expected
+    assert [p.images for p in loaded.generators] == [
+        p.images for p in catalog_generators(name)
+    ]
+    # the file is rewritten, so the next load reads the right group
+    assert json.loads(path.read_text(encoding="utf-8"))["elements"] == expected
+
+
+def test_disk_cache_loads_a_good_file_without_enumerating(tmp_path, monkeypatch):
+    from schreierlab import catalog
+
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    expected = [p.images for p in catalog_group("sym:5").elements]
+
+    def enumerate_again(*args, **kwargs):
+        raise AssertionError("a valid cache file was enumerated again")
+
+    monkeypatch.setattr(catalog, "group_from_generators", enumerate_again)
+    assert [p.images for p in catalog_group("sym:5").elements] == expected
 
 
 def test_natural_action_of_alternating_groups():

@@ -90,6 +90,39 @@ def test_bounds_verdicts_pass(capsys):
     assert all(v["passed"] for v in payload["verdicts"])
 
 
+@pytest.mark.parametrize(
+    "argv, verdicts",
+    [
+        (
+            ["--group", "cyclic:16", "--set", "random:3", "--symmetrize", "--seed", "3",
+             "--epsilon", "0.3"],
+            [
+                ("theta-range", "theta=16, omega=16"),
+                ("gap-under-subgroup-bound", "gap=0.456338 vs 1.98425"),
+                ("gap-under-abelian-bound", "gap=0.456338 vs 1.98425"),
+                ("gap-under-nilpotent-bound", "gap=0.456338 vs 1.98425"),
+                ("expanding-set-large-enough", "|S|=6 vs 1.97098"),
+            ],
+        ),
+        (
+            ["--group", "heisenberg:3", "--set", "random:4", "--seed", "2",
+             "--epsilon", "0.5"],
+            [
+                ("theta-range", "theta=9, omega=27"),
+                ("gap-under-subgroup-bound", "gap=0.316987 vs 1.66667"),
+                ("gap-under-nilpotent-bound", "gap=0.316987 vs 4.53807"),
+            ],
+        ),
+    ],
+    ids=["abelian", "nilpotent"],
+)
+def test_bounds_verdict_names_and_details(argv, verdicts, capsys):
+    code, payload = run_json(["bounds", *argv], capsys)
+    assert code == 0
+    assert [(v["name"], v["detail"]) for v in payload["verdicts"]] == verdicts
+    assert all(v["passed"] for v in payload["verdicts"])
+
+
 def test_theta_command(capsys):
     code, payload = run_json(["theta", "--group", "heisenberg:3"], capsys)
     assert code == 0
@@ -135,6 +168,7 @@ def test_verify_thm1_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "trial,lambda"
     assert len(lines) == 5
+    assert lines[1].startswith("0,")
 
 
 def test_verify_nilpotent_command(capsys):
@@ -146,6 +180,26 @@ def test_verify_nilpotent_command(capsys):
     assert code == 0
     assert payload["results"]["nilpotency_class"] == 2
     assert payload["results"]["gap_violations"] == 0
+
+
+def test_verify_nilpotent_honours_random_set_size(capsys):
+    def results(m):
+        code, payload = run_json(
+            ["verify-nilpotent", "--group", "heisenberg:3", "--set", f"random:{m}",
+             "--trials", "5", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        return payload["results"]
+
+    small, large = results(3), results(8)
+    assert small["instances"] == large["instances"] == 5
+    assert small["worst_margin"] != large["worst_margin"]
+    # heisenberg:3 has no involutions, so a symmetric sample of size 3 is
+    # x, x^-1 and the identity, which generate only <x>: the derived-index
+    # hypotheses never hold; samples of size 8 do generate the group
+    assert small["derived_index_checked"] == 0
+    assert large["derived_index_checked"] > 0
 
 
 def test_verify_nilpotent_rejects_nonnilpotent(capsys):
@@ -220,7 +274,7 @@ def test_render_csv_uses_seventeen_digits():
 def test_failing_verdict_yields_exit_one(monkeypatch, capsys):
     from schreierlab import cli as cli_module
 
-    def fake_runner(config, report):
+    def fake_runner(config, report, group, stabilizer, subgroup):
         report.results = {"note": "forced"}
         report.verdicts.append(cli_module.Verdict("forced-failure", False, "injected"))
 

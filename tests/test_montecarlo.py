@@ -118,12 +118,3 @@ def test_trial_stats_figures():
     )
     assert stats.c_epsilon == pytest.approx(stats.sample_size / math.log(4))
 
-
-def test_trial_csv_has_one_row_per_trial():
-    group = catalog_group("sym:3")
-    y = group.point_stabilizer(0)
-    stats = run_expansion_trials(group, y, 0.25, 0.25, trials=6, seed=3)
-    lines = stats.to_csv().strip().splitlines()
-    assert lines[0] == "trial,lambda"
-    assert len(lines) == 7
-    assert lines[1].startswith("0,")

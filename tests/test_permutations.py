@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from schreierlab import (
     normal_core,
     right_transversal,
 )
+from schreierlab.permutations import group_from_images
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +205,39 @@ def test_whole_group_transversal(s3):
     t = right_transversal(s3, s3)
     assert t.coset_count == 1
     assert t.reps[0].is_identity()
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic:12", "dihedral:8", "sym:4", "heisenberg:3", "elem-abelian:2^3"]
+)
+def test_inverse_classes_match_the_inline_enumeration(name):
+    group = catalog_group(name)
+    inv = group.inverse_indices()
+    expected = sorted({tuple(sorted({i, inv[i]})) for i in range(group.order)})
+    assert list(group.inverse_classes()) == expected
+
+
+def test_coset_members_partition_the_group_by_slot(s3):
+    t = right_transversal(s3, s3.subgroup_generated([s3.generators[0]]))
+    members = t.coset_members()
+    assert sorted(x for slot in members for x in slot) == list(range(s3.order))
+    for slot, xs in enumerate(members):
+        assert xs == sorted(xs)
+        assert all(t.slot_of[x] == slot for x in xs)
+        assert t.rep_indices[slot] in xs
+
+
+def test_group_from_images_accepts_only_the_enumeration():
+    group = catalog_group("sym:4")
+    images = np.array([p.images for p in group.elements])
+    rebuilt = group_from_images(group.generators, images)
+    assert [p.images for p in rebuilt.elements] == [p.images for p in group.elements]
+    swapped = images.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    not_bijective = images.copy()
+    not_bijective[5, 0] = not_bijective[5, 1]
+    for bad in (swapped, images[:12], not_bijective, images[1:], images.astype(float)):
+        assert group_from_images(group.generators, bad) is None
 
 
 def test_not_a_subgroup_is_rejected(s3, c4):
