@@ -44,7 +44,6 @@ from .permutations import (
     lower_central_series,
     nilpotency_class,
     normal_core,
-    right_transversal,
 )
 from .schreier import (
     SchreierGraph,

@@ -18,7 +18,6 @@ from .permutations import (
     derived_subgroup,
     intermediate_subgroups,
     lower_central_series,
-    require_subgroup,
 )
 from .schreier import SymmetricMultiset, schreier_graph
 from .spectral import DEFAULT_DIM_CAP, LOG_TOL, spectral_summary
@@ -54,7 +53,7 @@ def interval_data(
     grown from H' by the stabilizer's generators, which normalise H'
     because Y <= H.
     """
-    key = ("interval-data", frozenset(group.index_of(p) for p in stabilizer.elements))
+    key = ("interval-data", group.indices_of(stabilizer))
     cached = group._cache.get(key)
     if cached is not None:
         return cached
@@ -193,28 +192,25 @@ def derived_index_check(
     some term of the lower central series lands inside the stabilizer.  The
     least such c >= 1 is used, which gives the strongest form of the check.
     """
-    require_subgroup(group, stabilizer)
+    stab_idx = group.indices_of(stabilizer)
     d = multiset.size
     if d < 2:
         return DerivedIndexReport(hypotheses_hold=False)
-    seed = {group.index_of(p) for p in stabilizer.elements}
-    seed.update(group.index_of(p) for p in multiset.support())
+    seed = stab_idx.union(group.index_of(p) for p in multiset.support())
     if len(group._closure(seed)) != group.order:
         return DerivedIndexReport(hypotheses_hold=False)
-    stab_set = {p.images for p in stabilizer.elements}
     terms, _ = lower_central_series(group)
     class_c = None
     for i, term in enumerate(terms[1:], start=1):
-        if {p.images for p in term.elements} <= stab_set:
+        if group.indices_of(term) <= stab_idx:
             class_c = i
             break
     if class_c is None:
         return DerivedIndexReport(hypotheses_hold=False)
 
-    derived = derived_subgroup(group)
-    join_seed = {group.index_of(p) for p in derived.elements}
-    join_seed.update(group.index_of(p) for p in stabilizer.elements)
-    lhs = group.order // len(group._closure(join_seed))
+    # G' is normal, so the join G'Y grows from G' without generators for G'
+    join = group._closure(stab_idx, base=group.indices_of(derived_subgroup(group)))
+    lhs = group.order // len(join)
     index = group.order // stabilizer.order
     _, beta = nilpotent_exponents(d, class_c)
     rhs = math.exp(beta * math.log(index)) if index > 1 else 1.0

@@ -34,8 +34,8 @@ from .notation import (
 from .permutations import (
     DEFAULT_ORDER_CAP,
     DEFAULT_SUBGROUP_LIMIT,
+    Transversal,
     lower_central_series,
-    right_transversal,
 )
 from .schreier import (
     SymmetricMultiset,
@@ -100,6 +100,10 @@ class ExperimentConfig:
             )
         if self.command in _SUBGROUP_COMMANDS and not self.subgroup_spec:
             raise ValueError(f"{self.command} needs --subgroup")
+        if self.subgroup_spec and self.command not in _SUBGROUP_COMMANDS:
+            raise ValueError(f"{self.command} takes no --subgroup")
+        if self.symmetrize and not self.multiset_spec:
+            raise ValueError("--symmetrize needs --set")
         if self.randomized() and self.seed is None:
             raise ValueError(f"command {self.command} draws randomness: --seed is required")
 
@@ -301,7 +305,7 @@ def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
 
 def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
     multiset = _resolve_multiset(config, group)
-    transversal = right_transversal(group, subgroup)
+    transversal = Transversal(group, subgroup)
     induction = induce_with_laws(group, subgroup, transversal, multiset)
     induced = induction.multiset
     index = group.order // subgroup.order

@@ -55,23 +55,23 @@ def _distinguishing_points(images: np.ndarray) -> list[int]:
 
 def _row_lookup(images: np.ndarray):
     """Index of each row of an ``m x degree`` array among the rows of
-    ``images``, or -1 for a row that is not there.
+    ``images``, or None when some row is not there.
 
     Rows are keyed by their images at a few points that tell the rows of
-    ``images`` apart, found by binary search, and each match is then
+    ``images`` apart, found by binary search, and the matches are then
     checked on all points.
     """
-    base = _distinguishing_points(images)
+    base = np.array(_distinguishing_points(images), dtype=np.intp)
     key = np.dtype((np.void, images.itemsize * len(base)))
     keys = np.ascontiguousarray(images[:, base]).view(key).ravel()
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     last = len(images) - 1
 
-    def lookup(rows: np.ndarray) -> np.ndarray:
-        wanted = np.ascontiguousarray(rows[:, base]).view(key).ravel()
+    def lookup(rows: np.ndarray) -> Optional[np.ndarray]:
+        wanted = np.take(rows, base, axis=1).astype(images.dtype, copy=False).view(key).ravel()
         found = by_key[np.minimum(np.searchsorted(sorted_keys, wanted), last)]
-        return np.where((images[found] == rows).all(axis=1), found, -1)
+        return found if (images[found] == rows).all() else None
 
     return lookup
 
@@ -238,16 +238,17 @@ class FiniteGroup:
         except KeyError:
             raise ValueError(f"{p!r} is not an element of this group") from None
 
-    def contains_subgroup(self, other: "FiniteGroup") -> bool:
-        if other.degree != self.degree or self.order % other.order != 0:
-            return False
-        return all(p.images in self._index for p in other.elements)
+    def indices_of(self, subgroup: "FiniteGroup") -> frozenset[int]:
+        """The indices of the subgroup's members in this group.
 
-    def element_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self._index)
-
-    def same_elements(self, other: "FiniteGroup") -> bool:
-        return self.element_set() == other.element_set()
+        Raises NotASubgroupError when some member is not an element here.
+        """
+        try:
+            return frozenset(self._index[p.images] for p in subgroup.elements)
+        except KeyError:
+            raise NotASubgroupError(
+                f"group of order {subgroup.order} is not a subgroup of the parent"
+            ) from None
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
@@ -268,16 +269,30 @@ class FiniteGroup:
             return None
         table = self._cache.get("table")
         if table is None:
-            images = np.array([p.images for p in self.elements], dtype=np.int32)
-            lookup = _row_lookup(images)
-            table = []
-            for image in images:
-                found = lookup(images[:, image])
-                if found.min() < 0:
-                    raise ValueError("the element table is not closed under products")
-                table.append(found.tolist())
+            images = self._image_array()[0]
+            table = [self._indices_of_rows(images[:, image]).tolist() for image in images]
             self._cache["table"] = table
         return table
+
+    def _image_array(self):
+        """The ``order x degree`` int32 array of element images, with its
+        ``_row_lookup``; built once per group."""
+        cached = self._cache.get("image_array")
+        if cached is None:
+            images = np.array([p.images for p in self.elements], dtype=np.int32)
+            cached = self._cache["image_array"] = (images, _row_lookup(images))
+        return cached
+
+    def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each row of an ``m x degree`` image array.
+
+        Raises ValueError when a row is not an element, which for a row of
+        products means the element table is not closed.
+        """
+        found = self._image_array()[1](rows)
+        if found is None:
+            raise ValueError("the element table is not closed under products")
+        return found
 
     def _rows(self):
         """``rows(i)[j]`` is the index of ``elements[i] * elements[j]``."""
@@ -481,7 +496,7 @@ class FiniteGroup:
         """The subgroup g^-1 * sub * g inside self."""
         gi = self.index_of(g)
         inv = self.inverse_indices()
-        members = [self.mult(self.mult(inv[gi], self.index_of(p)), gi) for p in sub.elements]
+        members = [self.mult(self.mult(inv[gi], i), gi) for i in self.indices_of(sub)]
         return self.subgroup_from_indices(members)
 
 
@@ -541,11 +556,12 @@ def group_from_images(
         and np.array_equal(np.sort(images, axis=1), np.broadcast_to(points, images.shape))
     ):
         return None
+    images = images.astype(np.int32)
     lookup = _row_lookup(images)
-    products = np.stack(
-        [lookup(np.array(g.images)[images]) for g in generators], axis=1
-    ).ravel()
-    if products.min() < 0:
+    # row i * len(generators) + j is elements[i] * generators[j]
+    gens = np.array([g.images for g in generators])
+    products = lookup(gens[:, images].transpose(1, 0, 2).reshape(-1, len(points)))
+    if products is None:
         return None
     # found[0] is the identity (some g^-1 g); the rest must be 1, ..., n-1
     found, first = np.unique(products, return_index=True)
@@ -556,7 +572,9 @@ def group_from_images(
         and np.all(first // len(generators) < found)
     ):
         return None
-    return FiniteGroup([Permutation._raw(tuple(row)) for row in images.tolist()], generators)
+    group = FiniteGroup([Permutation._raw(tuple(row)) for row in images.tolist()], generators)
+    group._cache["image_array"] = (images, lookup)
+    return group
 
 
 class Transversal:
@@ -569,10 +587,10 @@ class Transversal:
     """
 
     def __init__(self, parent: FiniteGroup, subgroup: FiniteGroup):
-        require_subgroup(parent, subgroup)
+        row = parent._rows()
+        sub_rows = [row(h) for h in parent.indices_of(subgroup)]
         self.parent = parent
         self.subgroup = subgroup
-        sub_idx = [parent.index_of(p) for p in subgroup.elements]
         rep_of = [-1] * parent.order
         slot_of = [-1] * parent.order
         reps: list[int] = []
@@ -581,8 +599,8 @@ class Transversal:
                 continue
             slot = len(reps)
             reps.append(x)
-            for h in sub_idx:
-                y = parent.mult(h, x)
+            for h_row in sub_rows:
+                y = h_row[x]
                 rep_of[y] = x
                 slot_of[y] = slot
         self.rep_indices: tuple[int, ...] = tuple(reps)
@@ -627,37 +645,34 @@ class Transversal:
         return obj
 
 
-def require_subgroup(parent: FiniteGroup, subgroup: FiniteGroup) -> None:
-    if not parent.contains_subgroup(subgroup):
-        raise NotASubgroupError(
-            f"group of order {subgroup.order} is not a subgroup of the parent"
-        )
-
-
-def right_transversal(parent: FiniteGroup, subgroup: FiniteGroup) -> Transversal:
-    """Deterministic right transversal: first-discovered member of each coset."""
-    return Transversal(parent, subgroup)
-
-
 class CosetAction:
-    """The right action of a group on the right cosets of a subgroup."""
+    """The right action of a group on the right cosets of a subgroup.
+
+    Cosets are numbered by their transversal slot.  The action is computed
+    on the group's image array: coset k goes to the coset of
+    ``reps[k] * g``, whose images are g's images gathered at those of
+    ``reps[k]``.
+    """
 
     def __init__(self, group: FiniteGroup, stabilizer: FiniteGroup):
         self.group = group
         self.stabilizer = stabilizer
-        self.transversal = right_transversal(group, stabilizer)
+        self.transversal = Transversal(group, stabilizer)
         self.n_points = self.transversal.coset_count
         self.base_point = self.transversal.slot_of[0]
+        images = group._image_array()[0]
+        self._images = images
+        self._rep_images = images[list(self.transversal.rep_indices)]
+        self._slot_of = np.array(self.transversal.slot_of, dtype=np.intp)
 
-    def permutation_of_index(self, element_index: int) -> Permutation:
-        g = self.group
-        t = self.transversal
-        return Permutation._raw(
-            tuple(t.slot_of[g.mult(rep, element_index)] for rep in t.rep_indices)
-        )
+    def permutation_of_index(self, element_index: int) -> np.ndarray:
+        """Where the element with that index sends each coset, by slot."""
+        products = self._images[element_index][self._rep_images]
+        return self._slot_of[self.group._indices_of_rows(products)]
 
     def permutation_of(self, p: Permutation) -> Permutation:
-        return self.permutation_of_index(self.group.index_of(p))
+        images = self.permutation_of_index(self.group.index_of(p))
+        return Permutation._raw(tuple(images.tolist()))
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
@@ -710,10 +725,9 @@ def nilpotency_class(group: FiniteGroup) -> Optional[int]:
 
 def normal_core(group: FiniteGroup, subgroup: FiniteGroup) -> FiniteGroup:
     """Largest normal subgroup of the parent contained in the subgroup."""
-    require_subgroup(group, subgroup)
     inv = group.inverse_indices()
-    core = set(group.index_of(p) for p in subgroup.elements)
-    transversal = right_transversal(group, subgroup)
+    core = set(group.indices_of(subgroup))
+    transversal = Transversal(group, subgroup)
     for t in transversal.rep_indices:
         conj = {group.mult(group.mult(inv[t], y), t) for y in core}
         core &= conj
@@ -755,8 +769,7 @@ def intermediate_subgroups(
     carries a small generating set, the floor's chosen greedily.  The
     enumeration fails explicitly when it exceeds ``limit``.
     """
-    require_subgroup(group, floor)
-    floor_idx = frozenset(group.index_of(p) for p in floor.elements)
+    floor_idx = group.indices_of(floor)
     key = ("interval", floor_idx)
     cached = group._cache.get(key)
     if cached is not None:
@@ -800,11 +813,10 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
     elementary abelian quotient by K = <commutators, squares>; there are
     2^r - 1 of them for a quotient of rank r.
     """
-    require_subgroup(group, floor)
+    floor_idx = group.indices_of(floor)
     hyperplanes = group._cache.get("index2")
     if hyperplanes is None:
-        derived = derived_subgroup(group)
-        seed = {group.index_of(p) for p in derived.elements}
+        seed = set(group.indices_of(derived_subgroup(group)))
         seed.update(group.mult(i, i) for i in range(group.order))
         quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
         slot_of, cosets = quotient.slot_of, quotient.rep_indices
@@ -831,7 +843,6 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
             hyperplanes.append(frozenset(indices))
         group._cache["index2"] = hyperplanes
 
-    floor_idx = {group.index_of(p) for p in floor.elements}
     return [
         group.subgroup_from_indices(h)
         for h in hyperplanes

@@ -23,8 +23,6 @@ from .permutations import (
     Permutation,
     Transversal,
     index2_overgroups,
-    require_subgroup,
-    right_transversal,
 )
 from .spectral import LOG_TOL, spectral_summary
 
@@ -136,21 +134,15 @@ def schreier_graph(
 ) -> SchreierGraph:
     """Graph of the action on right cosets of the stabilizer.
 
-    The Cayley graph is the special case of a trivial stabilizer.
+    The Cayley graph is the special case of a trivial stabilizer.  A
+    connection element outside the group raises ValueError.
     """
-    require_subgroup(group, stabilizer)
-    for p in multiset.support():
-        if p not in group:
-            raise ValueError(f"connection element {p!r} lies outside the group")
     action = CosetAction(group, stabilizer)
     n = action.n_points
     counts = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)
     for p, mult in multiset.entries:
-        images = np.fromiter(
-            action.permutation_of(p).images, dtype=np.int64, count=n
-        )
-        counts[rows, images] += mult
+        counts[rows, action.permutation_of_index(group.index_of(p))] += mult
     walk = counts / multiset.size
     return SchreierGraph(
         vertex_count=n,
@@ -253,7 +245,7 @@ def rs_induce(
     representative.  Sizes multiply: the result has |G:H| * |S| members with
     multiplicity, all inside the subgroup, and stays symmetric.
     """
-    require_subgroup(group, subgroup)
+    sub_idx = group.indices_of(subgroup)
     if transversal.parent is not group or transversal.subgroup is not subgroup:
         raise ValueError("transversal does not match the given groups")
     inv = group.inverse_indices()
@@ -263,13 +255,9 @@ def rs_induce(
             ts = group.mult(t, group.index_of(p))
             rewritten = group.mult(ts, inv[transversal.rep_of[ts]])
             counts[rewritten] += mult
-    entries = []
-    for idx, mult in counts.items():
-        element = group.elements[idx]
-        if element not in subgroup:
-            raise AssertionError("rewritten element escaped the subgroup")
-        entries.append((element, mult))
-    return SymmetricMultiset(entries)
+    if not sub_idx.issuperset(counts):
+        raise AssertionError("rewritten element escaped the subgroup")
+    return SymmetricMultiset((group.elements[i], mult) for i, mult in counts.items())
 
 
 @dataclass(frozen=True)
@@ -332,7 +320,7 @@ def symmetric_subsets(group: FiniteGroup) -> Iterable[SymmetricMultiset]:
 def _all_transversals(
     group: FiniteGroup, subgroup: FiniteGroup, cap: int
 ) -> Iterable[Transversal]:
-    slots = right_transversal(group, subgroup).coset_members()
+    slots = Transversal(group, subgroup).coset_members()
     total = 1
     for members in slots:
         total *= len(members)
@@ -366,8 +354,8 @@ def dedup_counterexample_search(
     whether the witnesses came from the deterministic transversal and how
     many transversals were scanned.
     """
-    require_subgroup(group, subgroup)
-    require_subgroup(subgroup, stabilizer)
+    group.indices_of(subgroup)  # NotASubgroupError before any work
+    subgroup.indices_of(stabilizer)
     class_count = len(group.inverse_classes())
     if class_count > class_cap:
         raise SearchSpaceError(
@@ -407,7 +395,7 @@ def dedup_counterexample_search(
                 bad_multisets.append(record)
         return witnesses, bad_multisets
 
-    default = right_transversal(group, subgroup)
+    default = Transversal(group, subgroup)
     witnesses, bad_multisets = scan(default)
     scanned = 1
     if not witnesses:

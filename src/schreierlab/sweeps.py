@@ -26,6 +26,7 @@ from .bounds import (
     log_theta,
     nilpotent_exponents,
     nilpotent_gap_bound,
+    subgroup_gap_bound,
     theta_min_set_size,
 )
 from .catalog import abelian_names_up_to, catalog_group
@@ -35,7 +36,6 @@ from .permutations import (
     Transversal,
     intermediate_subgroups,
     lower_central_series,
-    right_transversal,
 )
 from .schreier import (
     Induction,
@@ -136,14 +136,13 @@ def _stabilizer_candidates(
     group: FiniteGroup, rng: np.random.Generator, count: int = 3
 ) -> list[FiniteGroup]:
     """A deterministic small family of subgroups to act as stabilizers."""
-    candidates = [group.trivial_subgroup()]
+    candidates = {frozenset((0,)): group.trivial_subgroup()}
     for _ in range(count):
         k = int(rng.integers(1, 3))
         picks = [group.elements[int(i)] for i in rng.integers(0, group.order, size=k)]
         sub = group.subgroup_generated(picks)
-        if not any(sub.same_elements(c) for c in candidates):
-            candidates.append(sub)
-    return candidates
+        candidates.setdefault(group.indices_of(sub), sub)
+    return list(candidates.values())
 
 
 def _random_size(i: int) -> int:
@@ -292,7 +291,7 @@ def check_induced_monotonicity(
 
         parent = _measure(group, stabilizer, multiset)
         induction = induce_with_laws(
-            group, subgroup, right_transversal(group, subgroup), multiset
+            group, subgroup, Transversal(group, subgroup), multiset
         )
         _tally_laws(law_checks, induction)
 
@@ -390,21 +389,17 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
 
 def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
     start = time.perf_counter()
-    log5 = math.log(5.0)
     theta_cache: dict[tuple[int, frozenset], float] = {}
     bound_violations = 0
     size_violations = 0
     checked_sizes = 0
     for inst in instances:
-        key = (
-            id(inst.group),
-            frozenset(inst.group.index_of(p) for p in inst.stabilizer.elements),
-        )
+        key = (id(inst.group), inst.group.indices_of(inst.stabilizer))
         ltheta = theta_cache.get(key)
         if ltheta is None:
             ltheta = log_theta(inst.group, inst.stabilizer)
             theta_cache[key] = ltheta
-        bound = math.exp(log5 - 2.0 * ltheta / inst.multiset.size)
+        bound, _ = subgroup_gap_bound(inst.group, inst.stabilizer, inst.multiset)
         if not gap_obeys(inst.gap, bound):
             bound_violations += 1
         for epsilon in (0.1, 0.3, 0.5):
@@ -585,7 +580,7 @@ def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionRe
     group = carry["dedup"]["group"]
     subgroup = carry["dedup"]["subgroup"]
     rng = np.random.default_rng(20250811)
-    base = right_transversal(group, subgroup)
+    base = Transversal(group, subgroup)
     members = base.coset_members()
     transversals = [base] + [
         _random_transversal(group, subgroup, members, rng) for _ in range(3)
@@ -603,7 +598,7 @@ def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionRe
             for j in rng.integers(0, group.order, size=int(rng.integers(0, 3)))
         ]
         subgroup = group.subgroup_generated(picks)
-        members = right_transversal(group, subgroup).coset_members()
+        members = Transversal(group, subgroup).coset_members()
         transversal = _random_transversal(group, subgroup, members, rng)
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
         _tally_laws(laws, induce_with_laws(group, subgroup, transversal, multiset))

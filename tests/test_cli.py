@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -254,6 +255,26 @@ def test_report_determinism(tmp_path):
     a["config"].pop("output")
     b["config"].pop("output")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_symmetrize_without_set_is_refused(capsys):
+    code = main(["verify-nilpotent", "--group", "heisenberg:3", "--symmetrize", "--seed", "1"])
+    assert code == 2
+    assert "error: --symmetrize needs --set" in capsys.readouterr().err
+
+
+def test_subgroup_is_refused_where_no_command_reads_it(monkeypatch, capsys):
+    from schreierlab import cli as cli_module
+
+    parse = cli_module.config_from_args
+    monkeypatch.setattr(
+        cli_module,
+        "config_from_args",
+        lambda args: dataclasses.replace(parse(args), subgroup_spec="cyclic:2"),
+    )
+    code = main(["theta", "--group", "cyclic:4"])
+    assert code == 2
+    assert "error: theta takes no --subgroup" in capsys.readouterr().err
 
 
 def test_run_requires_set_when_needed():

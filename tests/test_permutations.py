@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
@@ -18,9 +18,8 @@ from schreierlab import (
     intermediate_subgroups,
     lower_central_series,
     normal_core,
-    right_transversal,
 )
-from schreierlab.permutations import group_from_images
+from schreierlab.permutations import CosetAction, Transversal, group_from_images
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_element_membership_and_index(s3):
 def test_transversal_c4_over_c2(c4):
     g = c4.elements[1]
     h = c4.subgroup_generated([g * g])
-    t = right_transversal(c4, h)
+    t = Transversal(c4, h)
     assert t.coset_count == 2
     assert [r.images for r in t.reps] == [c4.identity.images, g.images]
     # every element lands in the subgroup after cancelling its representative
@@ -193,7 +192,7 @@ def test_transversal_c4_over_c2(c4):
 
 def test_transversal_partition_sizes(s3):
     h = s3.subgroup_generated([Permutation.from_cycles([[0, 1]], 3)])
-    t = right_transversal(s3, h)
+    t = Transversal(s3, h)
     assert t.coset_count == 3
     slots = {}
     for x in range(s3.order):
@@ -202,7 +201,7 @@ def test_transversal_partition_sizes(s3):
 
 
 def test_whole_group_transversal(s3):
-    t = right_transversal(s3, s3)
+    t = Transversal(s3, s3)
     assert t.coset_count == 1
     assert t.reps[0].is_identity()
 
@@ -218,7 +217,7 @@ def test_inverse_classes_match_the_inline_enumeration(name):
 
 
 def test_coset_members_partition_the_group_by_slot(s3):
-    t = right_transversal(s3, s3.subgroup_generated([s3.generators[0]]))
+    t = Transversal(s3, s3.subgroup_generated([s3.generators[0]]))
     members = t.coset_members()
     assert sorted(x for slot in members for x in slot) == list(range(s3.order))
     for slot, xs in enumerate(members):
@@ -243,9 +242,38 @@ def test_group_from_images_accepts_only_the_enumeration():
 def test_not_a_subgroup_is_rejected(s3, c4):
     transposition_group = group_from_generators([Permutation([1, 0, 2, 3])])
     with pytest.raises(NotASubgroupError):
-        right_transversal(c4, transposition_group)
+        Transversal(c4, transposition_group)
     with pytest.raises(NotASubgroupError):
-        right_transversal(s3, catalog_group("cyclic:4"))
+        Transversal(s3, catalog_group("cyclic:4"))
+
+
+def test_indices_of_refuses_a_same_degree_non_subgroup():
+    s4 = catalog_group("sym:4")
+    a4 = catalog_group("alt:4")
+    assert {s4.elements[i].images for i in s4.indices_of(a4)} == {p.images for p in a4.elements}
+    h = s4.subgroup_generated([Permutation.from_cycles([[0, 1]], 4)])
+    with pytest.raises(NotASubgroupError, match="group of order 2 is not a subgroup of the parent"):
+        a4.indices_of(h)
+
+
+# dihedral:16 and cyclic:2xsym:4 read Cayley tables; alt:6 (360) is below
+# the table limit and sym:6 (720) above it
+@pytest.mark.parametrize("name", ["dihedral:16", "cyclic:2xsym:4", "alt:6", "sym:6"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_coset_action_matches_permutation_products(name, data):
+    group = catalog_group(name)
+    index = st.integers(0, group.order - 1)
+    picks = data.draw(st.lists(index, max_size=2))
+    action = CosetAction(group, group.subgroup_generated([group.elements[i] for i in picks]))
+    t = action.transversal
+    for i in data.draw(st.lists(index, min_size=1, max_size=3)):
+        expected = [
+            t.slot_of[group.index_of(group.elements[r] * group.elements[i])]
+            for r in t.rep_indices
+        ]
+        assert action.permutation_of_index(i).tolist() == expected
+        assert action.permutation_of(group.elements[i]).images == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +336,7 @@ def test_lcs_terms_descending_and_normal(d8, heis3):
     for group in (d8, heis3):
         terms, _ = lower_central_series(group)
         for earlier, later in zip(terms, terms[1:]):
-            assert earlier.contains_subgroup(later)
+            assert len(earlier.indices_of(later)) == later.order
         for term in terms:
             for g in group.generators:
                 for x in term.elements:
@@ -326,7 +354,7 @@ def test_normal_core_examples(s3, c4):
     assert core.order == 1
     assert normal_core(s3, s3).order == s3.order
     a3 = derived_subgroup(s3)
-    assert normal_core(s3, a3).same_elements(a3)
+    assert s3.indices_of(normal_core(s3, a3)) == s3.indices_of(a3)
 
 
 def test_faithful_reduction_examples(s3, c4):
@@ -418,7 +446,7 @@ def test_index2_respects_floor(d8):
     floor = d8.subgroup_generated([rotation])
     subs = index2_overgroups(d8, floor)
     assert len(subs) == 1
-    assert subs[0].same_elements(floor)
+    assert d8.indices_of(subs[0]) == d8.indices_of(floor)
     all_of_them = index2_overgroups(d8, d8.trivial_subgroup())
     assert len(all_of_them) == 3
 
