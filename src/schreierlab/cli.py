@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.command} needs --subgroup")
         if self.subgroup_spec and self.command not in _SUBGROUP_COMMANDS:
             raise ValueError(f"{self.command} takes no --subgroup")
+        if self.symmetrize and search:
+            raise ValueError("search-counterexample takes no --symmetrize")
         if self.symmetrize and not self.multiset_spec:
             raise ValueError("--symmetrize needs --set")
         if self.randomized() and self.seed is None:

@@ -674,6 +674,82 @@ class CosetAction:
         images = self.permutation_of_index(self.group.index_of(p))
         return Permutation._raw(tuple(images.tolist()))
 
+    def left_action_of_index(self, element_index: int) -> np.ndarray:
+        """Where left multiplication by the element sends each coset, by
+        slot: coset k goes to the coset of ``y * reps[k]``.
+
+        For y in the normaliser of the stabilizer this is the well-defined
+        map Hx -> Hyx, which commutes with the right action; for any other
+        y it depends on the representatives and need not commute.
+        """
+        products = self._rep_images[:, self._images[element_index]]
+        return self._slot_of[self.group._indices_of_rows(products)]
+
+    def cyclic_symmetry(self) -> tuple[int, int]:
+        """``(y, k)``: the least element index y of the normaliser N_G(H)
+        whose coset yH has the largest order k in N_G(H)/H.
+
+        Left multiplication by y permutes the cosets freely in cycles of
+        length k, commuting with the right action.  The normaliser is found
+        by conjugating each of H's generators by all remaining candidates
+        in one gather (it is G when H is trivial).  Its elements are then
+        tried in index order, in batches of doubling size, and the search
+        stops as soon as k reaches |N_G(H):H|.  ``(0, 1)`` means H is
+        self-normalising.
+        """
+        images = self._images
+        in_h = self._slot_of == self.base_point
+        candidates = np.arange(len(images))
+        if self.stabilizer.order > 1:
+            inverses = np.empty_like(images)
+            np.put_along_axis(inverses, images, np.arange(images.shape[1], dtype=images.dtype), axis=1)
+            for h in self.stabilizer.generators:
+                h_images = np.array(h.images, dtype=images.dtype)
+                # rows of g^-1 h g, for every candidate g
+                conjugates = np.take_along_axis(
+                    images[candidates], h_images[inverses[candidates]], axis=1
+                )
+                candidates = candidates[in_h[self.group._indices_of_rows(conjugates)]]
+        index = len(candidates) // self.stabilizer.order
+        best, best_k = 0, 1
+        start, size = 1, 1  # candidates[0] is the identity
+        while start < len(candidates) and best_k < index:
+            batch = candidates[start : start + size]
+            orders = self._coset_orders(batch, in_h, index)
+            top = int(np.argmax(orders))
+            if orders[top] > best_k:
+                best, best_k = int(batch[top]), int(orders[top])
+            start, size = start + size, 2 * size
+        return best, best_k
+
+    def _coset_orders(self, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
+        """For each element y of N_G(H), the least t >= 1 with y^t in H
+        (``in_h`` marks H's members).  That t divides ``index`` =
+        |N_G(H):H|, so only the divisors are tried, in ascending order."""
+        generators = self._images[elements]
+        orders = np.zeros(len(elements), dtype=np.int64)
+        active = np.arange(len(elements))
+        for t in (d for d in range(1, index + 1) if index % d == 0):
+            home = in_h[self.group._indices_of_rows(_power_images(generators[active], t))]
+            orders[active[home]] = t
+            active = active[~home]
+            if not len(active):
+                break
+        return orders
+
+
+def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
+    """Row-wise power of an ``m x degree`` image array, by squaring; a
+    product ``p * q`` is q's images gathered at p's."""
+    power = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
+    while exponent:
+        if exponent & 1:
+            power = np.take_along_axis(images, power, axis=1)
+        exponent >>= 1
+        if exponent:
+            images = np.take_along_axis(images, images, axis=1)
+    return power
+
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
     """Commutator subgroup: normal closure of generator commutators."""

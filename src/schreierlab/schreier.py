@@ -110,7 +110,8 @@ class SchreierGraph:
 
     ``walk`` is row-stochastic and symmetric; ``counts`` holds the integer
     edge multiplicities so that symmetry is exact.  ``degree`` is the total
-    multiset size; loops sit on the diagonal.
+    multiset size; loops sit on the diagonal.  ``action`` is the coset
+    action the graph was built from, kept for the spectral step.
     """
 
     vertex_count: int
@@ -120,6 +121,7 @@ class SchreierGraph:
     group: FiniteGroup
     stabilizer: FiniteGroup
     multiset: SymmetricMultiset
+    action: CosetAction
 
     def __post_init__(self):
         if not np.array_equal(self.counts, self.counts.T):
@@ -152,6 +154,7 @@ def schreier_graph(
         group=group,
         stabilizer=stabilizer,
         multiset=multiset,
+        action=action,
     )
 
 

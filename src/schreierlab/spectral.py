@@ -1,12 +1,29 @@
-"""Dense symmetric spectra and the gap summary of a walk matrix.
+"""Full walk spectra and the gap summary of a walk matrix.
 
 The full spectrum is computed rather than extremal eigenvalues only: desk
 scale makes that affordable, and spectrum-containment checks need all of it.
 
+A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
+``eigvalsh``.  From that size on, ``spectral_summary`` first looks for a
+cyclic symmetry: left multiplication by an element y of the normaliser
+N_G(H) permutes the cosets (Hx -> Hyx) freely in cycles of length k and
+commutes with the walk, so the walk is block-circulant over those cycles
+(the cyclic case of the character decomposition of Cayley spectra; Babai,
+J. Combin. Theory B 27, 1979).  Each Fourier mode q of that symmetry is a
+Hermitian block of size n/k, and the spectrum is the union of the blocks'
+spectra (``block_eigenvalues``).  The commutation is checked exactly on
+the integer counts first.  When N_G(H) = H there is no such y and the
+dense path runs.  Small graphs stay dense because there the symmetry
+search and the block set-up cost more than they save: with one BLAS
+thread on a 2-vCPU Xeon, heisenberg:5 regular (125 points, k = 5) takes
+1.2 ms in blocks against 0.5 ms dense, heisenberg:7 (343, k = 7) 7.8
+against 6.2 ms, sym:6 (720, k = 6) 13 against 45 ms.
+
 Every tolerance in the package is defined here, one per stage:
 
 * ``ROUNDOFF_TOL`` (1e-12): figures exact up to a few roundings: the
-  symmetry of a walk matrix, theta >= 1, the closed-form exponents.
+  symmetry of a walk matrix or of a Hermitian block, theta >= 1, the
+  closed-form exponents.
 * ``LOG_TOL`` (1e-9): figures that pass through logarithms: theta <= |Omega|,
   the least expanding-set size, the derived-index inequality, the
   counterexample search's gap loss, and Rayleigh quotients against the
@@ -15,6 +32,9 @@ Every tolerance in the package is defined here, one per stage:
   under their bounds (``gap_obeys``), induced gaps against their parents',
   the cycle oracle, and the walk spectrum's ends at 1 and -1.
 * ``CONTAINMENT_TOL`` (1e-6): eigenvalues of two different graphs compared.
+
+``BLOCK_FLOOR`` (512) is the least number of points at which the spectrum
+is taken block by block; every graph of the sweep lies below it.
 """
 
 from __future__ import annotations
@@ -25,6 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MatrixTooLargeError
+from .permutations import Permutation
 
 if TYPE_CHECKING:
     from .schreier import SchreierGraph
@@ -34,6 +55,7 @@ ROUNDOFF_TOL = 1e-12
 LOG_TOL = 1e-9
 GAP_TOL = 1e-8
 CONTAINMENT_TOL = 1e-6
+BLOCK_FLOOR = 512
 
 
 def gap_obeys(gap: float, bound: float) -> bool:
@@ -41,18 +63,68 @@ def gap_obeys(gap: float, bound: float) -> bool:
     return gap <= bound + GAP_TOL
 
 
+def _check_dimension(n: int, dim_cap: int) -> None:
+    if n > dim_cap:
+        raise MatrixTooLargeError(f"dimension {n} exceeds the cap of {dim_cap}")
+
+
 def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Real spectrum of a symmetric matrix, sorted descending."""
-    matrix = np.asarray(matrix, dtype=float)
+    """Real spectrum of a real symmetric or complex Hermitian matrix,
+    sorted descending."""
+    matrix = np.asarray(matrix)
+    if not np.iscomplexobj(matrix):
+        matrix = matrix.astype(float, copy=False)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] > dim_cap:
-        raise MatrixTooLargeError(
-            f"dimension {matrix.shape[0]} exceeds the cap of {dim_cap}"
-        )
-    if np.max(np.abs(matrix - matrix.T)) > ROUNDOFF_TOL:
-        raise ValueError(f"matrix is not symmetric within {ROUNDOFF_TOL:g}")
+    _check_dimension(matrix.shape[0], dim_cap)
+    if np.max(np.abs(matrix - matrix.conj().T)) > ROUNDOFF_TOL:
+        kind = "Hermitian" if np.iscomplexobj(matrix) else "symmetric"
+        raise ValueError(f"matrix is not {kind} within {ROUNDOFF_TOL:g}")
     return np.linalg.eigvalsh(matrix)[::-1].copy()
+
+
+def block_eigenvalues(
+    graph: SchreierGraph, left: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP
+) -> np.ndarray:
+    """The walk spectrum, sorted descending, from a cyclic symmetry.
+
+    ``left`` is a permutation L of the points that must commute with the
+    walk, checked exactly on the integer counts, and whose cycles must all
+    have one length k (ValueError otherwise).  With the cycles laid out as
+    ``order[i, t] = L^t(o_i)``, the walk entry between L^s(o_i) and
+    L^t(o_j) is ``c[i, j, t - s mod k]`` with ``c[i, j, d] = walk[o_i,
+    L^d(o_j)]``, so the walk is block-circulant.  Its spectrum is that of
+    the k Hermitian blocks ``sum_d c[:, :, d] w^(q d)``, w = exp(2 pi i / k);
+    modes q and k - q are complex conjugates with one spectrum, so only
+    q <= k / 2 is solved, each through ``sym_eigenvalues``.
+    """
+    counts = graph.counts
+    n = len(counts)
+    left = np.asarray(left, dtype=np.intp)
+    _check_dimension(n, dim_cap)
+    if left.shape != (n,) or not np.array_equal(np.sort(left), np.arange(n)):
+        raise ValueError("the symmetry is not a permutation of the points")
+    # (a, b) -> (L a, L b) permutes the pairs, so L preserves every count
+    # once it maps each nonzero count onto an equal one
+    nonzero = np.flatnonzero(counts)
+    rows, cols = np.divmod(nonzero, n)
+    if not np.array_equal(counts[left[rows], left[cols]], counts.ravel()[nonzero]):
+        raise ValueError("the symmetry does not commute with the walk")
+    cycles = Permutation._raw(tuple(left.tolist())).cycles(include_fixed=True)
+    k = len(cycles[0])
+    if any(len(cycle) != k for cycle in cycles):
+        raise ValueError(f"the symmetry has cycles of other lengths than {k}")
+    order = np.array(cycles)  # order[i, t] = L^t(o_i), o_i the least point of cycle i
+    c = graph.walk[order[:, :1, None], order[None, :, :]]
+    modes = np.fft.rfft(c, axis=2)
+    spectra = []
+    for q in range(k // 2 + 1):
+        if q == 0 or 2 * q == k:
+            # the coefficients w^(q d) are +-1, so the block is real
+            spectra.append(sym_eigenvalues(modes[:, :, q].real, dim_cap))
+        else:  # mode k - q has the same spectrum
+            spectra += [sym_eigenvalues(modes[:, :, q], dim_cap)] * 2
+    return np.sort(np.concatenate(spectra))[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -75,7 +147,12 @@ class SpectralSummary:
 
 
 def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralSummary:
-    eigenvalues = sym_eigenvalues(graph.walk, dim_cap=dim_cap)
+    _check_dimension(graph.vertex_count, dim_cap)
+    y, k = graph.action.cyclic_symmetry() if graph.vertex_count >= BLOCK_FLOOR else (0, 1)
+    if k > 1:
+        eigenvalues = block_eigenvalues(graph, graph.action.left_action_of_index(y), dim_cap)
+    else:
+        eigenvalues = sym_eigenvalues(graph.walk, dim_cap=dim_cap)
     leading = eigenvalues[0]
     if abs(leading - 1.0) > GAP_TOL:
         raise ValueError(f"leading eigenvalue {leading} is not 1; bad walk matrix")

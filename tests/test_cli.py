@@ -263,6 +263,28 @@ def test_symmetrize_without_set_is_refused(capsys):
     assert "error: --symmetrize needs --set" in capsys.readouterr().err
 
 
+def test_symmetrize_is_refused_by_the_search(tmp_path, capsys):
+    sub = tmp_path / "rot.txt"
+    sub.write_text("(1 2 3 4)\n", encoding="utf-8")
+    code = main(
+        ["search-counterexample", "--group", "dihedral:8", "--subgroup", str(sub),
+         "--set", "all-symmetric-subsets", "--symmetrize"]
+    )
+    assert code == 2
+    assert "error: search-counterexample takes no --symmetrize" in capsys.readouterr().err
+
+
+def test_dimension_cap_binds_on_the_block_path(tmp_path, capsys):
+    # alt:7 regular has 2520 points; its spectrum would be solved in blocks of 360
+    gens = tmp_path / "alt7-set.txt"
+    gens.write_text("degree 7\n(1 2 3)\n(1 2 3 4 5 6 7)\n", encoding="utf-8")
+    code = main(
+        ["spectrum", "--group", "alt:7", "--set", str(gens), "--symmetrize", "--cap-dim", "1000"]
+    )
+    assert code == 2
+    assert "error: dimension 2520 exceeds the cap of 1000" in capsys.readouterr().err
+
+
 def test_subgroup_is_refused_where_no_command_reads_it(monkeypatch, capsys):
     from schreierlab import cli as cli_module
 

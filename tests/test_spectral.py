@@ -50,6 +50,18 @@ def test_asymmetric_matrix_rejected():
         sym_eigenvalues(m)
 
 
+def test_hermitian_matrix_spectrum():
+    # [[2, i], [-i, 2]] has eigenvalues 3 and 1
+    eigs = sym_eigenvalues(np.array([[2.0, 1j], [-1j, 2.0]]))
+    assert np.allclose(eigs, [3.0, 1.0], atol=1e-12)
+
+
+def test_non_hermitian_matrix_rejected():
+    # symmetric but not Hermitian: the conjugate transpose is checked
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sym_eigenvalues(np.array([[2.0, 1j], [1j, 2.0]]))
+
+
 def test_dimension_cap_is_enforced():
     with pytest.raises(MatrixTooLargeError):
         sym_eigenvalues(np.eye(10), dim_cap=5)
