@@ -315,9 +315,6 @@ class FiniteGroup:
             self._cache["inverse"] = inv
         return inv
 
-    def inv(self, i: int) -> int:
-        return self.inverse_indices()[i]
-
     def inverse_classes(self) -> tuple[tuple[int, ...], ...]:
         """The classes {x, x^-1} as ascending index tuples, in ascending order."""
         classes = self._cache.get("inverse_classes")

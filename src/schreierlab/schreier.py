@@ -106,29 +106,41 @@ def symmetrize(elements: Iterable) -> SymmetricMultiset:
 
 @dataclass
 class SchreierGraph:
-    """A Schreier graph, carried by its averaging-operator matrix.
+    """A Schreier graph, carried by its slot table.
 
-    ``walk`` is row-stochastic and symmetric; ``counts`` holds the integer
-    edge multiplicities so that symmetry is exact.  ``degree`` is the total
-    multiset size; loops sit on the diagonal.  ``action`` is the coset
-    action the graph was built from, kept for the spectral step.
+    ``slots[w, c]`` is the image of point w under the c-th distinct element
+    of the multiset, and ``weights[c]`` its multiplicity; they sum to
+    ``degree``.  Symmetry is exact: the column of s^-1 undoes that of s.
+    The dense ``counts`` and ``walk = counts / degree`` are built when read.
+    ``action`` is the coset action the graph was built from.
     """
 
     vertex_count: int
     degree: int
-    walk: np.ndarray
-    counts: np.ndarray
+    slots: np.ndarray
+    weights: np.ndarray
     group: FiniteGroup
     stabilizer: FiniteGroup
     multiset: SymmetricMultiset
     action: CosetAction
 
     def __post_init__(self):
-        if not np.array_equal(self.counts, self.counts.T):
+        column = {self.group.index_of(p): c for c, (p, _) in enumerate(self.multiset.entries)}
+        inv = self.group.inverse_indices()
+        inverse = [column[inv[i]] for i in column]
+        undone = self.slots[self.slots, inverse] == np.arange(self.vertex_count)[:, None]
+        if not (undone.all() and np.array_equal(self.weights[inverse], self.weights)):
             raise ValueError("edge counts are not symmetric")
-        row_sums = self.counts.sum(axis=1)
-        if not np.all(row_sums == self.degree):
-            raise ValueError("every vertex must carry |S| edge endpoints")
+
+    @property
+    def counts(self) -> np.ndarray:
+        n = self.vertex_count
+        ends = np.repeat(self.slots, self.weights, axis=1) + n * np.arange(n)[:, None]
+        return np.bincount(ends.ravel(), minlength=n * n).reshape(n, n)
+
+    @property
+    def walk(self) -> np.ndarray:
+        return self.counts / self.degree
 
 
 def schreier_graph(
@@ -140,17 +152,12 @@ def schreier_graph(
     connection element outside the group raises ValueError.
     """
     action = CosetAction(group, stabilizer)
-    n = action.n_points
-    counts = np.zeros((n, n), dtype=np.int64)
-    rows = np.arange(n)
-    for p, mult in multiset.entries:
-        counts[rows, action.permutation_of_index(group.index_of(p))] += mult
-    walk = counts / multiset.size
+    columns = [action.permutation_of_index(group.index_of(p)) for p, _ in multiset.entries]
     return SchreierGraph(
-        vertex_count=n,
+        vertex_count=action.n_points,
         degree=multiset.size,
-        walk=walk,
-        counts=counts,
+        slots=np.stack(columns, axis=1),
+        weights=np.array([mult for _, mult in multiset.entries], dtype=np.int64),
         group=group,
         stabilizer=stabilizer,
         multiset=multiset,
@@ -166,41 +173,30 @@ class ConnectivityReport:
 
 
 def connectivity_and_bipartiteness(graph: SchreierGraph) -> ConnectivityReport:
-    """BFS components and 2-colorability.
-
-    The graph counts as bipartite when every component admits a 2-coloring
-    with all non-loop edges crossing; any loop poisons its component, being
-    an odd closed walk of length one.
-    """
-    n = graph.vertex_count
-    counts = graph.counts
-    neighbors = [np.nonzero(counts[v])[0] for v in range(n)]
-    color = [-1] * n
+    """BFS components and 2-colorability over the slot table: each
+    component's least point gets color 0 and every point found the other
+    color than its finder.  The graph is bipartite when every edge then
+    joins two colors, which a loop, an odd closed walk, never does."""
+    neighbours = graph.slots.tolist()
+    color = [-1] * graph.vertex_count
     components = 0
-    bipartite = True
-    for start in range(n):
+    for start in range(graph.vertex_count):
         if color[start] >= 0:
             continue
         components += 1
         color[start] = 0
         queue = [start]
-        while queue:
-            v = queue.pop()
-            if counts[v, v] > 0:
-                bipartite = False
-            for w in neighbors[v]:
-                w = int(w)
-                if w == v:
-                    continue
+        for v in queue:
+            for w in neighbours[v]:
                 if color[w] < 0:
                     color[w] = 1 - color[v]
                     queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
+    color = np.array(color)
+    bipartite = bool(np.all(color[graph.slots] != color[:, None]))
     return ConnectivityReport(
         connected=(components == 1),
         bipartite=bipartite,
-        classes=tuple(color) if bipartite else None,
+        classes=tuple(color.tolist()) if bipartite else None,
     )
 
 

@@ -12,12 +12,14 @@ commutes with the walk, so the walk is block-circulant over those cycles
 J. Combin. Theory B 27, 1979).  Each Fourier mode q of that symmetry is a
 Hermitian block of size n/k, and the spectrum is the union of the blocks'
 spectra (``block_eigenvalues``).  The commutation is checked exactly on
-the integer counts first.  When N_G(H) = H there is no such y and the
-dense path runs.  Small graphs stay dense because there the symmetry
-search and the block set-up cost more than they save: with one BLAS
-thread on a 2-vCPU Xeon, heisenberg:5 regular (125 points, k = 5) takes
-1.2 ms in blocks against 0.5 ms dense, heisenberg:7 (343, k = 7) 7.8
-against 6.2 ms, sym:6 (720, k = 6) 13 against 45 ms.
+the graph's slot table first, and the blocks are filled from it, so no
+n x n array is built; the dimension cap binds before either path runs.
+When N_G(H) = H there is no such y and the dense path runs.  Small graphs
+stay dense because there the symmetry search and the block set-up cost
+more than they save: with one BLAS thread on a 2-vCPU Xeon, heisenberg:5
+regular (125 points, k = 5) takes 1.2 ms in blocks against 0.5 ms dense,
+heisenberg:7 (343, k = 7) 7.8 against 6.2 ms, sym:6 (720, k = 6) 13
+against 45 ms.
 
 Every tolerance in the package is defined here, one per stage:
 
@@ -88,34 +90,36 @@ def block_eigenvalues(
 ) -> np.ndarray:
     """The walk spectrum, sorted descending, from a cyclic symmetry.
 
-    ``left`` is a permutation L of the points that must commute with the
-    walk, checked exactly on the integer counts, and whose cycles must all
-    have one length k (ValueError otherwise).  With the cycles laid out as
-    ``order[i, t] = L^t(o_i)``, the walk entry between L^s(o_i) and
-    L^t(o_j) is ``c[i, j, t - s mod k]`` with ``c[i, j, d] = walk[o_i,
-    L^d(o_j)]``, so the walk is block-circulant.  Its spectrum is that of
-    the k Hermitian blocks ``sum_d c[:, :, d] w^(q d)``, w = exp(2 pi i / k);
-    modes q and k - q are complex conjugates with one spectrum, so only
-    q <= k / 2 is solved, each through ``sym_eigenvalues``.
+    ``left`` is a permutation L of the points whose cycles must all have
+    one length k, and which must commute with the walk: checked exactly on
+    the slot table, the sorted edge ends of each point w mapped by L must
+    be those of L(w) (L may swap the columns of s and s^-1).  With the
+    cycles laid out as ``order[i, t] = L^t(o_i)``, the walk entry between
+    L^s(o_i) and L^t(o_j) is ``c[i, j, t - s mod k]``, where ``c[i, j, d]``
+    is the number of edges from o_i to L^d(o_j) over the degree, read off
+    the edge ends of the points o_i: n^2 / k entries.  So the walk is
+    block-circulant, with the spectrum of the k Hermitian blocks
+    ``sum_d c[:, :, d] w^(q d)``, w = exp(2 pi i / k); modes q and k - q
+    are complex conjugates with one spectrum, so only q <= k / 2 is solved,
+    each through ``sym_eigenvalues``.
     """
-    counts = graph.counts
-    n = len(counts)
+    n = graph.vertex_count
     left = np.asarray(left, dtype=np.intp)
     _check_dimension(n, dim_cap)
     if left.shape != (n,) or not np.array_equal(np.sort(left), np.arange(n)):
         raise ValueError("the symmetry is not a permutation of the points")
-    # (a, b) -> (L a, L b) permutes the pairs, so L preserves every count
-    # once it maps each nonzero count onto an equal one
-    nonzero = np.flatnonzero(counts)
-    rows, cols = np.divmod(nonzero, n)
-    if not np.array_equal(counts[left[rows], left[cols]], counts.ravel()[nonzero]):
+    ends = np.sort(np.repeat(graph.slots, graph.weights, axis=1), axis=1)
+    if not np.array_equal(np.sort(left[ends], axis=1), ends[left]):
         raise ValueError("the symmetry does not commute with the walk")
     cycles = Permutation._raw(tuple(left.tolist())).cycles(include_fixed=True)
     k = len(cycles[0])
     if any(len(cycle) != k for cycle in cycles):
         raise ValueError(f"the symmetry has cycles of other lengths than {k}")
     order = np.array(cycles)  # order[i, t] = L^t(o_i), o_i the least point of cycle i
-    c = graph.walk[order[:, :1, None], order[None, :, :]]
+    m = len(order)
+    place = np.argsort(order.ravel())  # L^t(o_j) sits at j * k + t
+    edges = place[ends[order[:, 0]]] + n * np.arange(m)[:, None]
+    c = np.bincount(edges.ravel(), minlength=m * n).reshape(m, m, k) / graph.degree
     modes = np.fft.rfft(c, axis=2)
     spectra = []
     for q in range(k // 2 + 1):

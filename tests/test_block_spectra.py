@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from schreierlab import (
     Permutation,
+    SchreierGraph,
     SymmetricMultiset,
     catalog_group,
+    connectivity_and_bipartiteness,
     sample_symmetric_multiset,
     schreier_graph,
     spectral_summary,
@@ -154,6 +156,37 @@ def test_symmetry_that_is_not_free_or_not_a_permutation_is_refused():
         block_eigenvalues(graph, -np.arange(6) % 6)
     with pytest.raises(ValueError, match="not a permutation"):
         block_eigenvalues(graph, np.zeros(6, dtype=int))
+
+
+def test_walk_symmetry_that_swaps_columns_is_accepted():
+    # x -> 1 - x on the 8-cycle is free (2x = 1 has no solution mod 8) and
+    # preserves the walk, but it sends the column of g to that of g^-1
+    group = catalog_group("cyclic:8")
+    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+    g = group.generators[0]
+    powers = [Permutation.identity(group.degree)]
+    for _ in range(7):
+        powers.append(powers[-1] * g)
+    point = [graph.action.transversal.slot_of[group.index_of(x)] for x in powers]
+    left = np.empty(8, dtype=int)
+    left[point] = [point[(1 - e) % 8] for e in range(8)]
+    assert not np.array_equal(graph.slots[left], left[graph.slots])
+    eigenvalues = block_eigenvalues(graph, left)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
+    group = catalog_group("alt:7")
+    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+
+    def refuse(graph):
+        raise AssertionError("a dense n x n view was built")
+
+    monkeypatch.setattr(SchreierGraph, "counts", property(refuse))
+    monkeypatch.setattr(SchreierGraph, "walk", property(refuse))
+    assert connectivity_and_bipartiteness(graph).connected
+    summary = spectral_summary(graph)
+    assert len(summary.eigenvalues) == graph.vertex_count == 2520
 
 
 # the shapes of the large-actions benchmark workload, above the floor

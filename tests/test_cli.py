@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -283,6 +284,21 @@ def test_dimension_cap_binds_on_the_block_path(tmp_path, capsys):
     )
     assert code == 2
     assert "error: dimension 2520 exceeds the cap of 1000" in capsys.readouterr().err
+
+
+def test_dimension_cap_binds_before_any_dense_matrix(tmp_path, capsys):
+    # sym:7 regular has 5040 points: dense counts and walk take about 200 MB each
+    gens = tmp_path / "sym7-set.txt"
+    gens.write_text("degree 7\n(1 2)\n(1 2 3 4 5 6 7)\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--group", "sym:7", "--set", str(gens), "--symmetrize"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error: dimension 5040 exceeds the cap of 3000" in capsys.readouterr().err
+    assert peak < 64 * 2**20
 
 
 def test_subgroup_is_refused_where_no_command_reads_it(monkeypatch, capsys):

@@ -276,6 +276,65 @@ def test_coset_action_matches_permutation_products(name, data):
         assert action.permutation_of(group.elements[i]).images == tuple(expected)
 
 
+def generated_by(perms, degree):
+    """Every product of the given permutations: a search over right
+    multiplications, which in a finite group also reaches the inverses."""
+    members = {Permutation.identity(degree)}
+    queue = list(members)
+    for x in queue:
+        for s in perms:
+            if x * s not in members:
+                members.add(x * s)
+                queue.append(x * s)
+    return members
+
+
+def normally_generated_by(seed, conjugators, degree):
+    """The least subgroup holding the seed and stable under x -> g^-1 x g
+    for every conjugator g, by adding one escaping conjugate at a time."""
+    gens = list(seed)
+    while True:
+        members = generated_by(gens, degree)
+        escaped = [g.inverse() * x * g for x in members for g in conjugators]
+        escaped = [y for y in escaped if y not in members]
+        if not escaped:
+            return members
+        gens.append(escaped[0])
+
+
+# the integer core against Permutation products on both sides of the table
+# limit: dihedral:16 and alt:6 (360) read Cayley tables, sym:6 (720) does not
+@pytest.mark.parametrize("name", ["dihedral:16", "alt:6", "sym:6"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_core_matches_permutation_products(name, data):
+    group = catalog_group(name)
+    index = st.integers(0, group.order - 1)
+    elements = group.elements
+    for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=5)):
+        x, y = elements[i], elements[j]
+        assert elements[group.mult(i, j)] == x * y
+        assert elements[group.inverse_indices()[i]] == x.inverse()
+        assert elements[group.commutator(i, j)] == x.inverse() * y.inverse() * x * y
+
+    def images(indices):
+        return {elements[i].images for i in indices}
+
+    base_gens = data.draw(st.lists(index, max_size=2))
+    seed = data.draw(st.lists(index, min_size=1, max_size=2))
+    base = generated_by([elements[i] for i in base_gens], group.degree)
+    closure = group._closure(seed, base=(group.index_of(b) for b in base), base_gens=base_gens)
+    expected = generated_by([elements[i] for i in base_gens + seed], group.degree)
+    assert images(closure) == {p.images for p in expected}
+
+    conjugators = data.draw(st.lists(index, max_size=2))
+    normal = group._normal_closure(seed, conjugators)
+    expected = normally_generated_by(
+        [elements[i] for i in seed], [elements[i] for i in conjugators], group.degree
+    )
+    assert images(normal) == {p.images for p in expected}
+
+
 # ---------------------------------------------------------------------------
 # derived subgroups and the lower central series
 

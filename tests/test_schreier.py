@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
@@ -21,7 +22,7 @@ from schreierlab import (
     spectral_summary,
     symmetrize,
 )
-from schreierlab.permutations import Transversal
+from schreierlab.permutations import CosetAction, Transversal
 
 
 def cycle_pair(group):
@@ -154,6 +155,87 @@ def test_square_multiset_disconnects(c4):
         schreier_graph(c4, c4.trivial_subgroup(), s)
     )
     assert not report.connected
+
+
+# ---------------------------------------------------------------------------
+# the slot table against the dense assembly it replaced
+
+
+def dense_counts(group, stabilizer, multiset):
+    """The old assembly: a dense count matrix filled one connection element
+    at a time."""
+    action = CosetAction(group, stabilizer)
+    n = action.n_points
+    counts = np.zeros((n, n), dtype=np.int64)
+    rows = np.arange(n)
+    for p, mult in multiset.entries:
+        counts[rows, action.permutation_of_index(group.index_of(p))] += mult
+    return counts
+
+
+def dense_bfs(counts):
+    """The old search over dense rows: (connected, bipartite, classes), a
+    loop poisoning its component."""
+    n = len(counts)
+    neighbors = [np.nonzero(counts[v])[0] for v in range(n)]
+    color = [-1] * n
+    components = 0
+    bipartite = True
+    for start in range(n):
+        if color[start] >= 0:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            if counts[v, v] > 0:
+                bipartite = False
+            for w in neighbors[v]:
+                w = int(w)
+                if w == v:
+                    continue
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+    return components == 1, bipartite, tuple(color) if bipartite else None
+
+
+# orders on both sides of the 512-element table limit
+ORACLE_GROUPS = ["dihedral:16", "alt:5", "heisenberg:3", "cyclic:2xsym:4", "sym:6", "cyclic:1024"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(ORACLE_GROUPS),
+    stabilizer_gens=st.lists(st.integers(min_value=0), max_size=2),
+    draws=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=4,
+    ),
+    involution=st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.integers(1, 3))),
+)
+def test_slot_table_matches_the_dense_assembly(name, stabilizer_gens, draws, involution):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(group.elements[i % group.order] for i in stabilizer_gens)
+    # multiplicities on x and x^-1 alike; index 0 is the identity, a loop
+    inv = group.inverse_indices()
+    counts = Counter()
+    for i, mult in draws:
+        for j in {i % group.order, inv[i % group.order]}:
+            counts[j] += mult
+    if involution is not None:
+        self_inverse = group.self_inverse_indices()
+        counts[self_inverse[involution[0] % len(self_inverse)]] += involution[1]
+    multiset = SymmetricMultiset((group.elements[j], m) for j, m in counts.items())
+    graph = schreier_graph(group, stabilizer, multiset)
+    expected = dense_counts(group, stabilizer, multiset)
+    assert np.array_equal(graph.counts, expected)
+    report = connectivity_and_bipartiteness(graph)
+    assert (report.connected, report.bipartite, report.classes) == dense_bfs(expected)
 
 
 # ---------------------------------------------------------------------------
