@@ -37,13 +37,11 @@ from .permutations import (
     Permutation,
     Transversal,
     derived_subgroup,
-    faithful_reduction,
     group_from_generators,
     index2_overgroups,
     intermediate_subgroups,
     lower_central_series,
     nilpotency_class,
-    normal_core,
 )
 from .schreier import (
     SchreierGraph,

@@ -196,7 +196,7 @@ def derived_index_check(
     d = multiset.size
     if d < 2:
         return DerivedIndexReport(hypotheses_hold=False)
-    seed = stab_idx.union(group.index_of(p) for p in multiset.support())
+    seed = stab_idx.union(multiset.support())
     if len(group._closure(seed)) != group.order:
         return DerivedIndexReport(hypotheses_hold=False)
     terms, _ = lower_central_series(group)

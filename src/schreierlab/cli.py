@@ -106,8 +106,21 @@ class ExperimentConfig:
             raise ValueError("search-counterexample takes no --symmetrize")
         if self.symmetrize and not self.multiset_spec:
             raise ValueError("--symmetrize needs --set")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"--trials must be at least 1, not {self.trials}")
+        self.random_size()  # refuses a non-integer m
         if self.randomized() and self.seed is None:
             raise ValueError(f"command {self.command} draws randomness: --seed is required")
+
+    def random_size(self) -> Optional[int]:
+        """The m of ``--set random:m``, None for any other --set."""
+        if not (self.multiset_spec and self.multiset_spec.startswith("random:")):
+            return None
+        m = self.multiset_spec.split(":", 1)[1]
+        try:
+            return int(m)
+        except ValueError:
+            raise ValueError(f"--set random:m needs an integer m, not {m!r}") from None
 
     def randomized(self) -> bool:
         if self.command in ("verify-thm1", "verify-nilpotent"):
@@ -189,9 +202,9 @@ def render_report(report: Report) -> str:
 def _random_multiset(config: ExperimentConfig, group, rng) -> SymmetricMultiset:
     """One draw for --set random:m: m uniform draws joined with their
     inverses under --symmetrize, otherwise a symmetric sample of total size m."""
-    m = int(config.multiset_spec.split(":", 1)[1])
+    m = config.random_size()
     if config.symmetrize:
-        return symmetrize(sample_multiset(group, m, rng))
+        return symmetrize(group, [(i, 1) for i in sample_multiset(group, m, rng)])
     return sample_symmetric_multiset(group, m, rng)
 
 
@@ -201,21 +214,27 @@ def _resolve_multiset(config: ExperimentConfig, group) -> SymmetricMultiset:
         raise ValueError(f"command {config.command} needs --set")
     if spec.startswith("random:"):
         return _random_multiset(config, group, np.random.default_rng(config.seed))
-    entries = parse_multiset_text(
-        Path(spec).read_text(encoding="utf-8"), degree=group.degree
-    )
-    for p, _ in entries:
+    entries = []
+    for p, m in parse_multiset_text(Path(spec).read_text(encoding="utf-8"), degree=group.degree):
         if p not in group:
             raise ValueError(
                 f"multiset element {permutation_to_text(p)} lies outside the group"
             )
+        entries.append((group.index_of(p), m))
     if config.symmetrize:
-        return symmetrize(entries)
-    return SymmetricMultiset(entries)
+        return symmetrize(group, entries)
+    return SymmetricMultiset(group, entries)
+
+
+def _printed(multiset: SymmetricMultiset) -> list:
+    """The (permutation, multiplicity) entries in image-tuple order, the
+    order reports print them in."""
+    elements = multiset.group.elements
+    return sorted(((elements[i], m) for i, m in multiset.entries), key=lambda e: e[0].images)
 
 
 def _multiset_json(multiset: SymmetricMultiset) -> list:
-    return [[permutation_to_text(p), m] for p, m in multiset.entries]
+    return [[permutation_to_text(p), m] for p, m in _printed(multiset)]
 
 
 def _theta_range(value: float, omega: int, detail: str) -> Verdict:
@@ -318,8 +337,8 @@ def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
         "input_size": multiset.size,
         "induced_size": induced.size,
         "induced_multiset": _multiset_json(induced),
-        "induced_multiset_text": multiset_to_text(induced.entries),
-        "transversal": [permutation_to_text(p) for p in transversal.reps],
+        "induced_multiset_text": multiset_to_text(_printed(induced)),
+        "transversal": [permutation_to_text(group.elements[i]) for i in transversal.rep_indices],
         "stabilizer_order": stabilizer.order,
     }
     report.verdicts += [
@@ -331,7 +350,7 @@ def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
         ),
         Verdict(
             "lands-in-subgroup",
-            all(p in subgroup for p in induced.support()),
+            induced.group is subgroup,
             "every induced element lies in the subgroup",
         ),
     ]
@@ -424,7 +443,9 @@ def _cmd_search(config, report, group, stabilizer, subgroup) -> None:
         "witnesses": [
             {
                 "connection_set": _multiset_json(w.connection_set),
-                "transversal": [permutation_to_text(p) for p in w.transversal_reps],
+                "transversal": [
+                    permutation_to_text(group.elements[i]) for i in w.transversal_reps
+                ],
                 "parent_gap": w.parent_gap,
                 "induced_multiset_gap": w.induced_multiset_gap,
                 "induced_set_gap": w.induced_set_gap,

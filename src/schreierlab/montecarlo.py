@@ -1,8 +1,9 @@
 """Random connection multisets and empirical two-sided expansion trials.
 
 A "random multiset of size m" means m independent uniform draws from the
-element table, with replacement.  Trials derive their stream from the pair
-(seed, trial index), so results do not depend on evaluation order.
+element table, with replacement, kept as element indices.  Trials derive
+their stream from the pair (seed, trial index), so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -13,19 +14,17 @@ from typing import Optional
 
 import numpy as np
 
-from .permutations import FiniteGroup, Permutation
+from .permutations import FiniteGroup
 from .schreier import SymmetricMultiset, schreier_graph, symmetrize
 from .spectral import spectral_summary
 
 
-def sample_multiset(
-    group: FiniteGroup, m: int, rng: np.random.Generator
-) -> list[Permutation]:
-    """m independent uniform draws from the group, with replacement."""
+def sample_multiset(group: FiniteGroup, m: int, rng: np.random.Generator) -> list[int]:
+    """m independent uniform draws from the group, with replacement, as
+    element indices."""
     if m < 1:
         raise ValueError("sample size must be at least 1")
-    indices = rng.integers(0, group.order, size=m)
-    return [group.elements[int(i)] for i in indices]
+    return rng.integers(0, group.order, size=m).tolist()
 
 
 def sample_symmetric_multiset(
@@ -55,7 +54,7 @@ def sample_symmetric_multiset(
         else:
             picked.extend((i, inv[i]))
             remaining -= 2
-    return SymmetricMultiset((group.elements[i], 1) for i in picked)
+    return SymmetricMultiset(group, ((i, 1) for i in picked))
 
 
 def required_sample_size(epsilon: float, delta: float, omega_size: int) -> int:
@@ -138,7 +137,7 @@ def run_expansion_trials(
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         drawn = sample_multiset(group, m, rng)
-        graph = schreier_graph(group, stabilizer, symmetrize(drawn))
+        graph = schreier_graph(group, stabilizer, symmetrize(group, ((i, 1) for i in drawn)))
         lambdas.append(spectral_summary(graph).two_sided_lambda)
     values = np.array(lambdas)
     return TrialStats(

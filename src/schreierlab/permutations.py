@@ -489,13 +489,6 @@ class FiniteGroup:
         indices = [i for i, p in enumerate(self.elements) if p.images[point] == point]
         return self.subgroup_from_indices(indices)
 
-    def conjugate_subgroup(self, sub: "FiniteGroup", g: Permutation) -> "FiniteGroup":
-        """The subgroup g^-1 * sub * g inside self."""
-        gi = self.index_of(g)
-        inv = self.inverse_indices()
-        members = [self.mult(self.mult(inv[gi], i), gi) for i in self.indices_of(sub)]
-        return self.subgroup_from_indices(members)
-
 
 def group_from_generators(
     generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP
@@ -577,10 +570,11 @@ def group_from_images(
 class Transversal:
     """Right-coset representatives of a subgroup, with the bar map.
 
-    ``reps[k]`` is the representative of the k-th coset in discovery order;
-    ``rep_of[i]`` gives, for the parent element with index ``i``, the parent
-    index of its coset representative, so ``x * rep_of(x)^-1`` lies in the
-    subgroup.  ``slot_of[i]`` gives the coset position instead.
+    ``rep_indices[k]`` is the parent index of the k-th coset's
+    representative in discovery order; ``rep_of[i]`` gives, for the parent
+    element with index ``i``, the parent index of its coset representative,
+    so ``x * rep_of(x)^-1`` lies in the subgroup.  ``slot_of[i]`` gives the
+    coset position instead.
     """
 
     def __init__(self, parent: FiniteGroup, subgroup: FiniteGroup):
@@ -603,7 +597,6 @@ class Transversal:
         self.rep_indices: tuple[int, ...] = tuple(reps)
         self.rep_of: tuple[int, ...] = tuple(rep_of)
         self.slot_of: tuple[int, ...] = tuple(slot_of)
-        self.reps: tuple[Permutation, ...] = tuple(parent.elements[i] for i in reps)
 
     @property
     def coset_count(self) -> int:
@@ -618,27 +611,27 @@ class Transversal:
 
     @classmethod
     def from_reps(
-        cls, parent: FiniteGroup, subgroup: FiniteGroup, reps: Sequence[Permutation]
+        cls, parent: FiniteGroup, subgroup: FiniteGroup, reps: Sequence[int]
     ) -> "Transversal":
-        """Transversal with caller-chosen representatives, one per coset."""
+        """Transversal with caller-chosen representatives, given by their
+        parent indices, one per coset."""
         base = cls(parent, subgroup)
         if len(reps) != base.coset_count:
             raise ValueError(
                 f"expected {base.coset_count} representatives, got {len(reps)}"
             )
         chosen = [-1] * base.coset_count
-        for p in reps:
-            slot = base.slot_of[parent.index_of(p)]
+        for x in reps:
+            slot = base.slot_of[x]
             if chosen[slot] >= 0:
                 raise ValueError("two representatives lie in the same coset")
-            chosen[slot] = parent.index_of(p)
+            chosen[slot] = x
         obj = cls.__new__(cls)
         obj.parent = parent
         obj.subgroup = subgroup
         obj.rep_indices = tuple(chosen)
         obj.rep_of = tuple(chosen[base.slot_of[x]] for x in range(parent.order))
         obj.slot_of = base.slot_of
-        obj.reps = tuple(parent.elements[i] for i in obj.rep_indices)
         return obj
 
 
@@ -647,8 +640,8 @@ class CosetAction:
 
     Cosets are numbered by their transversal slot.  The action is computed
     on the group's image array: coset k goes to the coset of
-    ``reps[k] * g``, whose images are g's images gathered at those of
-    ``reps[k]``.
+    ``reps[k] * g`` (``reps`` the transversal's ``rep_indices``), whose
+    images are g's images gathered at those of ``reps[k]``.
     """
 
     def __init__(self, group: FiniteGroup, stabilizer: FiniteGroup):
@@ -666,10 +659,6 @@ class CosetAction:
         """Where the element with that index sends each coset, by slot."""
         products = self._images[element_index][self._rep_images]
         return self._slot_of[self.group._indices_of_rows(products)]
-
-    def permutation_of(self, p: Permutation) -> Permutation:
-        images = self.permutation_of_index(self.group.index_of(p))
-        return Permutation._raw(tuple(images.tolist()))
 
     def left_action_of_index(self, element_index: int) -> np.ndarray:
         """Where left multiplication by the element sends each coset, by
@@ -794,35 +783,6 @@ def lower_central_series(
 
 def nilpotency_class(group: FiniteGroup) -> Optional[int]:
     return lower_central_series(group)[1]
-
-
-def normal_core(group: FiniteGroup, subgroup: FiniteGroup) -> FiniteGroup:
-    """Largest normal subgroup of the parent contained in the subgroup."""
-    inv = group.inverse_indices()
-    core = set(group.indices_of(subgroup))
-    transversal = Transversal(group, subgroup)
-    for t in transversal.rep_indices:
-        conj = {group.mult(group.mult(inv[t], y), t) for y in core}
-        core &= conj
-        if len(core) == 1:
-            break
-    return group.subgroup_from_indices(core)
-
-
-def faithful_reduction(
-    group: FiniteGroup, stabilizer: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
-) -> tuple[FiniteGroup, int]:
-    """Permutation image of the action on right cosets of the stabilizer.
-
-    Returns the image group (degree = subgroup index) together with the
-    base point, the coset of the stabilizer itself.  The image is faithful:
-    its order is the parent order divided by the normal core of the
-    stabilizer.
-    """
-    action = CosetAction(group, stabilizer)
-    images = [action.permutation_of(g) for g in group.generators]
-    image_group = group_from_generators(images, cap=cap)
-    return image_group, action.base_point
 
 
 def intermediate_subgroups(

@@ -1,10 +1,12 @@
 """Symmetric connection multisets and Schreier graphs.
 
-The walk matrix keeps loops and multiple edges: entry (w, w') counts the
-connection elements moving w to w', with multiplicity, divided by the total
-multiset size.  Collapsing multiplicities is done only inside the explicit
-counterexample search, because the gap monotonicity of induced multisets is
-false for plain sets.
+A connection multiset holds element indices of one group with their
+multiplicities; permutations appear only where the CLI parses or prints
+one.  The walk matrix keeps loops and multiple edges: entry (w, w') counts
+the connection elements moving w to w', with multiplicity, divided by the
+total multiset size.  Collapsing multiplicities is done only inside the
+explicit counterexample search, because the gap monotonicity of induced
+multisets is false for plain sets.
 """
 
 from __future__ import annotations
@@ -17,62 +19,56 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DisconnectedGraphError, SearchSpaceError
-from .permutations import (
-    CosetAction,
-    FiniteGroup,
-    Permutation,
-    Transversal,
-    index2_overgroups,
-)
+from .permutations import CosetAction, FiniteGroup, Transversal, index2_overgroups
 from .spectral import LOG_TOL, spectral_summary
 
 
 class SymmetricMultiset:
-    """A multiset of group elements, inverse-closed with multiplicities.
+    """A multiset of elements of one group, inverse-closed with multiplicities.
 
-    Entries are stored canonically (sorted by image tuple), so two multisets
-    are equal exactly when they agree element by element with multiplicity.
+    ``entries`` holds (element index, multiplicity) pairs in ascending index
+    order, so two multisets of the same group are equal exactly when they
+    agree element by element with multiplicity.
     """
 
-    def __init__(self, entries: Iterable[tuple[Permutation, int]]):
+    def __init__(self, group: FiniteGroup, entries: Iterable[tuple[int, int]]):
         counts: Counter = Counter()
-        for p, mult in entries:
+        for i, mult in entries:
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            counts[p] += mult
+            counts[i] += mult
         if not counts:
             raise ValueError("a connection multiset cannot be empty")
-        degree = next(iter(counts)).degree
-        if any(p.degree != degree for p in counts):
-            raise ValueError("all multiset elements must share one degree")
-        for p, mult in counts.items():
-            if counts[p.inverse()] != mult:
+        if min(counts) < 0 or max(counts) >= group.order:
+            raise ValueError(f"element indices must lie in range({group.order})")
+        inv = group.inverse_indices()
+        for i, mult in counts.items():
+            if counts[inv[i]] != mult:
                 raise ValueError(
-                    f"multiset is not symmetric at {p!r}: "
-                    f"multiplicity {mult} vs {counts[p.inverse()]} for the inverse"
+                    f"multiset is not symmetric at {group.elements[i]!r}: "
+                    f"multiplicity {mult} vs {counts[inv[i]]} for the inverse"
                 )
-        self.entries: tuple[tuple[Permutation, int], ...] = tuple(
-            sorted(counts.items(), key=lambda item: item[0].images)
-        )
-        self.degree = degree
+        self.group = group
+        self.entries: tuple[tuple[int, int], ...] = tuple(sorted(counts.items()))
         self.size = sum(counts.values())
 
-    @classmethod
-    def from_elements(cls, perms: Iterable[Permutation]) -> "SymmetricMultiset":
-        return cls((p, 1) for p in perms)
-
-    def support(self) -> tuple[Permutation, ...]:
-        return tuple(p for p, _ in self.entries)
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.entries)
 
     def inverse(self) -> "SymmetricMultiset":
-        return SymmetricMultiset((p.inverse(), m) for p, m in self.entries)
+        inv = self.group.inverse_indices()
+        return SymmetricMultiset(self.group, ((inv[i], m) for i, m in self.entries))
 
     def as_set(self) -> "SymmetricMultiset":
         """The same support with every multiplicity collapsed to 1."""
-        return SymmetricMultiset((p, 1) for p, _ in self.entries)
+        return SymmetricMultiset(self.group, ((i, 1) for i, _ in self.entries))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricMultiset) and self.entries == other.entries
+        return (
+            isinstance(other, SymmetricMultiset)
+            and self.group is other.group
+            and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
         return hash(self.entries)
@@ -84,24 +80,21 @@ class SymmetricMultiset:
         return f"SymmetricMultiset(size={self.size}, support={len(self.entries)})"
 
 
-def symmetrize(elements: Iterable) -> SymmetricMultiset:
+def symmetrize(group: FiniteGroup, entries: Iterable[tuple[int, int]]) -> SymmetricMultiset:
     """Return S joined with S^-1, sizes adding up.
 
-    Accepts a plain sequence of permutations (repeats allowed) or
-    (permutation, multiplicity) pairs.  Every element contributes itself and
-    its inverse, so an involution appears twice.
+    Takes (element index, multiplicity) pairs, repeats allowed.  Every
+    element contributes itself and its inverse, so an involution appears
+    twice.
     """
+    inv = group.inverse_indices()
     counts: Counter = Counter()
-    for item in elements:
-        if isinstance(item, Permutation):
-            p, mult = item, 1
-        else:
-            p, mult = item
-        counts[p] += mult
-        counts[p.inverse()] += mult
+    for i, mult in entries:
+        counts[i] += mult
+        counts[inv[i]] += mult
     if not counts:
         raise ValueError("cannot symmetrize an empty multiset")
-    return SymmetricMultiset(counts.items())
+    return SymmetricMultiset(group, counts.items())
 
 
 @dataclass
@@ -125,22 +118,35 @@ class SchreierGraph:
     action: CosetAction
 
     def __post_init__(self):
-        column = {self.group.index_of(p): c for c, (p, _) in enumerate(self.multiset.entries)}
+        column = {i: c for c, i in enumerate(self.multiset.support())}
         inv = self.group.inverse_indices()
         inverse = [column[inv[i]] for i in column]
         undone = self.slots[self.slots, inverse] == np.arange(self.vertex_count)[:, None]
         if not (undone.all() and np.array_equal(self.weights[inverse], self.weights)):
             raise ValueError("edge counts are not symmetric")
 
+    def _edge_weights(self) -> np.ndarray:
+        """The n x n edge multiplicities, as floats: one weighted bincount
+        over the slot cells (w, slots[w, c])."""
+        n = self.vertex_count
+        cells = self.slots + n * np.arange(n)[:, None]
+        edges = np.bincount(cells.ravel(), np.tile(self.weights, n), minlength=n * n)
+        return edges.reshape(n, n)
+
     @property
     def counts(self) -> np.ndarray:
-        n = self.vertex_count
-        ends = np.repeat(self.slots, self.weights, axis=1) + n * np.arange(n)[:, None]
-        return np.bincount(ends.ravel(), minlength=n * n).reshape(n, n)
+        return self._edge_weights().astype(np.int64)
 
     @property
     def walk(self) -> np.ndarray:
-        return self.counts / self.degree
+        walk = self._edge_weights()
+        walk /= self.degree
+        return walk
+
+
+def _require_group(multiset: SymmetricMultiset, group: FiniteGroup) -> None:
+    if multiset.group is not group:
+        raise ValueError("the connection multiset belongs to another group")
 
 
 def schreier_graph(
@@ -149,10 +155,11 @@ def schreier_graph(
     """Graph of the action on right cosets of the stabilizer.
 
     The Cayley graph is the special case of a trivial stabilizer.  A
-    connection element outside the group raises ValueError.
+    multiset of another group raises ValueError.
     """
+    _require_group(multiset, group)
     action = CosetAction(group, stabilizer)
-    columns = [action.permutation_of_index(group.index_of(p)) for p, _ in multiset.entries]
+    columns = [action.permutation_of_index(i) for i in multiset.support()]
     return SchreierGraph(
         vertex_count=action.n_points,
         degree=multiset.size,
@@ -226,7 +233,7 @@ def bipartite_criterion(
         )
     support = multiset.support()
     for candidate in index2_overgroups(group, stabilizer):
-        if not any(p in candidate for p in support):
+        if group.indices_of(candidate).isdisjoint(support):
             return BipartiteCriterion(criterion_holds=True, witness=candidate)
     return BipartiteCriterion(criterion_holds=False, witness=None)
 
@@ -247,16 +254,19 @@ def rs_induce(
     sub_idx = group.indices_of(subgroup)
     if transversal.parent is not group or transversal.subgroup is not subgroup:
         raise ValueError("transversal does not match the given groups")
+    _require_group(multiset, group)
     inv = group.inverse_indices()
     counts: Counter = Counter()
     for t in transversal.rep_indices:
-        for p, mult in multiset.entries:
-            ts = group.mult(t, group.index_of(p))
+        for s, mult in multiset.entries:
+            ts = group.mult(t, s)
             rewritten = group.mult(ts, inv[transversal.rep_of[ts]])
             counts[rewritten] += mult
     if not sub_idx.issuperset(counts):
         raise AssertionError("rewritten element escaped the subgroup")
-    return SymmetricMultiset((group.elements[i], mult) for i, mult in counts.items())
+    return SymmetricMultiset(
+        subgroup, ((subgroup.index_of(group.elements[i]), m) for i, m in counts.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -290,7 +300,7 @@ class DedupWitness:
     """A connection set whose induced multiset loses its gap when collapsed."""
 
     connection_set: SymmetricMultiset
-    transversal_reps: tuple[Permutation, ...]
+    transversal_reps: tuple[int, ...]
     parent_gap: float
     induced_multiset_gap: float
     induced_set_gap: float
@@ -312,8 +322,7 @@ def symmetric_subsets(group: FiniteGroup) -> Iterable[SymmetricMultiset]:
     classes = group.inverse_classes()
     for r in range(1, len(classes) + 1):
         for combo in itertools.combinations(classes, r):
-            indices = sorted(set(itertools.chain.from_iterable(combo)))
-            yield SymmetricMultiset.from_elements(group.elements[i] for i in indices)
+            yield SymmetricMultiset(group, ((i, 1) for members in combo for i in members))
 
 
 def _all_transversals(
@@ -328,7 +337,7 @@ def _all_transversals(
                 f"more than {cap} transversals to enumerate; raise the cap"
             )
     for choice in itertools.product(*slots):
-        yield Transversal.from_reps(group, subgroup, [group.elements[i] for i in choice])
+        yield Transversal.from_reps(group, subgroup, choice)
 
 
 def dedup_counterexample_search(
@@ -383,7 +392,7 @@ def dedup_counterexample_search(
             ).gap
             record = DedupWitness(
                 connection_set=multiset,
-                transversal_reps=transversal.reps,
+                transversal_reps=transversal.rep_indices,
                 parent_gap=parent_gap,
                 induced_multiset_gap=gap_multi,
                 induced_set_gap=gap_dedup,

@@ -12,7 +12,6 @@ same instances and figures.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .schreier import (
     induce_with_laws,
     schreier_graph,
     symmetric_subsets,
+    symmetrize,
 )
 from .spectral import (
     CONTAINMENT_TOL,
@@ -156,7 +156,7 @@ def _random_transversal(
     rng: np.random.Generator,
 ) -> Transversal:
     """A transversal with one uniform member of each coset as representative."""
-    reps = [group.elements[slot[int(rng.integers(0, len(slot)))]] for slot in members]
+    reps = [slot[int(rng.integers(0, len(slot)))] for slot in members]
     return Transversal.from_reps(group, subgroup, reps)
 
 
@@ -175,8 +175,7 @@ def check_cycle_gap() -> CriterionResult:
     worst = 0.0
     for n in range(3, 65):
         group = catalog_group(f"cyclic:{n}")
-        g = group.elements[1]
-        multiset = SymmetricMultiset.from_elements([g, g.inverse()])
+        multiset = symmetrize(group, [(1, 1)])
         summary = _measure(group, group.trivial_subgroup(), multiset)
         worst = max(worst, abs(summary.gap - (1.0 - math.cos(2.0 * math.pi / n))))
     seconds = time.perf_counter() - start
@@ -537,11 +536,8 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
             attempts += 1
             k = int(rng.integers(1, min(6, len(classes)) + 1))
             chosen = rng.choice(len(classes), size=k, replace=False)
-            indices = sorted(
-                set(itertools.chain.from_iterable(classes[int(c)] for c in chosen))
-            )
-            multiset = SymmetricMultiset.from_elements(
-                group.elements[i] for i in indices
+            multiset = SymmetricMultiset(
+                group, ((i, 1) for c in chosen for i in classes[int(c)])
             )
             graph = schreier_graph(group, stabilizer, multiset)
             report = connectivity_and_bipartiteness(graph)
@@ -627,20 +623,13 @@ def check_rayleigh(vectors_per_matrix: int = 1000) -> CriterionResult:
     matrices = []
 
     c6 = catalog_group("cyclic:6")
-    g = c6.elements[1]
-    matrices.append(
-        schreier_graph(
-            c6, c6.trivial_subgroup(), SymmetricMultiset.from_elements([g, g.inverse()])
-        ).walk
-    )
+    matrices.append(schreier_graph(c6, c6.trivial_subgroup(), symmetrize(c6, [(1, 1)])).walk)
     s3 = catalog_group("sym:3")
     transpositions = [
-        p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
+        (i, 1) for i, p in enumerate(s3.elements) if sorted(len(c) for c in p.cycles()) == [2]
     ]
     matrices.append(
-        schreier_graph(
-            s3, s3.trivial_subgroup(), SymmetricMultiset.from_elements(transpositions)
-        ).walk
+        schreier_graph(s3, s3.trivial_subgroup(), SymmetricMultiset(s3, transpositions)).walk
     )
     for name in ("sym:4", "heisenberg:3", "elem-abelian:2^3", "dihedral:12"):
         group = catalog_group(name)

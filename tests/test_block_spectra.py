@@ -26,6 +26,7 @@ from schreierlab import (
 from schreierlab import spectral
 from schreierlab.catalog import abelian_names_up_to
 from schreierlab.spectral import block_eigenvalues
+from testkit import indexed, ones, permutation_entries
 
 AGREEMENT = 1e-12
 
@@ -35,7 +36,7 @@ def dense(graph):
 
 
 def drawn_multiset(group, rng, count):
-    return symmetrize([group.elements[int(i)] for i in rng.integers(1, group.order, size=count)])
+    return symmetrize(group, [(int(i), 1) for i in rng.integers(1, group.order, size=count)])
 
 
 def normaliser_coset_orders(group, stabilizer):
@@ -102,7 +103,9 @@ def test_block_spectrum_on_chosen_symmetries(name, stabilizer_cycles, expected_k
 def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
     # a point stabilizer of sym:5 is its own normaliser: no symmetry to use
     group = catalog_group("sym:5")
-    graph = schreier_graph(group, group.point_stabilizer(0), symmetrize(group.generators))
+    graph = schreier_graph(
+        group, group.point_stabilizer(0), symmetrize(group, ones(group, group.generators))
+    )
     assert graph.action.cyclic_symmetry() == (0, 1)
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     calls = []
@@ -114,7 +117,9 @@ def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
 
 def test_summary_uses_blocks_from_the_floor_on(monkeypatch):
     group = catalog_group("dihedral:16")
-    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
     solved = []
     solve = spectral.sym_eigenvalues
 
@@ -140,7 +145,9 @@ def test_non_normalising_element_is_refused():
     # the exact commutation check can refuse it
     group = catalog_group("alt:4")
     stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1], [2, 3]], 4)])
-    graph = schreier_graph(group, stabilizer, symmetrize(group.generators))
+    graph = schreier_graph(
+        group, stabilizer, symmetrize(group, ones(group, group.generators))
+    )
     y = group.index_of(Permutation.from_cycles([[0, 1, 2]], 4))
     left = graph.action.left_action_of_index(y)
     assert sorted(left.tolist()) == list(range(6))
@@ -150,7 +157,9 @@ def test_non_normalising_element_is_refused():
 
 def test_symmetry_that_is_not_free_or_not_a_permutation_is_refused():
     group = catalog_group("cyclic:6")
-    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
     # the reflection x -> -x of the 6-cycle commutes with the walk but fixes 0 and 3
     with pytest.raises(ValueError, match="cycles of other lengths"):
         block_eigenvalues(graph, -np.arange(6) % 6)
@@ -162,7 +171,9 @@ def test_walk_symmetry_that_swaps_columns_is_accepted():
     # x -> 1 - x on the 8-cycle is free (2x = 1 has no solution mod 8) and
     # preserves the walk, but it sends the column of g to that of g^-1
     group = catalog_group("cyclic:8")
-    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
     g = group.generators[0]
     powers = [Permutation.identity(group.degree)]
     for _ in range(7):
@@ -177,7 +188,9 @@ def test_walk_symmetry_that_swaps_columns_is_accepted():
 
 def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
     group = catalog_group("alt:7")
-    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group.generators))
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
 
     def refuse(graph):
         raise AssertionError("a dense n x n view was built")
@@ -220,8 +233,9 @@ def character_sums(name, multiset):
     """
     moduli = np.array([int(part.split(":")[1]) for part in name.split("x")])
     offsets = np.concatenate(([0], np.cumsum(moduli)[:-1]))
-    coords = np.array([[p.images[o] - o for o in offsets] for p, _ in multiset.entries])
-    mults = np.array([m for _, m in multiset.entries], dtype=float)
+    entries = permutation_entries(multiset)
+    coords = np.array([[p.images[o] - o for o in offsets] for p, _ in entries])
+    mults = np.array([m for _, m in entries], dtype=float)
     characters = np.array(list(itertools.product(*(range(n) for n in moduli))))
     phases = 2.0 * np.pi * (characters / moduli) @ coords.T
     return np.sort(np.cos(phases) @ mults / multiset.size)[::-1]
@@ -253,7 +267,9 @@ def test_character_sums_above_the_floor(name, expected_k):
 def test_character_sums_with_multiplicities():
     group = catalog_group("cyclic:4xcyclic:8")
     g, h = group.generators
-    multiset = SymmetricMultiset([(g, 2), (g.inverse(), 2), (h, 1), (h.inverse(), 1)])
+    multiset = SymmetricMultiset(
+        group, indexed(group, [(g, 2), (g.inverse(), 2), (h, 1), (h.inverse(), 1)])
+    )
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - character_sums("cyclic:4xcyclic:8", multiset))) < AGREEMENT

@@ -19,6 +19,7 @@ from schreierlab import (
     theta,
     theta_min_set_size,
 )
+from testkit import conjugate_subgroup, indexed, ones
 
 
 def test_theta_c4_regular(c4):
@@ -61,7 +62,7 @@ def test_theta_base_point_independence():
         base = math.log(theta(group, y))
         for _ in range(3):
             g = group.elements[int(rng.integers(0, group.order))]
-            conjugate = group.conjugate_subgroup(y, g)
+            conjugate = conjugate_subgroup(group, y, g)
             assert math.log(theta(group, conjugate)) == pytest.approx(base, abs=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_min_set_size_matches_abelian_log_regime():
 
 def test_subgroup_bound_c4(c4):
     g = c4.elements[1]
-    s = SymmetricMultiset.from_elements([g, g * g * g])
+    s = SymmetricMultiset(c4, ones(c4, [g, g * g * g]))
     value, argmin = subgroup_gap_bound(c4, c4.trivial_subgroup(), s)
     # per-subgroup values are 5, 5*2^(-1/2), 5*4^(-1); the whole group wins
     assert value == pytest.approx(5.0 * 4.0 ** (-2.0 / 2.0), abs=1e-12)
@@ -150,9 +151,10 @@ def test_nilpotent_bound_values():
 
 def test_derived_index_heisenberg(heis3):
     y = heis3.trivial_subgroup()
-    gens = SymmetricMultiset.from_elements(
-        [heis3.generators[0], heis3.generators[0].inverse(),
-         heis3.generators[1], heis3.generators[1].inverse()]
+    gens = SymmetricMultiset(
+        heis3,
+        ones(heis3, [heis3.generators[0], heis3.generators[0].inverse(),
+                     heis3.generators[1], heis3.generators[1].inverse()]),
     )
     report = derived_index_check(heis3, y, gens)
     assert report.hypotheses_hold
@@ -164,8 +166,8 @@ def test_derived_index_heisenberg(heis3):
 
 def test_derived_index_abelian_equality():
     group = catalog_group("elem-abelian:2^3")
-    s = SymmetricMultiset.from_elements(
-        [group.generators[0], group.generators[1], group.generators[2]]
+    s = SymmetricMultiset(
+        group, ones(group, [group.generators[0], group.generators[1], group.generators[2]])
     )
     report = derived_index_check(group, group.trivial_subgroup(), s)
     assert report.hypotheses_hold and report.class_c == 1
@@ -177,26 +179,27 @@ def test_derived_index_abelian_equality():
 def test_derived_index_hypotheses_checked(s3, heis3):
     # non-generating multiset
     g = heis3.generators[0]
-    s = SymmetricMultiset.from_elements([g, g.inverse()])
+    s = SymmetricMultiset(heis3, ones(heis3, [g, g.inverse()]))
     sub = heis3.subgroup_generated([g])
     assert sub.order < heis3.order
     report = derived_index_check(heis3, heis3.trivial_subgroup(), s)
     assert not report.hypotheses_hold
     # size below two
-    tiny = SymmetricMultiset([(heis3.identity, 1)])
+    tiny = SymmetricMultiset(heis3, indexed(heis3, [(heis3.identity, 1)]))
     assert not derived_index_check(heis3, heis3.trivial_subgroup(), tiny).hypotheses_hold
     # series never inside the stabilizer
     transposition = Permutation.from_cycles([[0, 1]], 3)
-    s = SymmetricMultiset.from_elements(
-        [transposition, Permutation.from_cycles([[0, 1, 2]], 3),
-         Permutation.from_cycles([[0, 2, 1]], 3)]
+    s = SymmetricMultiset(
+        s3,
+        ones(s3, [transposition, Permutation.from_cycles([[0, 1, 2]], 3),
+                  Permutation.from_cycles([[0, 2, 1]], 3)]),
     )
     assert not derived_index_check(s3, s3.trivial_subgroup(), s).hypotheses_hold
 
 
 def test_bound_report_fields(c4):
     g = c4.elements[1]
-    s = SymmetricMultiset.from_elements([g, g * g * g])
+    s = SymmetricMultiset(c4, ones(c4, [g, g * g * g]))
     report = build_bound_report(c4, c4.trivial_subgroup(), s, epsilon=0.5)
     data = report.to_dict()
     assert data["theta"] == pytest.approx(4.0)
@@ -213,7 +216,7 @@ def test_bound_report_fields(c4):
 def test_bound_report_flags_vacuous_bounds():
     group = catalog_group("cyclic:2")
     g = group.elements[1]
-    s = SymmetricMultiset([(g, 2)])
+    s = SymmetricMultiset(group, indexed(group, [(g, 2)]))
     report = build_bound_report(group, group.trivial_subgroup(), s)
     # 5 * 2^(-1) = 2.5 exceeds any possible gap
     assert "glwi_bound" in report.vacuous
@@ -223,8 +226,8 @@ def test_bound_report_flags_vacuous_bounds():
 def test_gap_vanishes_without_generation(heis3):
     # a connection multiset that stays inside a proper subgroup cannot expand
     g = heis3.generators[0]
-    s = SymmetricMultiset.from_elements([g, g.inverse()])
-    assert heis3.subgroup_generated(s.support()).order < heis3.order
+    s = SymmetricMultiset(heis3, ones(heis3, [g, g.inverse()]))
+    assert heis3.subgroup_generated(heis3.elements[i] for i in s.support()).order < heis3.order
     summary = spectral_summary(
         schreier_graph(heis3, heis3.trivial_subgroup(), s)
     )

@@ -222,6 +222,26 @@ def test_search_counterexample_command(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def test_printed_multisets_follow_image_tuple_order(tmp_path, capsys):
+    # the whole of sym:4 as the subgroup induces S itself, whose elements
+    # sorted by element index would start with (1 2), not with (3 4)
+    sub = tmp_path / "gens.txt"
+    sub.write_text("(1 2)\n(1 2 3 4)\n", encoding="utf-8")
+    s = tmp_path / "set.txt"
+    s.write_text("(1 2)\n(1 2 3 4)\n(3 4) * 3\n", encoding="utf-8")
+    code, payload = run_json(
+        ["rs-induce", "--group", "sym:4", "--subgroup", str(sub), "--set", str(s),
+         "--symmetrize"],
+        capsys,
+    )
+    assert code == 0
+    results = payload["results"]
+    assert results["induced_multiset"] == [
+        ["(3 4)", 6], ["(1 2)", 2], ["(1 2 3 4)", 1], ["(1 4 3 2)", 1]
+    ]
+    assert results["induced_multiset_text"] == "(3 4) * 6\n(1 2) * 2\n(1 2 3 4)\n(1 4 3 2)\n"
+
+
 def test_unknown_group_is_a_clean_error(capsys):
     code = main(["theta", "--group", "sporadic:1"])
     assert code == 2
@@ -262,6 +282,19 @@ def test_symmetrize_without_set_is_refused(capsys):
     code = main(["verify-nilpotent", "--group", "heisenberg:3", "--symmetrize", "--seed", "1"])
     assert code == 2
     assert "error: --symmetrize needs --set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-nilpotent", "verify-thm1"])
+def test_trials_below_one_are_refused(command, capsys):
+    code = main([command, "--group", "heisenberg:3", "--trials", "0", "--seed", "1"])
+    assert code == 2
+    assert "error: --trials must be at least 1, not 0" in capsys.readouterr().err
+
+
+def test_random_set_size_must_be_an_integer(capsys):
+    code = main(["spectrum", "--group", "cyclic:6", "--set", "random:abc", "--seed", "1"])
+    assert code == 2
+    assert "error: --set random:m needs an integer m, not 'abc'" in capsys.readouterr().err
 
 
 def test_symmetrize_is_refused_by_the_search(tmp_path, capsys):

@@ -12,14 +12,13 @@ from schreierlab import (
     Permutation,
     catalog_group,
     derived_subgroup,
-    faithful_reduction,
     group_from_generators,
     index2_overgroups,
     intermediate_subgroups,
     lower_central_series,
-    normal_core,
 )
 from schreierlab.permutations import CosetAction, Transversal, group_from_images
+from testkit import coset_permutation, faithful_reduction, normal_core
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def test_transversal_c4_over_c2(c4):
     h = c4.subgroup_generated([g * g])
     t = Transversal(c4, h)
     assert t.coset_count == 2
-    assert [r.images for r in t.reps] == [c4.identity.images, g.images]
+    assert [c4.elements[i].images for i in t.rep_indices] == [c4.identity.images, g.images]
     # every element lands in the subgroup after cancelling its representative
     for x in range(c4.order):
         rep = c4.elements[t.rep_of[x]]
@@ -203,7 +202,7 @@ def test_transversal_partition_sizes(s3):
 def test_whole_group_transversal(s3):
     t = Transversal(s3, s3)
     assert t.coset_count == 1
-    assert t.reps[0].is_identity()
+    assert s3.elements[t.rep_indices[0]].is_identity()
 
 
 @pytest.mark.parametrize(
@@ -273,7 +272,7 @@ def test_coset_action_matches_permutation_products(name, data):
             for r in t.rep_indices
         ]
         assert action.permutation_of_index(i).tolist() == expected
-        assert action.permutation_of(group.elements[i]).images == tuple(expected)
+        assert coset_permutation(action, group.elements[i]).images == tuple(expected)
 
 
 def generated_by(perms, degree):

@@ -17,17 +17,20 @@ from schreierlab import (
     derived_subgroup,
     index2_overgroups,
     rs_induce,
+    sample_multiset,
     sample_symmetric_multiset,
     schreier_graph,
     spectral_summary,
     symmetrize,
 )
+from schreierlab.cli import main
 from schreierlab.permutations import CosetAction, Transversal
+from testkit import indexed, ones, permutation_entries
 
 
 def cycle_pair(group):
     g = group.elements[1]
-    return SymmetricMultiset.from_elements([g, g.inverse()])
+    return SymmetricMultiset(group, ones(group, [g, g.inverse()]))
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +39,9 @@ def cycle_pair(group):
 
 def test_symmetrize_order_four_element(c4):
     g = c4.elements[1]
-    s = symmetrize([g])
+    s = symmetrize(c4, ones(c4, [g]))
     assert s.size == 2
-    assert dict((p.images, m) for p, m in s.entries) == {
+    assert dict((p.images, m) for p, m in permutation_entries(s)) == {
         g.images: 1,
         g.inverse().images: 1,
     }
@@ -46,34 +49,36 @@ def test_symmetrize_order_four_element(c4):
 
 def test_symmetrize_involution_doubles():
     t = Permutation([1, 0])
-    s = symmetrize([t])
+    c2 = catalog_group("cyclic:2")
+    s = symmetrize(c2, ones(c2, [t]))
     assert s.size == 2
-    assert s.entries == ((t, 2),)
+    assert permutation_entries(s) == [(t, 2)]
 
 
 def test_symmetrize_keeps_multiplicities(c4):
     g = c4.elements[1]
-    s = symmetrize([g, g])
+    s = symmetrize(c4, ones(c4, [g, g]))
     assert s.size == 4
-    counts = {p.images: m for p, m in s.entries}
+    counts = {p.images: m for p, m in permutation_entries(s)}
     assert counts == {g.images: 2, g.inverse().images: 2}
 
 
 def test_asymmetric_multiset_rejected(c4):
     g = c4.elements[1]
     with pytest.raises(ValueError):
-        SymmetricMultiset([(g, 1)])
+        SymmetricMultiset(c4, indexed(c4, [(g, 1)]))
     with pytest.raises(ValueError):
-        SymmetricMultiset([(g, 2), (g.inverse(), 1)])
+        SymmetricMultiset(c4, indexed(c4, [(g, 2), (g.inverse(), 1)]))
 
 
 @given(st.lists(st.permutations(list(range(4))), min_size=1, max_size=6))
 def test_symmetrize_always_symmetric_and_doubles(images):
     elements = [Permutation(im) for im in images]
-    s = symmetrize(elements)
+    s4 = catalog_group("sym:4")
+    s = symmetrize(s4, ones(s4, elements))
     assert s.size == 2 * len(elements)
-    counts = {p.images: m for p, m in s.entries}
-    for p, m in s.entries:
+    counts = {p.images: m for p, m in permutation_entries(s)}
+    for p, m in permutation_entries(s):
         assert counts[p.inverse().images] == m
 
 
@@ -94,21 +99,45 @@ def test_sym3_natural_all_third(s3):
         p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
     ]
     graph = schreier_graph(
-        s3, s3.point_stabilizer(0), SymmetricMultiset.from_elements(transpositions)
+        s3, s3.point_stabilizer(0), SymmetricMultiset(s3, ones(s3, transpositions))
     )
     assert np.allclose(graph.walk, 1.0 / 3.0)
 
 
 def test_identity_multiset_gives_loops(s3):
     e = s3.identity
-    graph = schreier_graph(s3, s3.trivial_subgroup(), SymmetricMultiset([(e, 2)]))
+    s = SymmetricMultiset(s3, indexed(s3, [(e, 2)]))
+    graph = schreier_graph(s3, s3.trivial_subgroup(), s)
     assert np.array_equal(graph.walk, np.eye(6))
 
 
-def test_multiset_element_outside_group_rejected(c4, s3):
+def test_multiset_element_outside_group_rejected(c4, tmp_path, capsys):
+    # a multiset holds element indices, so an element outside the group is
+    # refused where it would get one: where the multiset is parsed
     outsider = Permutation([1, 0, 2, 3])
     with pytest.raises(ValueError):
-        schreier_graph(c4, c4.trivial_subgroup(), symmetrize([outsider]))
+        symmetrize(c4, ones(c4, [outsider]))
+    spec = tmp_path / "outsider.txt"
+    spec.write_text("(1 2)\n", encoding="utf-8")
+    assert main(["spectrum", "--group", "cyclic:4", "--set", str(spec), "--symmetrize"]) == 2
+    assert "error: multiset element (1 2) lies outside the group" in capsys.readouterr().err
+
+
+def test_index_outside_the_group_rejected(c4):
+    for index in (-1, c4.order):
+        with pytest.raises(ValueError, match="range"):
+            SymmetricMultiset(c4, [(index, 1)])
+
+
+def test_multiset_of_another_group_refused(d8):
+    # the rotation subgroup has order 4, so its index 1 is an index of d8 too
+    h = d8.subgroup_generated([d8.generators[0]])
+    rotations = symmetrize(h, [(1, 1)])
+    assert rotations != symmetrize(d8, [(1, 1)])
+    with pytest.raises(ValueError, match="another group"):
+        schreier_graph(d8, d8.trivial_subgroup(), rotations)
+    with pytest.raises(ValueError, match="another group"):
+        rs_induce(d8, h, Transversal(d8, h), rotations)
 
 
 def test_row_sums_and_exact_symmetry_randomized():
@@ -141,7 +170,7 @@ def test_six_cycle_connected_bipartite(c6):
 
 def test_loop_breaks_bipartiteness(c6):
     g = c6.elements[1]
-    s = SymmetricMultiset.from_elements([g, g.inverse(), c6.identity])
+    s = SymmetricMultiset(c6, ones(c6, [g, g.inverse(), c6.identity]))
     report = connectivity_and_bipartiteness(
         schreier_graph(c6, c6.trivial_subgroup(), s)
     )
@@ -150,7 +179,7 @@ def test_loop_breaks_bipartiteness(c6):
 
 def test_square_multiset_disconnects(c4):
     g = c4.elements[1]
-    s = SymmetricMultiset([(g * g, 2)])
+    s = SymmetricMultiset(c4, indexed(c4, [(g * g, 2)]))
     report = connectivity_and_bipartiteness(
         schreier_graph(c4, c4.trivial_subgroup(), s)
     )
@@ -168,7 +197,7 @@ def dense_counts(group, stabilizer, multiset):
     n = action.n_points
     counts = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)
-    for p, mult in multiset.entries:
+    for p, mult in permutation_entries(multiset):
         counts[rows, action.permutation_of_index(group.index_of(p))] += mult
     return counts
 
@@ -230,12 +259,130 @@ def test_slot_table_matches_the_dense_assembly(name, stabilizer_gens, draws, inv
     if involution is not None:
         self_inverse = group.self_inverse_indices()
         counts[self_inverse[involution[0] % len(self_inverse)]] += involution[1]
-    multiset = SymmetricMultiset((group.elements[j], m) for j, m in counts.items())
+    multiset = SymmetricMultiset(group, counts.items())
     graph = schreier_graph(group, stabilizer, multiset)
     expected = dense_counts(group, stabilizer, multiset)
     assert np.array_equal(graph.counts, expected)
+    assert np.array_equal(graph.walk, graph.counts / graph.degree)
     report = connectivity_and_bipartiteness(graph)
     assert (report.connected, report.bipartite, report.classes) == dense_bfs(expected)
+
+
+# ---------------------------------------------------------------------------
+# index multisets against the permutation multisets they replaced
+
+
+class PermutationMultiset:
+    """The old multiset: (Permutation, multiplicity) entries in image-tuple
+    order, its symmetry checked by inverting permutations."""
+
+    def __init__(self, entries):
+        counts = Counter()
+        for p, mult in entries:
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
+            counts[p] += mult
+        if not counts:
+            raise ValueError("a connection multiset cannot be empty")
+        for p, mult in counts.items():
+            if counts[p.inverse()] != mult:
+                raise ValueError(f"multiset is not symmetric at {p!r}")
+        self.entries = tuple(sorted(counts.items(), key=lambda item: item[0].images))
+
+    def inverse(self):
+        return PermutationMultiset((p.inverse(), m) for p, m in self.entries)
+
+    def as_set(self):
+        return PermutationMultiset((p, 1) for p, _ in self.entries)
+
+
+def permutation_symmetrize(entries):
+    counts = Counter()
+    for p, mult in entries:
+        counts[p] += mult
+        counts[p.inverse()] += mult
+    return PermutationMultiset(counts.items())
+
+
+def permutation_rs_induce(group, transversal, multiset):
+    """t s (bar(t s))^-1 over every pair, by Permutation products."""
+    counts = Counter()
+    for t in transversal.rep_indices:
+        for p, mult in multiset.entries:
+            ts = group.elements[t] * p
+            bar = group.elements[transversal.rep_of[group.index_of(ts)]]
+            counts[ts * bar.inverse()] += mult
+    return PermutationMultiset(counts.items())
+
+
+def permutation_sample_multiset(group, m, rng):
+    return [group.elements[int(i)] for i in rng.integers(0, group.order, size=m)]
+
+
+def permutation_sample_symmetric(group, size, rng):
+    pool = [p for p in group.elements if p.inverse() == p]
+    picked = []
+    while len(picked) < size:
+        if size - len(picked) == 1:
+            picked.append(pool[rng.integers(0, len(pool))])
+            continue
+        p = group.elements[int(rng.integers(0, group.order))]
+        picked.extend([p] if p.inverse() == p else [p, p.inverse()])
+    return PermutationMultiset((p, 1) for p in picked)
+
+
+def in_image_order(multiset):
+    return tuple(sorted(permutation_entries(multiset), key=lambda item: item[0].images))
+
+
+# both sides of the table limit again; cyclic:1024 makes rs_induce too slow
+MULTISET_GROUPS = ["dihedral:16", "alt:5", "heisenberg:3", "cyclic:2xsym:4", "sym:6"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(MULTISET_GROUPS),
+    draws=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=5,
+    ),
+    subgroup_gens=st.lists(st.integers(min_value=0), max_size=2),
+)
+def test_index_multisets_match_the_permutation_multisets(name, draws, subgroup_gens):
+    group = catalog_group(name)
+    entries = [(i % group.order, m) for i, m in draws]
+    multiset = symmetrize(group, entries)
+    oracle = permutation_symmetrize((group.elements[i], m) for i, m in entries)
+    assert in_image_order(multiset) == oracle.entries
+    assert in_image_order(multiset.inverse()) == oracle.inverse().entries
+    assert in_image_order(multiset.as_set()) == oracle.as_set().entries
+    subgroup = group.subgroup_generated(group.elements[i % group.order] for i in subgroup_gens)
+    transversal = Transversal(group, subgroup)
+    induced = rs_induce(group, subgroup, transversal, multiset)
+    oracle_induced = permutation_rs_induce(group, transversal, oracle)
+    assert induced.group is subgroup
+    assert all(p in subgroup for p, _ in oracle_induced.entries)
+    assert in_image_order(induced) == oracle_induced.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ORACLE_GROUPS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=9),
+)
+def test_samplers_match_the_permutation_samplers(name, seed, size):
+    """Same seed, same draws, and the generators end in the same state."""
+    group = catalog_group(name)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = sample_multiset(group, size, rng)
+    oracle_drawn = permutation_sample_multiset(group, size, oracle_rng)
+    assert [group.elements[i] for i in drawn] == oracle_drawn
+    multiset = sample_symmetric_multiset(group, size, rng)
+    oracle = permutation_sample_symmetric(group, size, oracle_rng)
+    assert in_image_order(multiset) == oracle.entries
+    assert rng.integers(0, 2**62) == oracle_rng.integers(0, 2**62)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +402,7 @@ def test_criterion_on_transposition_cayley(s3):
         p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
     ]
     result = bipartite_criterion(
-        s3, s3.trivial_subgroup(), SymmetricMultiset.from_elements(transpositions)
+        s3, s3.trivial_subgroup(), SymmetricMultiset(s3, ones(s3, transpositions))
     )
     assert result.criterion_holds
     assert s3.indices_of(result.witness) == s3.indices_of(derived_subgroup(s3))
@@ -270,7 +417,9 @@ def test_criterion_on_odd_cycle():
 def test_criterion_requires_connected(c4):
     g = c4.elements[1]
     with pytest.raises(DisconnectedGraphError):
-        bipartite_criterion(c4, c4.trivial_subgroup(), SymmetricMultiset([(g * g, 2)]))
+        bipartite_criterion(
+            c4, c4.trivial_subgroup(), SymmetricMultiset(c4, indexed(c4, [(g * g, 2)]))
+        )
 
 
 def test_criterion_matches_bfs_on_cayley_instances():
@@ -286,7 +435,7 @@ def test_criterion_matches_bfs_on_cayley_instances():
             indices = sorted(
                 set(itertools.chain.from_iterable(classes[int(c)] for c in chosen))
             )
-            s = SymmetricMultiset.from_elements(group.elements[i] for i in indices)
+            s = SymmetricMultiset(group, ones(group, (group.elements[i] for i in indices)))
             graph = schreier_graph(group, trivial, s)
             report = connectivity_and_bipartiteness(graph)
             if not report.connected:
@@ -302,9 +451,7 @@ def test_bipartite_criterion_limits():
     group has no index-2 subgroup at all."""
     a4 = catalog_group("alt:4")
     y = a4.point_stabilizer(0)
-    s = SymmetricMultiset.from_elements(
-        [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])]
-    )
+    s = SymmetricMultiset(a4, ones(a4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])]))
     graph = schreier_graph(a4, y, s)
     report = connectivity_and_bipartiteness(graph)
     assert report.connected and report.bipartite
@@ -345,10 +492,10 @@ def test_rs_induce_c4_example(c4):
     g = c4.elements[1]
     h = c4.subgroup_generated([g * g])
     t = Transversal(c4, h)
-    s = SymmetricMultiset.from_elements([g, g * g * g])
+    s = SymmetricMultiset(c4, ones(c4, [g, g * g * g]))
     induced = rs_induce(c4, h, t, s)
     # four (t, s) pairs by hand: e*g -> e, e*g^3 -> g^2, g*g -> g^2, g*g^3 -> e
-    assert {(p.images, m) for p, m in induced.entries} == {
+    assert {(p.images, m) for p, m in permutation_entries(induced)} == {
         (c4.identity.images, 2),
         ((g * g).images, 2),
     }
@@ -364,9 +511,9 @@ def test_rs_induce_whole_group_is_identity_map(s3):
 def test_rs_induce_identity_multiset(s3):
     h = s3.subgroup_generated([Permutation.from_cycles([[0, 1]], 3)])
     t = Transversal(s3, h)
-    s = SymmetricMultiset([(s3.identity, 2)])
+    s = SymmetricMultiset(s3, indexed(s3, [(s3.identity, 2)]))
     induced = rs_induce(s3, h, t, s)
-    assert induced.entries == ((s3.identity, 6),)
+    assert permutation_entries(induced) == [(s3.identity, 6)]
 
 
 def test_rs_size_law_and_symmetry_randomized():
@@ -384,7 +531,8 @@ def test_rs_size_law_and_symmetry_randomized():
             induced = rs_induce(group, subgroup, t, s)
             assert induced.size == (group.order // subgroup.order) * s.size
             assert rs_induce(group, subgroup, t, s.inverse()) == induced.inverse()
-            assert all(p in subgroup for p in induced.support())
+            assert induced.group is subgroup
+            assert all(p in subgroup for p, _ in permutation_entries(induced))
 
 
 def test_generation_transfers_to_subgroup():
@@ -396,11 +544,13 @@ def test_generation_transfers_to_subgroup():
         )
         y = group.trivial_subgroup()
         s = sample_symmetric_multiset(group, 2 + trial % 5, rng)
-        generated = group.subgroup_generated(s.support())
+        generated = group.subgroup_generated(p for p, _ in permutation_entries(s))
         if generated.order != group.order:
             continue
         induced = rs_induce(group, subgroup, Transversal(group, subgroup), s)
-        assert subgroup.subgroup_generated(induced.support()).order == subgroup.order
+        assert subgroup.subgroup_generated(
+            p for p, _ in permutation_entries(induced)
+        ).order == subgroup.order
 
 
 def test_rs_induce_with_custom_transversal(d8):
@@ -408,7 +558,7 @@ def test_rs_induce_with_custom_transversal(d8):
     h = d8.subgroup_generated([rotation])
     base = Transversal(d8, h)
     other_members = [p for p in d8.elements if p not in h]
-    custom = Transversal.from_reps(d8, h, [rotation, other_members[-1]])
+    custom = Transversal.from_reps(d8, h, [d8.index_of(p) for p in [rotation, other_members[-1]]])
     s = sample_symmetric_multiset(d8, 4, np.random.default_rng(8))
     induced = rs_induce(d8, h, custom, s)
     assert induced.size == 2 * s.size

@@ -14,12 +14,13 @@ from schreierlab import (
     spectral_summary,
     sym_eigenvalues,
 )
+from testkit import coset_permutation, faithful_reduction, indexed, ones, permutation_entries
 
 
 def cycle_walk(n):
     group = catalog_group(f"cyclic:{n}")
     g = group.elements[1]
-    s = SymmetricMultiset.from_elements([g, g.inverse()])
+    s = SymmetricMultiset(group, ones(group, [g, g.inverse()]))
     return schreier_graph(group, group.trivial_subgroup(), s)
 
 
@@ -78,7 +79,7 @@ def test_summary_on_complete_bipartite():
         p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
     ]
     graph = schreier_graph(
-        s3, s3.trivial_subgroup(), SymmetricMultiset.from_elements(transpositions)
+        s3, s3.trivial_subgroup(), SymmetricMultiset(s3, ones(s3, transpositions))
     )
     summary = spectral_summary(graph)
     assert summary.gap == pytest.approx(1.0, abs=1e-10)
@@ -92,7 +93,7 @@ def test_summary_on_natural_action():
         p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
     ]
     graph = schreier_graph(
-        s3, s3.point_stabilizer(0), SymmetricMultiset.from_elements(transpositions)
+        s3, s3.point_stabilizer(0), SymmetricMultiset(s3, ones(s3, transpositions))
     )
     summary = spectral_summary(graph)
     assert summary.gap == pytest.approx(1.0, abs=1e-10)
@@ -102,7 +103,9 @@ def test_summary_on_natural_action():
 def test_disconnected_graph_has_zero_gap():
     c4 = catalog_group("cyclic:4")
     g = c4.elements[1]
-    graph = schreier_graph(c4, c4.trivial_subgroup(), SymmetricMultiset([(g * g, 2)]))
+    graph = schreier_graph(
+        c4, c4.trivial_subgroup(), SymmetricMultiset(c4, indexed(c4, [(g * g, 2)]))
+    )
     assert spectral_summary(graph).gap == pytest.approx(0.0, abs=1e-10)
 
 
@@ -129,7 +132,7 @@ def test_trace_equals_loop_mass():
 
 def test_quotient_invariance_of_spectra():
     rng = np.random.default_rng(17)
-    from schreierlab import CosetAction, faithful_reduction
+    from schreierlab import CosetAction
 
     for name in ("sym:4", "dihedral:16", "heisenberg:3"):
         group = catalog_group(name)
@@ -140,7 +143,10 @@ def test_quotient_invariance_of_spectra():
         direct = spectral_summary(schreier_graph(group, y, s)).eigenvalues
         image, base = faithful_reduction(group, y)
         action = CosetAction(group, y)
-        mapped = SymmetricMultiset((action.permutation_of(p), m) for p, m in s.entries)
+        mapped = SymmetricMultiset(
+            image,
+            indexed(image, ((coset_permutation(action, p), m) for p, m in permutation_entries(s))),
+        )
         reduced = spectral_summary(
             schreier_graph(image, image.point_stabilizer(base), mapped)
         ).eigenvalues
