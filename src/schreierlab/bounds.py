@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from .inequalities import DERIVED_INDEX, Verdict
 from .permutations import (
     DEFAULT_SUBGROUP_LIMIT,
     FiniteGroup,
@@ -20,7 +21,7 @@ from .permutations import (
     lower_central_series,
 )
 from .schreier import SymmetricMultiset, schreier_graph
-from .spectral import DEFAULT_DIM_CAP, LOG_TOL, spectral_summary
+from .spectral import DEFAULT_DIM_CAP, spectral_summary
 
 # A bound on the spectral gap can never bite above this value, since the
 # gap itself lives in [0, 2]; such bounds are flagged instead of hidden.
@@ -172,10 +173,12 @@ def nilpotent_gap_bound(omega_size: int, set_size: int, class_c: int) -> float:
 
 @dataclass(frozen=True)
 class DerivedIndexReport:
+    """``verdict`` compares the logarithms of ``lhs`` and ``rhs``."""
+
     hypotheses_hold: bool
     lhs: Optional[int] = None
     rhs: Optional[float] = None
-    ok: Optional[bool] = None
+    verdict: Optional[Verdict] = None
     class_c: Optional[int] = None
     set_size: Optional[int] = None
 
@@ -214,12 +217,11 @@ def derived_index_check(
     index = group.order // stabilizer.order
     _, beta = nilpotent_exponents(d, class_c)
     rhs = math.exp(beta * math.log(index)) if index > 1 else 1.0
-    ok = math.log(lhs) >= beta * math.log(index) - LOG_TOL
     return DerivedIndexReport(
         hypotheses_hold=True,
         lhs=lhs,
         rhs=rhs,
-        ok=ok,
+        verdict=DERIVED_INDEX.check(math.log(lhs), beta * math.log(index)),
         class_c=class_c,
         set_size=d,
     )

@@ -21,6 +21,16 @@ import numpy as np
 from .bounds import build_bound_report, derived_index_check, nilpotent_gap_bound, theta
 from .catalog import resolve_action, resolve_group
 from .errors import SchreierLabError
+from .inequalities import (
+    ABELIAN_BOUND,
+    DERIVED_INDEX,
+    NILPOTENT_BOUND,
+    SET_SIZE,
+    SUBGROUP_BOUND,
+    Tally,
+    Verdict,
+    theta_range,
+)
 from .montecarlo import (
     run_expansion_trials,
     sample_multiset,
@@ -45,14 +55,7 @@ from .schreier import (
     schreier_graph,
     symmetrize,
 )
-from .spectral import (
-    DEFAULT_DIM_CAP,
-    LOG_TOL,
-    ROUNDOFF_TOL,
-    dump_matrix,
-    gap_obeys,
-    spectral_summary,
-)
+from .spectral import DEFAULT_DIM_CAP, dump_matrix, spectral_summary
 from .sweeps import run_all
 
 _SUBGROUP_COMMANDS = ("rs-induce", "search-counterexample")
@@ -108,7 +111,7 @@ class ExperimentConfig:
             raise ValueError("--symmetrize needs --set")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"--trials must be at least 1, not {self.trials}")
-        self.random_size()  # refuses a non-integer m
+        self.random_size()  # refuses an m that is not a positive integer
         if self.randomized() and self.seed is None:
             raise ValueError(f"command {self.command} draws randomness: --seed is required")
 
@@ -116,11 +119,14 @@ class ExperimentConfig:
         """The m of ``--set random:m``, None for any other --set."""
         if not (self.multiset_spec and self.multiset_spec.startswith("random:")):
             return None
-        m = self.multiset_spec.split(":", 1)[1]
+        text = self.multiset_spec.split(":", 1)[1]
         try:
-            return int(m)
+            m = int(text)
         except ValueError:
-            raise ValueError(f"--set random:m needs an integer m, not {m!r}") from None
+            raise ValueError(f"--set random:m needs an integer m, not {text!r}") from None
+        if m < 1:
+            raise ValueError(f"--set random:m needs m >= 1, not {m}")
+        return m
 
     def randomized(self) -> bool:
         if self.command in ("verify-thm1", "verify-nilpotent"):
@@ -133,13 +139,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         return cls(**data)
-
-
-@dataclass
-class Verdict:
-    name: str
-    passed: bool
-    detail: str
 
 
 @dataclass
@@ -190,9 +189,11 @@ def render_report(report: Report) -> str:
     if report.config.command == "sweep":
         lines = ["key,passed,seconds,title"]
         for row in report.results["criteria"]:
-            lines.append(
-                f"{row['key']},{row['passed']},{_fmt(row['seconds'])},{row['title']}"
-            )
+            seconds = _fmt(row["seconds"])
+            lines.append(f"{row['key']},{row['passed']},{seconds},{row['title']}")
+            if row["budget"] is not None:
+                budget = row["budget"]
+                lines.append(f"{budget['name']},{budget['passed']},{seconds},{budget['detail']}")
         return "\n".join(lines) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", report.to_dict(), rows)
@@ -235,11 +236,6 @@ def _printed(multiset: SymmetricMultiset) -> list:
 
 def _multiset_json(multiset: SymmetricMultiset) -> list:
     return [[permutation_to_text(p), m] for p, m in _printed(multiset)]
-
-
-def _theta_range(value: float, omega: int, detail: str) -> Verdict:
-    """Theta lies between 1 and the number of points."""
-    return Verdict("theta-range", 1.0 - ROUNDOFF_TOL <= value <= omega + LOG_TOL, detail)
 
 
 # Every runner takes the configuration, the report it fills in, and what
@@ -285,30 +281,20 @@ def _cmd_bounds(config, report, group, stabilizer, subgroup) -> None:
     report.results = bounds.to_dict()
     omega = group.order // stabilizer.order
     report.verdicts.append(
-        _theta_range(bounds.theta, omega, f"theta={bounds.theta:.6g}, omega={omega}")
+        theta_range(bounds.theta, omega, f"theta={bounds.theta:.6g}, omega={omega}")
     )
     gap = bounds.measured_gap
-    for name, bound in (
-        ("subgroup", bounds.glwi_bound),
-        ("abelian", bounds.abelian_bound),
-        ("nilpotent", bounds.nilpotent_bound),
+    for inequality, bound in (
+        (SUBGROUP_BOUND, bounds.glwi_bound),
+        (ABELIAN_BOUND, bounds.abelian_bound),
+        (NILPOTENT_BOUND, bounds.nilpotent_bound),
     ):
         if bound is not None:
-            report.verdicts.append(
-                Verdict(
-                    f"gap-under-{name}-bound",
-                    gap_obeys(gap, bound),
-                    f"gap={gap:.6g} vs {bound:.6g}",
-                )
-            )
+            report.verdicts.append(inequality.check(gap, bound, f"gap={gap:.6g} vs {bound:.6g}"))
     if bounds.epsilon_used is not None and gap >= bounds.epsilon_used:
-        report.verdicts.append(
-            Verdict(
-                "expanding-set-large-enough",
-                multiset.size >= bounds.min_set_size - LOG_TOL,
-                f"|S|={multiset.size} vs {bounds.min_set_size:.6g}",
-            )
-        )
+        needed = bounds.min_set_size
+        detail = f"|S|={multiset.size} vs {needed:.6g}"
+        report.verdicts.append(SET_SIZE.check(multiset.size, needed, detail))
 
 
 def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
@@ -321,7 +307,7 @@ def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
         "group_order": group.order,
         "stabilizer_order": stabilizer.order,
     }
-    report.verdicts.append(_theta_range(value, omega, f"theta={value:.6g}"))
+    report.verdicts.append(theta_range(value, omega, f"theta={value:.6g}"))
 
 
 def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
@@ -341,19 +327,7 @@ def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
         "transversal": [permutation_to_text(group.elements[i]) for i in transversal.rep_indices],
         "stabilizer_order": stabilizer.order,
     }
-    report.verdicts += [
-        Verdict("size-law", induction.size_law, f"{induced.size} == {index} * {multiset.size}"),
-        Verdict(
-            "inverse-compatibility",
-            induction.inverse_law,
-            "induced inverse equals inverse induced",
-        ),
-        Verdict(
-            "lands-in-subgroup",
-            induced.group is subgroup,
-            "every induced element lies in the subgroup",
-        ),
-    ]
+    report.verdicts.append(induction.size_law)
 
 
 def _cmd_verify_thm1(config, report, group, stabilizer, subgroup) -> None:
@@ -362,18 +336,7 @@ def _cmd_verify_thm1(config, report, group, stabilizer, subgroup) -> None:
     trials = 400 if config.trials is None else config.trials
     stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, config.seed)
     report.results = stats.to_dict()
-    report.verdicts += [
-        Verdict(
-            "empirical-tail",
-            stats.empirical_tail <= stats.tail_budget(),
-            f"tail={stats.empirical_tail:.6g} vs {stats.tail_budget():.6g}",
-        ),
-        Verdict(
-            "empirical-mean",
-            stats.empirical_mean <= stats.mean_budget(),
-            f"mean={stats.empirical_mean:.6g} vs {stats.mean_budget():.6g}",
-        ),
-    ]
+    report.verdicts += stats.verdicts()
 
 
 def _cmd_verify_nilpotent(config, report, group, stabilizer, subgroup) -> None:
@@ -393,41 +356,31 @@ def _cmd_verify_nilpotent(config, report, group, stabilizer, subgroup) -> None:
             multisets = [
                 sample_symmetric_multiset(group, 2 + (i % 7), rng) for i in range(trials)
             ]
-    gap_violations = 0
-    derived_checked = 0
-    derived_violations = 0
-    worst_margin = math.inf
+    gaps, derived = Tally(NILPOTENT_BOUND.name), Tally(DERIVED_INDEX.name)
     for multiset in multisets:
         summary = spectral_summary(
             schreier_graph(group, stabilizer, multiset), dim_cap=config.cap_dim
         )
-        bound = nilpotent_gap_bound(omega, multiset.size, class_c)
-        worst_margin = min(worst_margin, bound - summary.gap)
-        if not gap_obeys(summary.gap, bound):
-            gap_violations += 1
-        derived = derived_index_check(group, stabilizer, multiset)
-        derived_checked += derived.hypotheses_hold
-        derived_violations += derived.ok is False
+        gaps.add(
+            NILPOTENT_BOUND.check(summary.gap, nilpotent_gap_bound(omega, multiset.size, class_c))
+        )
+        check = derived_index_check(group, stabilizer, multiset)
+        if check.hypotheses_hold:
+            derived.add(check.verdict)
     report.results = {
         "group_order": group.order,
         "omega": omega,
         "nilpotency_class": class_c,
         "instances": len(multisets),
-        "gap_violations": gap_violations,
-        "derived_index_checked": derived_checked,
-        "derived_index_violations": derived_violations,
-        "worst_margin": worst_margin,
+        "gap_violations": gaps.violations,
+        "derived_index_checked": derived.count,
+        "derived_index_violations": derived.violations,
+        "worst_margin": gaps.margin,
     }
     report.verdicts += [
-        Verdict(
-            "gap-under-nilpotent-bound",
-            gap_violations == 0,
-            f"{gap_violations} violations over {len(multisets)} instances",
-        ),
-        Verdict(
-            "derived-index-inequality",
-            derived_violations == 0,
-            f"{derived_violations} violations over {derived_checked} applicable instances",
+        gaps.verdict(f"{gaps.violations} violations over {len(multisets)} instances"),
+        derived.verdict(
+            f"{derived.violations} violations over {derived.count} applicable instances"
         ),
     ]
 
@@ -454,10 +407,8 @@ def _cmd_search(config, report, group, stabilizer, subgroup) -> None:
         ],
     }
     report.verdicts.append(
-        Verdict(
-            "multiset-monotonicity",
-            len(outcome.multiset_violations) == 0,
-            f"{len(outcome.multiset_violations)} multiset gap violations (must be 0)",
+        outcome.monotonicity.verdict(
+            f"{len(outcome.multiset_violations)} multiset gap violations (must be 0)"
         )
     )
 
@@ -465,7 +416,10 @@ def _cmd_search(config, report, group, stabilizer, subgroup) -> None:
 def _cmd_sweep(config, report, group, stabilizer, subgroup) -> None:
     results = run_all(progress=lambda r: print(r.line(), file=sys.stderr, flush=True))
     report.results = {"criteria": [asdict(r) for r in results]}
-    report.verdicts = [Verdict(r.key, r.passed, r.title) for r in results]
+    for r in results:
+        report.verdicts.append(Verdict(r.key, r.passed, r.title))
+        if r.budget is not None:
+            report.verdicts.append(r.budget)
 
 
 _RUNNERS = {

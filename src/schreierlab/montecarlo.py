@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .inequalities import EMPIRICAL_MEAN, EMPIRICAL_TAIL, Verdict
 from .permutations import FiniteGroup
 from .schreier import SymmetricMultiset, schreier_graph, symmetrize
 from .spectral import spectral_summary
@@ -111,6 +112,15 @@ class TrialStats:
     def mean_budget(self) -> float:
         """What the empirical mean of lambda may reach: epsilon + delta."""
         return self.epsilon + self.delta
+
+    def verdicts(self) -> list[Verdict]:
+        """The empirical tail and mean, each against its budget."""
+        tail, tail_max = self.empirical_tail, self.tail_budget()
+        mean, mean_max = self.empirical_mean, self.mean_budget()
+        return [
+            EMPIRICAL_TAIL.check(tail, tail_max, f"tail={tail:.6g} vs {tail_max:.6g}"),
+            EMPIRICAL_MEAN.check(mean, mean_max, f"mean={mean:.6g} vs {mean_max:.6g}"),
+        ]
 
 
 def run_expansion_trials(

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, SearchSpaceError
+from .inequalities import MULTISET_MONOTONICITY, SIZE_LAW, Tally, Verdict
 from .permutations import CosetAction, FiniteGroup, Transversal, index2_overgroups
-from .spectral import LOG_TOL, spectral_summary
+from .spectral import spectral_summary
 
 
 class SymmetricMultiset:
@@ -54,10 +55,6 @@ class SymmetricMultiset:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
-
-    def inverse(self) -> "SymmetricMultiset":
-        inv = self.group.inverse_indices()
-        return SymmetricMultiset(self.group, ((inv[i], m) for i, m in self.entries))
 
     def as_set(self) -> "SymmetricMultiset":
         """The same support with every multiplicity collapsed to 1."""
@@ -271,11 +268,10 @@ def rs_induce(
 
 @dataclass(frozen=True)
 class Induction:
-    """An induced multiset and the two laws that induction must obey."""
+    """An induced multiset and the verdict of its size law."""
 
     multiset: SymmetricMultiset
-    size_law: bool
-    inverse_law: bool
+    size_law: Verdict
 
 
 def induce_with_laws(
@@ -284,15 +280,12 @@ def induce_with_laws(
     transversal: Transversal,
     multiset: SymmetricMultiset,
 ) -> Induction:
-    """``rs_induce`` together with its size law, |S_H| = |G:H| |S|, and its
-    inverse compatibility: inducing S^-1 gives the inverse of inducing S."""
+    """``rs_induce`` together with its size law, |S_H| = |G:H| |S|.  The
+    induced multiset is symmetric because ``SymmetricMultiset`` checks it."""
     induced = rs_induce(group, subgroup, transversal, multiset)
-    return Induction(
-        multiset=induced,
-        size_law=induced.size == (group.order // subgroup.order) * multiset.size,
-        inverse_law=rs_induce(group, subgroup, transversal, multiset.inverse())
-        == induced.inverse(),
-    )
+    index = group.order // subgroup.order
+    detail = f"{induced.size} == {index} * {multiset.size}"
+    return Induction(induced, SIZE_LAW.check(abs(induced.size - index * multiset.size), 0, detail))
 
 
 @dataclass(frozen=True)
@@ -308,12 +301,16 @@ class DedupWitness:
 
 @dataclass(frozen=True)
 class DedupSearchResult:
+    """``monotonicity`` folds the loss test of every rewriting with
+    multiplicities; its violations are ``multiset_violations``."""
+
     witnesses: tuple[DedupWitness, ...]
     multiset_violations: tuple[DedupWitness, ...]
     sets_examined: int
     connected_count: int
     used_default_transversal: bool
     transversals_scanned: int
+    monotonicity: Tally
 
 
 def symmetric_subsets(group: FiniteGroup) -> Iterable[SymmetricMultiset]:
@@ -344,7 +341,7 @@ def dedup_counterexample_search(
     group: FiniteGroup,
     subgroup: FiniteGroup,
     stabilizer: FiniteGroup,
-    gap_margin: float = LOG_TOL,
+    gap_margin: float = MULTISET_MONOTONICITY.tol,
     class_cap: int = 22,
     transversal_cap: int = 10_000,
 ) -> DedupSearchResult:
@@ -379,6 +376,9 @@ def dedup_counterexample_search(
             continue
         connected_sets.append((multiset, spectral_summary(graph).gap))
 
+    loss = replace(MULTISET_MONOTONICITY, tol=gap_margin)
+    monotonicity = Tally(loss.name)
+
     def scan(transversal: Transversal) -> tuple[list[DedupWitness], list[DedupWitness]]:
         witnesses = []
         bad_multisets = []
@@ -397,9 +397,9 @@ def dedup_counterexample_search(
                 induced_multiset_gap=gap_multi,
                 induced_set_gap=gap_dedup,
             )
-            if gap_dedup < parent_gap - gap_margin:
+            if not loss.check(gap_dedup, parent_gap).passed:
                 witnesses.append(record)
-            if gap_multi < parent_gap - gap_margin:
+            if not monotonicity.add(loss.check(gap_multi, parent_gap)).passed:
                 bad_multisets.append(record)
         return witnesses, bad_multisets
 
@@ -422,4 +422,5 @@ def dedup_counterexample_search(
         connected_count=len(connected_sets),
         used_default_transversal=bool(witnesses) and scanned == 1,
         transversals_scanned=scanned,
+        monotonicity=monotonicity,
     )

@@ -21,7 +21,9 @@ regular (125 points, k = 5) takes 1.2 ms in blocks against 0.5 ms dense,
 heisenberg:7 (343, k = 7) 7.8 against 6.2 ms, sym:6 (720, k = 6) 13
 against 45 ms.
 
-Every tolerance in the package is defined here, one per stage:
+Every tolerance in the package is defined here, one per stage.  Outside
+this module they are compared only in the ledger of named inequalities,
+``inequalities.py``, which gives each inequality its tolerance:
 
 * ``ROUNDOFF_TOL`` (1e-12): figures exact up to a few roundings: the
   symmetry of a walk matrix or of a Hermitian block, theta >= 1, the
@@ -31,8 +33,8 @@ Every tolerance in the package is defined here, one per stage:
   counterexample search's gap loss, and Rayleigh quotients against the
   extreme eigenvalues.
 * ``GAP_TOL`` (1e-8): a computed eigenvalue against a closed form: gaps
-  under their bounds (``gap_obeys``), induced gaps against their parents',
-  the cycle oracle, and the walk spectrum's ends at 1 and -1.
+  under their bounds, induced gaps against their parents', the cycle
+  oracle, and the walk spectrum's ends at 1 and -1.
 * ``CONTAINMENT_TOL`` (1e-6): eigenvalues of two different graphs compared.
 
 ``BLOCK_FLOOR`` (512) is the least number of points at which the spectrum
@@ -58,11 +60,6 @@ LOG_TOL = 1e-9
 GAP_TOL = 1e-8
 CONTAINMENT_TOL = 1e-6
 BLOCK_FLOOR = 512
-
-
-def gap_obeys(gap: float, bound: float) -> bool:
-    """Whether a measured gap lies under a closed-form bound, up to GAP_TOL."""
-    return gap <= bound + GAP_TOL
 
 
 def _check_dimension(n: int, dim_cap: int) -> None:

@@ -12,9 +12,10 @@ same instances and figures.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +30,24 @@ from .bounds import (
     theta_min_set_size,
 )
 from .catalog import abelian_names_up_to, catalog_group
-from .montecarlo import required_sample_size, run_expansion_trials, sample_symmetric_multiset
+from .inequalities import (
+    ABELIAN_BOUND,
+    BUDGET,
+    CYCLE_GAP,
+    DERIVED_INDEX,
+    EXPONENT_CLOSED_FORM,
+    INDUCED_GAP,
+    INDUCED_LAMBDA,
+    NILPOTENT_BOUND,
+    RAYLEIGH_RANGE,
+    SET_SIZE,
+    SIZE_LAW,
+    SPECTRUM_CONTAINMENT,
+    SUBGROUP_BOUND,
+    Tally,
+    Verdict,
+)
+from .montecarlo import run_expansion_trials, sample_symmetric_multiset
 from .permutations import (
     FiniteGroup,
     Transversal,
@@ -37,7 +55,6 @@ from .permutations import (
     lower_central_series,
 )
 from .schreier import (
-    Induction,
     SymmetricMultiset,
     bipartite_criterion,
     connectivity_and_bipartiteness,
@@ -47,29 +64,45 @@ from .schreier import (
     symmetric_subsets,
     symmetrize,
 )
-from .spectral import (
-    CONTAINMENT_TOL,
-    GAP_TOL,
-    LOG_TOL,
-    ROUNDOFF_TOL,
-    gap_obeys,
-    rayleigh_quotient,
-    spectral_summary,
-    sym_eigenvalues,
-)
+from .spectral import rayleigh_quotient, spectral_summary, sym_eigenvalues
 
 
 @dataclass
 class CriterionResult:
+    """``passed`` is the mathematical verdict; ``budget``, when the check has
+    a wall-clock budget, is its own verdict, and both count toward the
+    ``sweep`` command's exit code."""
+
     key: str
     title: str
     passed: bool
     details: dict
     seconds: float
+    budget: Optional[Verdict] = None
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        return f"[{verdict}] {self.key}: {self.title} ({self.seconds:.1f}s)"
+        over = "" if self.budget is None or self.budget.passed else ", over budget"
+        return f"[{verdict}] {self.key}: {self.title} ({self.seconds:.1f}s{over})"
+
+
+def _result(key, title, start, details, checks, passed=True, budget=None) -> CriterionResult:
+    """A criterion that passes when ``passed`` holds and every check (a
+    Verdict or a Tally) does.  The details gain the tightest margin of each
+    check, and a budget in seconds becomes the verdict ``<key>-budget``."""
+    seconds = time.perf_counter() - start
+    spent = None
+    if budget is not None:
+        detail = f"{seconds:.1f}s vs {budget:g}s"
+        spent = replace(BUDGET.check(seconds, budget, detail), name=f"{key}-budget")
+    return CriterionResult(
+        key=key,
+        title=title,
+        passed=passed and all(check.passed for check in checks),
+        details={**details, "margins": {check.name: check.margin for check in checks}},
+        seconds=seconds,
+        budget=spent,
+    )
 
 
 @dataclass
@@ -160,12 +193,6 @@ def _random_transversal(
     return Transversal.from_reps(group, subgroup, reps)
 
 
-def _tally_laws(laws: dict, induction: Induction) -> None:
-    laws["size_law"] += 1
-    laws["inverse_law"] += 1
-    laws["failures"] += (not induction.size_law) + (not induction.inverse_law)
-
-
 # ---------------------------------------------------------------------------
 # 1. cycle graphs against the circulant gap formula
 
@@ -178,13 +205,13 @@ def check_cycle_gap() -> CriterionResult:
         multiset = symmetrize(group, [(1, 1)])
         summary = _measure(group, group.trivial_subgroup(), multiset)
         worst = max(worst, abs(summary.gap - (1.0 - math.cos(2.0 * math.pi / n))))
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="cycle-gap",
-        title="cycle Cayley gap matches 1 - cos(2 pi / n) for n in 3..64",
-        passed=(worst <= GAP_TOL and seconds < 10.0),
-        details={"worst_error": worst, "cases": 62},
-        seconds=seconds,
+    return _result(
+        "cycle-gap",
+        "cycle Cayley gap matches 1 - cos(2 pi / n) for n in 3..64",
+        start,
+        {"worst_error": worst, "cases": 62},
+        [CYCLE_GAP.check(worst, 0.0)],
+        budget=10.0,
     )
 
 
@@ -197,7 +224,6 @@ def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
     rng = np.random.default_rng(20250801)
     pool = _midsize_pool()
     worst = 0.0
-    checked = 0
     for i in range(instances_wanted):
         name, group = pool[i % len(pool)]
         candidates = _stabilizer_candidates(group, rng)
@@ -209,14 +235,12 @@ def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
         )
         distance = np.abs(schreier_eigs[:, None] - cayley_eigs[None, :]).min(axis=1)
         worst = max(worst, float(distance.max()))
-        checked += 1
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="spectrum-containment",
-        title="every Schreier eigenvalue appears in the Cayley spectrum",
-        passed=(worst <= CONTAINMENT_TOL),
-        details={"instances": checked, "worst_distance": worst},
-        seconds=seconds,
+    return _result(
+        "spectrum-containment",
+        "every Schreier eigenvalue appears in the Cayley spectrum",
+        start,
+        {"instances": instances_wanted, "worst_distance": worst},
+        [SPECTRUM_CONTAINMENT.check(worst, 0.0)],
     )
 
 
@@ -230,8 +254,7 @@ def check_abelian_bound(
     start = time.perf_counter()
     rng = np.random.default_rng(20250803)
     instances: list[Instance] = []
-    violations = 0
-    tightest = math.inf
+    gaps = Tally(ABELIAN_BOUND.name)
     names = abelian_names_up_to(64)
     for name in names:
         group = catalog_group(name)
@@ -240,22 +263,20 @@ def check_abelian_bound(
             multiset = sample_symmetric_multiset(group, _random_size(i), rng)
             summary = _measure(group, trivial, multiset)
             bound = abelian_gap_bound(group.order, multiset.size)
-            if not gap_obeys(summary.gap, bound):
-                violations += 1
-            tightest = min(tightest, bound - summary.gap)
+            gaps.add(ABELIAN_BOUND.check(summary.gap, bound))
             instances.append(Instance(group, trivial, multiset, summary.gap))
-    seconds = time.perf_counter() - start
-    result = CriterionResult(
-        key="abelian-bound",
-        title="abelian Cayley gap <= 5 |G|^(-2/|S|) over all types of order <= 64",
-        passed=(violations == 0 and seconds < 300.0),
-        details={
+    result = _result(
+        "abelian-bound",
+        "abelian Cayley gap <= 5 |G|^(-2/|S|) over all types of order <= 64",
+        start,
+        {
             "groups": len(names),
             "instances": len(instances),
-            "violations": violations,
-            "tightest_margin": tightest,
+            "violations": gaps.violations,
+            "tightest_margin": gaps.margin,
         },
-        seconds=seconds,
+        [gaps],
+        budget=300.0,
     )
     return result, instances
 
@@ -266,16 +287,15 @@ def check_abelian_bound(
 
 def check_induced_monotonicity(
     instances_wanted: int = 520,
-) -> tuple[CriterionResult, list[Instance], dict]:
+) -> tuple[CriterionResult, list[Instance], Tally]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250804)
     pool = _midsize_pool()
     candidates = {
         name: _stabilizer_candidates(group, rng) for name, group in pool
     }
-    gap_violations = 0
-    lambda_violations = 0
-    law_checks = {"size_law": 0, "inverse_law": 0, "failures": 0}
+    gaps, lambdas = Tally(INDUCED_GAP.name), Tally(INDUCED_LAMBDA.name)
+    laws = Tally(SIZE_LAW.name)
     instances: list[Instance] = []
     for i in range(instances_wanted):
         name, group = pool[i % len(pool)]
@@ -292,27 +312,24 @@ def check_induced_monotonicity(
         induction = induce_with_laws(
             group, subgroup, Transversal(group, subgroup), multiset
         )
-        _tally_laws(law_checks, induction)
+        laws.add(induction.size_law)
 
         child = _measure(subgroup, stabilizer, induction.multiset)
-        if child.gap < parent.gap - GAP_TOL:
-            gap_violations += 1
-        if child.two_sided_lambda > parent.two_sided_lambda + GAP_TOL:
-            lambda_violations += 1
+        gaps.add(INDUCED_GAP.check(child.gap, parent.gap))
+        lambdas.add(INDUCED_LAMBDA.check(child.two_sided_lambda, parent.two_sided_lambda))
         instances.append(Instance(group, stabilizer, multiset, parent.gap))
-    seconds = time.perf_counter() - start
-    result = CriterionResult(
-        key="induced-monotonicity",
-        title="induced multisets keep the gap and the two-sided lambda",
-        passed=(gap_violations == 0 and lambda_violations == 0),
-        details={
+    result = _result(
+        "induced-monotonicity",
+        "induced multisets keep the gap and the two-sided lambda",
+        start,
+        {
             "instances": len(instances),
-            "gap_violations": gap_violations,
-            "lambda_violations": lambda_violations,
+            "gap_violations": gaps.violations,
+            "lambda_violations": lambdas.violations,
         },
-        seconds=seconds,
+        [gaps, lambdas],
     )
-    return result, instances, law_checks
+    return result, instances, laws
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +342,11 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
     rotation = group.generators[0]
     subgroup = group.subgroup_generated([rotation])
     result = dedup_counterexample_search(group, subgroup, group.trivial_subgroup())
-    seconds = time.perf_counter() - start
-    law_extra = {"group": group, "subgroup": subgroup}
-    criterion = CriterionResult(
-        key="dedup-counterexample",
-        title="dihedral order 8 yields dedup witnesses, none with multiplicities",
-        passed=(
-            len(result.witnesses) >= 1
-            and len(result.multiset_violations) == 0
-            and seconds < 60.0
-        ),
-        details={
+    criterion = _result(
+        "dedup-counterexample",
+        "dihedral order 8 yields dedup witnesses, none with multiplicities",
+        start,
+        {
             "sets_examined": result.sets_examined,
             "connected_sets": result.connected_count,
             "witnesses": len(result.witnesses),
@@ -343,9 +354,11 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
             "default_transversal": result.used_default_transversal,
             "transversals_scanned": result.transversals_scanned,
         },
-        seconds=seconds,
+        [result.monotonicity],
+        passed=len(result.witnesses) >= 1,
+        budget=60.0,
     )
-    return criterion, law_extra
+    return criterion, {"group": group, "subgroup": subgroup}
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +371,11 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
     stabilizer = group.point_stabilizer(0)
     epsilon = delta = 0.25
     stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, seed=2025)
-    seconds = time.perf_counter() - start
-    expected_m = required_sample_size(epsilon, delta, 6)
-    return CriterionResult(
-        key="random-expansion",
-        title="random multisets of the prescribed size expand with high probability",
-        passed=(
-            stats.sample_size == expected_m
-            and stats.empirical_tail <= stats.tail_budget()
-            and stats.empirical_mean <= stats.mean_budget()
-            and seconds < 300.0
-        ),
-        details={
+    return _result(
+        "random-expansion",
+        "random multisets of the prescribed size expand with high probability",
+        start,
+        {
             "sample_size": stats.sample_size,
             "trials": stats.trials,
             "empirical_tail": stats.empirical_tail,
@@ -378,7 +384,8 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
             "mean_budget": stats.mean_budget(),
             "bound_tail": stats.bound_tail,
         },
-        seconds=seconds,
+        stats.verdicts(),
+        budget=300.0,
     )
 
 
@@ -389,9 +396,7 @@ def check_random_expansion(trials: int = 400) -> CriterionResult:
 def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
     start = time.perf_counter()
     theta_cache: dict[tuple[int, frozenset], float] = {}
-    bound_violations = 0
-    size_violations = 0
-    checked_sizes = 0
+    gaps, sizes = Tally(SUBGROUP_BOUND.name), Tally(SET_SIZE.name)
     for inst in instances:
         key = (id(inst.group), inst.group.indices_of(inst.stabilizer))
         ltheta = theta_cache.get(key)
@@ -399,27 +404,23 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
             ltheta = log_theta(inst.group, inst.stabilizer)
             theta_cache[key] = ltheta
         bound, _ = subgroup_gap_bound(inst.group, inst.stabilizer, inst.multiset)
-        if not gap_obeys(inst.gap, bound):
-            bound_violations += 1
+        gaps.add(SUBGROUP_BOUND.check(inst.gap, bound))
         for epsilon in (0.1, 0.3, 0.5):
             if inst.gap >= epsilon:
-                checked_sizes += 1
                 needed = theta_min_set_size(math.exp(ltheta), epsilon)
-                if inst.multiset.size < needed - LOG_TOL:
-                    size_violations += 1
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="set-size-bound",
-        title="gap <= tightest subgroup bound; expanding sets are large enough",
-        passed=(bound_violations == 0 and size_violations == 0),
-        details={
+                sizes.add(SET_SIZE.check(inst.multiset.size, needed))
+    return _result(
+        "set-size-bound",
+        "gap <= tightest subgroup bound; expanding sets are large enough",
+        start,
+        {
             "instances": len(instances),
             "pairs_with_theta": len(theta_cache),
-            "bound_violations": bound_violations,
-            "size_checks": checked_sizes,
-            "size_violations": size_violations,
+            "bound_violations": gaps.violations,
+            "size_checks": sizes.count,
+            "size_violations": sizes.violations,
         },
-        seconds=seconds,
+        [gaps, sizes],
     )
 
 
@@ -435,7 +436,7 @@ def check_nilpotent_bound(
 ) -> tuple[CriterionResult, list[Instance]]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250808)
-    violations = 0
+    gaps = Tally(NILPOTENT_BOUND.name)
     instances: list[Instance] = []
     actions = 0
     classes = {}
@@ -451,22 +452,21 @@ def check_nilpotent_bound(
                 multiset = sample_symmetric_multiset(group, _random_size(i), rng)
                 summary = _measure(group, stabilizer, multiset)
                 bound = nilpotent_gap_bound(omega, multiset.size, class_c)
-                if not gap_obeys(summary.gap, bound):
-                    violations += 1
+                gaps.add(NILPOTENT_BOUND.check(summary.gap, bound))
                 instances.append(Instance(group, stabilizer, multiset, summary.gap))
-    seconds = time.perf_counter() - start
-    result = CriterionResult(
-        key="nilpotent-bound",
-        title="nilpotent actions obey gap <= 5 |Omega|^(-f(|S|, c))",
-        passed=(violations == 0 and seconds < 600.0),
-        details={
+    result = _result(
+        "nilpotent-bound",
+        "nilpotent actions obey gap <= 5 |Omega|^(-f(|S|, c))",
+        start,
+        {
             "groups": len(_NILPOTENT_GROUPS),
             "classes": classes,
             "actions": actions,
             "instances": len(instances),
-            "violations": violations,
+            "violations": gaps.violations,
         },
-        seconds=seconds,
+        [gaps],
+        budget=600.0,
     )
     return result, instances
 
@@ -477,37 +477,29 @@ def check_nilpotent_bound(
 
 def check_derived_index(instances: list[Instance]) -> CriterionResult:
     start = time.perf_counter()
-    applied = 0
-    violations = 0
+    derived = Tally(DERIVED_INDEX.name)
     for inst in instances:
         report = derived_index_check(inst.group, inst.stabilizer, inst.multiset)
-        applied += report.hypotheses_hold
-        violations += report.ok is False
+        if report.hypotheses_hold:
+            derived.add(report.verdict)
 
-    closed_form_ok = (
-        abs(nilpotent_exponents(2, 1)[0] - 1.0) < ROUNDOFF_TOL
-        and abs(nilpotent_exponents(2, 2)[0] - 0.2) < ROUNDOFF_TOL
-        and abs(nilpotent_exponents(2, 2)[1] - 0.2) < ROUNDOFF_TOL
-    )
-    floors_ok = True
-    for d in range(2, 11):
-        for c in range(1, 9):
-            f, beta = nilpotent_exponents(d, c)
-            if f < d ** (-c - 1.0) or beta < 1.0 / (2.0 * d**c):
-                floors_ok = False
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="derived-index",
-        title="|G : G'Y| >= |G : Y|^beta(d, c) whenever Y and S generate",
-        passed=(violations == 0 and closed_form_ok and floors_ok),
-        details={
+    (f21, _), (f22, beta22) = nilpotent_exponents(2, 1), nilpotent_exponents(2, 2)
+    error = max(abs(f21 - 1.0), abs(f22 - 0.2), abs(beta22 - 0.2))
+    closed_form = EXPONENT_CLOSED_FORM.check(error, 0.0)
+    for d, c in itertools.product(range(2, 11), range(1, 9)):
+        nilpotent_exponents(d, c)  # raises AssertionError below either floor
+    return _result(
+        "derived-index",
+        "|G : G'Y| >= |G : Y|^beta(d, c) whenever Y and S generate",
+        start,
+        {
             "instances": len(instances),
-            "applicable": applied,
-            "violations": violations,
-            "closed_form_ok": closed_form_ok,
-            "exponent_floors_ok": floors_ok,
+            "applicable": derived.count,
+            "violations": derived.violations,
+            "closed_form_ok": closed_form.passed,
+            "exponent_floors_ok": True,
         },
-        seconds=seconds,
+        [derived, closed_form],
     )
 
 
@@ -550,31 +542,32 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
                 disagreements += 1
         if found < instances_per_group:
             short_groups.append(name)
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="bipartite-criterion",
-        title="connected Cayley graphs: bipartite iff an avoiding index-2 subgroup exists",
-        passed=(disagreements == 0 and not short_groups),
-        details={
+    return _result(
+        "bipartite-criterion",
+        "connected Cayley graphs: bipartite iff an avoiding index-2 subgroup exists",
+        start,
+        {
             "instances": total,
             "disagreements": disagreements,
             "groups_short_of_quota": short_groups,
         },
-        seconds=seconds,
+        [],
+        passed=(disagreements == 0 and not short_groups),
     )
 
 
 # ---------------------------------------------------------------------------
-# 11. induction size law and inverse-compatibility, everywhere
+# 11. the induction size law, everywhere
 
 
-def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionResult:
+def check_induction_laws(laws: Tally, dedup: dict, extra_instances: int = 100) -> CriterionResult:
+    """``laws`` holds the size-law verdicts of check 4; this check adds
+    those of the dedup-search pair ``dedup`` and of random pool pairs."""
     start = time.perf_counter()
-    laws = {key: carry.get(key, 0) for key in ("size_law", "inverse_law", "failures")}
 
     # revisit the dedup-search pair with several transversals
-    group = carry["dedup"]["group"]
-    subgroup = carry["dedup"]["subgroup"]
+    group = dedup["group"]
+    subgroup = dedup["subgroup"]
     rng = np.random.default_rng(20250811)
     base = Transversal(group, subgroup)
     members = base.coset_members()
@@ -583,7 +576,7 @@ def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionRe
     ]
     for multiset in symmetric_subsets(group):
         for transversal in transversals:
-            _tally_laws(laws, induce_with_laws(group, subgroup, transversal, multiset))
+            laws.add(induce_with_laws(group, subgroup, transversal, multiset).size_law)
 
     # randomized pairs across the pool, with random transversals
     pool = _midsize_pool()
@@ -597,19 +590,14 @@ def check_induction_laws(carry: dict, extra_instances: int = 100) -> CriterionRe
         members = Transversal(group, subgroup).coset_members()
         transversal = _random_transversal(group, subgroup, members, rng)
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
-        _tally_laws(laws, induce_with_laws(group, subgroup, transversal, multiset))
+        laws.add(induce_with_laws(group, subgroup, transversal, multiset).size_law)
 
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="induction-laws",
-        title="induced multisets: exact size law and inverse-compatibility",
-        passed=(laws["failures"] == 0),
-        details={
-            "size_checks": laws["size_law"],
-            "inverse_checks": laws["inverse_law"],
-            "failures": laws["failures"],
-        },
-        seconds=seconds,
+    return _result(
+        "induction-laws",
+        "induced multisets: exact size law",
+        start,
+        {"size_checks": laws.count, "failures": laws.violations},
+        [laws],
     )
 
 
@@ -646,17 +634,16 @@ def check_rayleigh(vectors_per_matrix: int = 1000) -> CriterionResult:
         for v in vectors:
             q = rayleigh_quotient(matrix, v)
             worst_overshoot = max(worst_overshoot, float(q - hi), float(lo - q))
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        key="rayleigh-range",
-        title="Rayleigh quotients lie between the extreme eigenvalues",
-        passed=(worst_overshoot <= LOG_TOL),
-        details={
+    return _result(
+        "rayleigh-range",
+        "Rayleigh quotients lie between the extreme eigenvalues",
+        start,
+        {
             "matrices": len(matrices),
             "vectors_per_matrix": vectors_per_matrix,
             "worst_overshoot": worst_overshoot,
         },
-        seconds=seconds,
+        [RAYLEIGH_RANGE.check(worst_overshoot, 0.0)],
     )
 
 
@@ -678,7 +665,7 @@ def run_all(progress: Optional[Callable[[CriterionResult], None]] = None) -> lis
     record(check_spectrum_containment())
     abelian_result, abelian_instances = check_abelian_bound()
     record(abelian_result)
-    mono_result, mono_instances, law_carry = check_induced_monotonicity()
+    mono_result, mono_instances, laws = check_induced_monotonicity()
     record(mono_result)
     dedup_result, dedup_carry = check_dedup_search()
     record(dedup_result)
@@ -688,7 +675,6 @@ def run_all(progress: Optional[Callable[[CriterionResult], None]] = None) -> lis
     record(nilpotent_result)
     record(check_derived_index(nilpotent_instances))
     record(check_bipartite_equivalence())
-    law_carry["dedup"] = dedup_carry
-    record(check_induction_laws(law_carry))
+    record(check_induction_laws(laws, dedup_carry))
     record(check_rayleigh())
     return results

@@ -161,7 +161,7 @@ def test_derived_index_heisenberg(heis3):
     assert report.lhs == 9
     assert report.class_c == 2
     assert report.rhs == pytest.approx(27.0 ** nilpotent_exponents(4, 2)[1], rel=1e-9)
-    assert report.ok
+    assert report.verdict.passed
 
 
 def test_derived_index_abelian_equality():
@@ -173,7 +173,7 @@ def test_derived_index_abelian_equality():
     assert report.hypotheses_hold and report.class_c == 1
     assert report.lhs == 8
     assert report.rhs == pytest.approx(8.0, rel=1e-12)
-    assert report.ok
+    assert report.verdict.passed
 
 
 def test_derived_index_hypotheses_checked(s3, heis3):

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
+import types
 
 import pytest
 
@@ -297,6 +299,15 @@ def test_random_set_size_must_be_an_integer(capsys):
     assert "error: --set random:m needs an integer m, not 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify-nilpotent"])
+@pytest.mark.parametrize("symmetrize", [[], ["--symmetrize"]])
+@pytest.mark.parametrize("m", [0, -2])
+def test_random_size_below_one_is_refused_naming_the_flag(command, symmetrize, m, capsys):
+    argv = [command, "--group", "cyclic:6", "--set", f"random:{m}", "--seed", "1"]
+    assert main(argv + symmetrize) == 2
+    assert capsys.readouterr().err == f"error: --set random:m needs m >= 1, not {m}\n"
+
+
 def test_symmetrize_is_refused_by_the_search(tmp_path, capsys):
     sub = tmp_path / "rot.txt"
     sub.write_text("(1 2 3 4)\n", encoding="utf-8")
@@ -390,6 +401,33 @@ def test_sweep_command_wiring(monkeypatch, capsys):
     assert code == 0
     assert [v["name"] for v in payload["verdicts"]] == ["a", "b"]
     assert len(payload["results"]["criteria"]) == 2
+
+
+def test_a_criterion_over_its_budget_fails_the_sweep_apart_from_its_mathematics(
+    monkeypatch, capsys
+):
+    from schreierlab import cli as cli_module
+    from schreierlab import sweeps
+
+    # every reading of the clock is 11 s after the last: over cycle-gap's 10 s
+    clock = itertools.count(0.0, 11.0)
+    monkeypatch.setattr(sweeps, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(cli_module, "run_all", lambda progress=None: [sweeps.check_cycle_gap()])
+    code, payload = run_json(["sweep"], capsys)
+    assert [(v["name"], v["passed"]) for v in payload["verdicts"]] == [
+        ("cycle-gap", True),
+        ("cycle-gap-budget", False),
+    ]
+    budget = payload["verdicts"][1]
+    assert (budget["lhs"], budget["rhs"], budget["margin"]) == (11.0, 10.0, -1.0)
+    assert payload["results"]["criteria"][0]["passed"] is True
+    assert code == 1
+    assert main(["sweep", "--format", "csv"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["cycle-gap", "True"],
+        ["cycle-gap-budget", "False"],
+    ]
 
 
 def test_all_symmetric_subsets_only_for_search(tmp_path, capsys):
