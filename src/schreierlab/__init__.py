@@ -41,7 +41,6 @@ from .permutations import (
     index2_overgroups,
     intermediate_subgroups,
     lower_central_series,
-    nilpotency_class,
 )
 from .schreier import (
     SchreierGraph,

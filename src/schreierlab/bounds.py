@@ -7,7 +7,6 @@ underflow and needless round-off.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -49,8 +48,8 @@ def interval_data(
 ) -> list[IntervalEntry]:
     """Abelian section data for every subgroup between stabilizer and group.
 
-    Computed in the group's index space on its table: H' is the normal
-    closure in H of the commutators of H's small generating set, and H'Y is
+    Computed in the group's index space on its table: H' is the
+    commutator closure of H's small generating set with itself, and H'Y is
     grown from H' by the stabilizer's generators, which normalise H'
     because Y <= H.
     """
@@ -62,8 +61,7 @@ def interval_data(
     stab_gens = [group.index_of(p) for p in stabilizer.generators]
     for sub in intermediate_subgroups(group, stabilizer, limit=limit):
         gens = [group.index_of(p) for p in sub.generators]
-        commutators = {group.commutator(a, b) for a, b in itertools.combinations(gens, 2)}
-        derived = group._normal_closure(commutators, gens)
+        derived, _ = group._commutator_closure(gens, gens)
         join = group._closure(stab_gens, base=derived)
         entries.append(
             IntervalEntry(
@@ -81,7 +79,7 @@ def log_theta(
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
 ) -> float:
-    best = 0.0
+    best = -math.inf
     for entry in interval_data(group, stabilizer, limit=limit):
         best = max(best, math.log(entry.section) / entry.index)
     return best

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import build_bound_report, derived_index_check, nilpotent_gap_bound, theta
+from .bounds import build_bound_report, derived_index_check, log_theta, nilpotent_gap_bound
 from .catalog import resolve_action, resolve_group
 from .errors import SchreierLabError
 from .inequalities import (
@@ -298,11 +298,12 @@ def _cmd_bounds(config, report, group, stabilizer, subgroup) -> None:
 
 
 def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
-    value = theta(group, stabilizer, limit=config.cap_subgroups)
+    log_value = log_theta(group, stabilizer, limit=config.cap_subgroups)
+    value = math.exp(log_value)
     omega = group.order // stabilizer.order
     report.results = {
         "theta": value,
-        "log_theta": math.log(value),
+        "log_theta": log_value,
         "omega": omega,
         "group_order": group.order,
         "stabilizer_order": stabilizer.order,
@@ -313,7 +314,7 @@ def _cmd_theta(config, report, group, stabilizer, subgroup) -> None:
 def _cmd_rs_induce(config, report, group, stabilizer, subgroup) -> None:
     multiset = _resolve_multiset(config, group)
     transversal = Transversal(group, subgroup)
-    induction = induce_with_laws(group, subgroup, transversal, multiset)
+    induction = induce_with_laws(transversal, multiset)
     induced = induction.multiset
     index = group.order // subgroup.order
     report.results = {
@@ -408,7 +409,7 @@ def _cmd_search(config, report, group, stabilizer, subgroup) -> None:
     }
     report.verdicts.append(
         outcome.monotonicity.verdict(
-            f"{len(outcome.multiset_violations)} multiset gap violations (must be 0)"
+            f"{outcome.monotonicity.violations} multiset gap violations (must be 0)"
         )
     )
 

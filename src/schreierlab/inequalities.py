@@ -98,11 +98,10 @@ THETA_CEILING = Inequality("theta-at-most-omega", "Theta <= |Omega|", LOG_TOL, "
 # random multisets, against the Monte Carlo budgets of TrialStats
 EMPIRICAL_TAIL = Inequality("empirical-tail", "P(lambda >= eps) <= delta", 0.0, "<=")
 EMPIRICAL_MEAN = Inequality("empirical-mean", "E lambda <= eps + delta", 0.0, "<=")
-# rewriting into a subgroup; the search's loss test has its own default margin
+# rewriting into a subgroup
 SIZE_LAW = Inequality("size-law", "|S_H| = |G:H| |S|", 0.0, "<=")
 INDUCED_GAP = Inequality("induced-gap", "gap(S_H) >= gap(S)", GAP_TOL, ">=")
 INDUCED_LAMBDA = Inequality("induced-lambda", "lambda(S_H) <= lambda(S)", GAP_TOL, "<=")
-MULTISET_MONOTONICITY = Inequality("multiset-monotonicity", "gap(S_H) >= gap(S)", LOG_TOL, ">=")
 # oracles
 CYCLE_GAP = Inequality("cycle-gap", "gap(C_n) = 1 - cos(2 pi / n)", GAP_TOL, "<=")
 SPECTRUM_CONTAINMENT = Inequality(

@@ -309,10 +309,14 @@ class FiniteGroup:
         return self._index[(self.elements[i] * self.elements[j]).images]
 
     def inverse_indices(self) -> tuple[int, ...]:
+        """``inverse_indices()[i]`` is the index of elements[i]^-1: each
+        row of the image array scattered into its inverse, looked up once."""
         inv = self._cache.get("inverse")
         if inv is None:
-            inv = tuple(self._index[p.inverse().images] for p in self.elements)
-            self._cache["inverse"] = inv
+            images = self._image_array()[0]
+            inverses = np.empty_like(images)
+            np.put_along_axis(inverses, images, np.arange(images.shape[1], dtype=images.dtype), axis=1)
+            inv = self._cache["inverse"] = tuple(self._indices_of_rows(inverses).tolist())
         return inv
 
     def inverse_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -405,8 +409,12 @@ class FiniteGroup:
                             return frozenset(range(self.order))
         return frozenset(members)
 
-    def _normal_closure(self, seed: Iterable[int], conjugators: Sequence[int]) -> frozenset[int]:
-        """Smallest subgroup containing seed and stable under the conjugators.
+    def _commutator_closure(
+        self, left: Sequence[int], right: Sequence[int]
+    ) -> tuple[frozenset[int], list[int]]:
+        """The subgroup generated by the commutators [a, b], a in ``left``
+        and b in ``right``, and stable under conjugation by ``right``; with
+        the generators it adjoined.
 
         Each element that enlarges the subgroup becomes a generator, and
         its conjugates are queued; a subgroup whose generators' conjugates
@@ -414,18 +422,18 @@ class FiniteGroup:
         """
         inv = self.inverse_indices()
         row = self._rows()
-        inverse_rows = [(row(inv[g]), g) for g in conjugators]
+        conjugators = [(row(inv[g]), g) for g in right]
         members = frozenset((0,))
         gens: list[int] = []
-        queue = list(seed)
+        queue = [self.commutator(a, b) for a in left for b in right]
         while queue:
             x = queue.pop()
             if x in members:
                 continue
             members = self._closure((x,), base=members, base_gens=gens)
             gens.append(x)
-            queue.extend(row(left[x])[g] for left, g in inverse_rows)
-        return members
+            queue.extend(row(inverse_row[x])[g] for inverse_row, g in conjugators)
+        return members, gens
 
     def _greedy_generators(self, members: Iterable[int]) -> tuple[int, ...]:
         """Generators of the subgroup on ``members``: each least member that
@@ -687,8 +695,7 @@ class CosetAction:
         in_h = self._slot_of == self.base_point
         candidates = np.arange(len(images))
         if self.stabilizer.order > 1:
-            inverses = np.empty_like(images)
-            np.put_along_axis(inverses, images, np.arange(images.shape[1], dtype=images.dtype), axis=1)
+            inverses = images[np.array(self.group.inverse_indices())]
             for h in self.stabilizer.generators:
                 h_images = np.array(h.images, dtype=images.dtype)
                 # rows of g^-1 h g, for every candidate g
@@ -738,24 +745,22 @@ def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
-    """Commutator subgroup: normal closure of generator commutators."""
-    cached = group._cache.get("derived")
-    if cached is not None:
-        return cached
-    gen_idx = sorted({group.index_of(g) for g in group.generators})
-    seed = {
-        group.commutator(i, j) for i in gen_idx for j in gen_idx if i != j
-    }
-    members = group._normal_closure(seed or {0}, gen_idx)
-    result = group.subgroup_from_indices(members)
-    group._cache["derived"] = result
-    return result
+    """Commutator subgroup G' = [G, G], the second term of the lower
+    central series (G itself when the series stops at G)."""
+    terms, _ = lower_central_series(group)
+    return terms[1] if len(terms) > 1 else group
 
 
 def lower_central_series(
     group: FiniteGroup,
 ) -> tuple[list[FiniteGroup], Optional[int]]:
     """Terms of the lower central series and the nilpotency class.
+
+    gamma_(i+1) = [gamma_i, G] is built from generators alone: for G = <X>
+    and a normal subgroup N = <A>^G, [N, G] = <[a, x] : a in A, x in X>^G
+    (Holt, Eick, O'Brien, *Handbook of Computational Group Theory*, 2005).
+    So each term's commutator closure with X starts from the generators
+    the closure of the term before adjoined, and the first from X.
 
     The returned class is None when the series stabilizes above the trivial
     group, and 0 for the trivial group itself.
@@ -765,24 +770,19 @@ def lower_central_series(
         return cached
     gen_idx = sorted({group.index_of(g) for g in group.generators})
     terms = [group]
-    current = frozenset(range(group.order))
+    current, normal_gens = frozenset(range(group.order)), gen_idx
     while True:
-        seed = {group.commutator(x, g) for x in current for g in gen_idx}
-        nxt = group._normal_closure(seed or {0}, gen_idx)
+        nxt, normal_gens = group._commutator_closure(normal_gens, gen_idx)
         if nxt == current:
             result = (terms, 0 if len(current) == 1 else None)
             break
-        terms.append(group.subgroup_from_indices(nxt))
+        terms.append(group.subgroup_from_indices(nxt, normal_gens))
         if len(nxt) == 1:
             result = (terms, len(terms) - 1)
             break
         current = nxt
     group._cache["lcs"] = result
     return result
-
-
-def nilpotency_class(group: FiniteGroup) -> Optional[int]:
-    return lower_central_series(group)[1]
 
 
 def intermediate_subgroups(

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, SearchSpaceError
-from .inequalities import MULTISET_MONOTONICITY, SIZE_LAW, Tally, Verdict
+from .inequalities import INDUCED_GAP, SIZE_LAW, Tally, Verdict
 from .permutations import CosetAction, FiniteGroup, Transversal, index2_overgroups
 from .spectral import spectral_summary
 
@@ -210,9 +210,7 @@ class BipartiteCriterion:
     witness: Optional[FiniteGroup]
 
 
-def bipartite_criterion(
-    group: FiniteGroup, stabilizer: FiniteGroup, multiset: SymmetricMultiset
-) -> BipartiteCriterion:
+def bipartite_criterion(graph: SchreierGraph) -> BipartiteCriterion:
     """Index-2 avoidance test for bipartiteness of connected Schreier graphs.
 
     Holds exactly when some index-2 subgroup containing the stabilizer is
@@ -223,34 +221,27 @@ def bipartite_criterion(
     example: the degree-4 alternating group on cosets of a point stabilizer
     with two double transpositions, a 4-cycle).
     """
-    graph = schreier_graph(group, stabilizer, multiset)
     if not connectivity_and_bipartiteness(graph).connected:
         raise DisconnectedGraphError(
             "the index-2 avoidance criterion is stated for connected graphs only"
         )
-    support = multiset.support()
-    for candidate in index2_overgroups(group, stabilizer):
+    group, support = graph.group, graph.multiset.support()
+    for candidate in index2_overgroups(group, graph.stabilizer):
         if group.indices_of(candidate).isdisjoint(support):
             return BipartiteCriterion(criterion_holds=True, witness=candidate)
     return BipartiteCriterion(criterion_holds=False, witness=None)
 
 
-def rs_induce(
-    group: FiniteGroup,
-    subgroup: FiniteGroup,
-    transversal: Transversal,
-    multiset: SymmetricMultiset,
-) -> SymmetricMultiset:
-    """Rewrite a connection multiset of the group into one of the subgroup.
+def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> SymmetricMultiset:
+    """Rewrite a connection multiset of the transversal's parent group into
+    one of its subgroup.
 
     Every pair (t, s) of a coset representative and a connection element
     contributes t s (bar(t s))^-1, where bar maps an element to its coset
     representative.  Sizes multiply: the result has |G:H| * |S| members with
     multiplicity, all inside the subgroup, and stays symmetric.
     """
-    sub_idx = group.indices_of(subgroup)
-    if transversal.parent is not group or transversal.subgroup is not subgroup:
-        raise ValueError("transversal does not match the given groups")
+    group, subgroup = transversal.parent, transversal.subgroup
     _require_group(multiset, group)
     inv = group.inverse_indices()
     counts: Counter = Counter()
@@ -259,7 +250,8 @@ def rs_induce(
             ts = group.mult(t, s)
             rewritten = group.mult(ts, inv[transversal.rep_of[ts]])
             counts[rewritten] += mult
-    if not sub_idx.issuperset(counts):
+    home = transversal.slot_of[0]
+    if any(transversal.slot_of[i] != home for i in counts):
         raise AssertionError("rewritten element escaped the subgroup")
     return SymmetricMultiset(
         subgroup, ((subgroup.index_of(group.elements[i]), m) for i, m in counts.items())
@@ -274,16 +266,11 @@ class Induction:
     size_law: Verdict
 
 
-def induce_with_laws(
-    group: FiniteGroup,
-    subgroup: FiniteGroup,
-    transversal: Transversal,
-    multiset: SymmetricMultiset,
-) -> Induction:
+def induce_with_laws(transversal: Transversal, multiset: SymmetricMultiset) -> Induction:
     """``rs_induce`` together with its size law, |S_H| = |G:H| |S|.  The
     induced multiset is symmetric because ``SymmetricMultiset`` checks it."""
-    induced = rs_induce(group, subgroup, transversal, multiset)
-    index = group.order // subgroup.order
+    induced = rs_induce(transversal, multiset)
+    index = transversal.coset_count
     detail = f"{induced.size} == {index} * {multiset.size}"
     return Induction(induced, SIZE_LAW.check(abs(induced.size - index * multiset.size), 0, detail))
 
@@ -301,11 +288,10 @@ class DedupWitness:
 
 @dataclass(frozen=True)
 class DedupSearchResult:
-    """``monotonicity`` folds the loss test of every rewriting with
-    multiplicities; its violations are ``multiset_violations``."""
+    """``monotonicity`` folds the induced-gap test of every rewriting with
+    multiplicities; its violations must be 0."""
 
     witnesses: tuple[DedupWitness, ...]
-    multiset_violations: tuple[DedupWitness, ...]
     sets_examined: int
     connected_count: int
     used_default_transversal: bool
@@ -341,7 +327,6 @@ def dedup_counterexample_search(
     group: FiniteGroup,
     subgroup: FiniteGroup,
     stabilizer: FiniteGroup,
-    gap_margin: float = MULTISET_MONOTONICITY.tol,
     class_cap: int = 22,
     transversal_cap: int = 10_000,
 ) -> DedupSearchResult:
@@ -350,9 +335,9 @@ def dedup_counterexample_search(
 
     Enumerates all symmetric subsets S of the group with a connected
     Schreier graph, rewrites each into the subgroup, and reports every S
-    whose deduplicated rewriting has a strictly smaller gap.  The rewriting
-    with multiplicities is also checked; it can never lose gap, and any such
-    violation is reported separately as an error signal.
+    whose deduplicated rewriting fails the induced-gap inequality.  The
+    rewriting with multiplicities is checked against the same inequality;
+    it can never lose gap, so any violation there is an error signal.
 
     Tries the deterministic transversal first and falls back to scanning
     the other transversals when no witness shows up.  The result says
@@ -376,48 +361,44 @@ def dedup_counterexample_search(
             continue
         connected_sets.append((multiset, spectral_summary(graph).gap))
 
-    loss = replace(MULTISET_MONOTONICITY, tol=gap_margin)
-    monotonicity = Tally(loss.name)
+    monotonicity = Tally(INDUCED_GAP.name)
 
-    def scan(transversal: Transversal) -> tuple[list[DedupWitness], list[DedupWitness]]:
+    def scan(transversal: Transversal) -> list[DedupWitness]:
         witnesses = []
-        bad_multisets = []
         for multiset, parent_gap in connected_sets:
-            induced = rs_induce(group, subgroup, transversal, multiset)
+            induced = rs_induce(transversal, multiset)
             gap_multi = spectral_summary(
                 schreier_graph(subgroup, stabilizer, induced)
             ).gap
             gap_dedup = spectral_summary(
                 schreier_graph(subgroup, stabilizer, induced.as_set())
             ).gap
-            record = DedupWitness(
-                connection_set=multiset,
-                transversal_reps=transversal.rep_indices,
-                parent_gap=parent_gap,
-                induced_multiset_gap=gap_multi,
-                induced_set_gap=gap_dedup,
-            )
-            if not loss.check(gap_dedup, parent_gap).passed:
-                witnesses.append(record)
-            if not monotonicity.add(loss.check(gap_multi, parent_gap)).passed:
-                bad_multisets.append(record)
-        return witnesses, bad_multisets
+            monotonicity.add(INDUCED_GAP.check(gap_multi, parent_gap))
+            if not INDUCED_GAP.check(gap_dedup, parent_gap).passed:
+                witnesses.append(
+                    DedupWitness(
+                        connection_set=multiset,
+                        transversal_reps=transversal.rep_indices,
+                        parent_gap=parent_gap,
+                        induced_multiset_gap=gap_multi,
+                        induced_set_gap=gap_dedup,
+                    )
+                )
+        return witnesses
 
     default = Transversal(group, subgroup)
-    witnesses, bad_multisets = scan(default)
+    witnesses = scan(default)
     scanned = 1
     if not witnesses:
         for transversal in _all_transversals(group, subgroup, transversal_cap):
             if transversal.rep_indices == default.rep_indices:
                 continue
-            witnesses, extra_bad = scan(transversal)
-            bad_multisets.extend(extra_bad)
+            witnesses = scan(transversal)
             scanned += 1
             if witnesses:
                 break
     return DedupSearchResult(
         witnesses=tuple(witnesses),
-        multiset_violations=tuple(bad_multisets),
         sets_examined=examined,
         connected_count=len(connected_sets),
         used_default_transversal=bool(witnesses) and scanned == 1,

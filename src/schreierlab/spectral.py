@@ -29,12 +29,12 @@ this module they are compared only in the ledger of named inequalities,
   symmetry of a walk matrix or of a Hermitian block, theta >= 1, the
   closed-form exponents.
 * ``LOG_TOL`` (1e-9): figures that pass through logarithms: theta <= |Omega|,
-  the least expanding-set size, the derived-index inequality, the
-  counterexample search's gap loss, and Rayleigh quotients against the
-  extreme eigenvalues.
+  the least expanding-set size, the derived-index inequality, and Rayleigh
+  quotients against the extreme eigenvalues.
 * ``GAP_TOL`` (1e-8): a computed eigenvalue against a closed form: gaps
-  under their bounds, induced gaps against their parents', the cycle
-  oracle, and the walk spectrum's ends at 1 and -1.
+  under their bounds, induced gaps against their parents' (the
+  counterexample search's gap loss among them), the cycle oracle, and the
+  walk spectrum's ends at 1 and -1.
 * ``CONTAINMENT_TOL`` (1e-6): eigenvalues of two different graphs compared.
 
 ``BLOCK_FLOOR`` (512) is the least number of points at which the spectrum

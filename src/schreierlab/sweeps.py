@@ -219,12 +219,13 @@ def check_cycle_gap() -> CriterionResult:
 # 2. Schreier spectra sit inside Cayley spectra
 
 
-def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
+def check_spectrum_containment() -> CriterionResult:
     start = time.perf_counter()
     rng = np.random.default_rng(20250801)
     pool = _midsize_pool()
     worst = 0.0
-    for i in range(instances_wanted):
+    instances = 60
+    for i in range(instances):
         name, group = pool[i % len(pool)]
         candidates = _stabilizer_candidates(group, rng)
         stabilizer = candidates[int(rng.integers(0, len(candidates)))]
@@ -239,7 +240,7 @@ def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
         "spectrum-containment",
         "every Schreier eigenvalue appears in the Cayley spectrum",
         start,
-        {"instances": instances_wanted, "worst_distance": worst},
+        {"instances": instances, "worst_distance": worst},
         [SPECTRUM_CONTAINMENT.check(worst, 0.0)],
     )
 
@@ -248,9 +249,7 @@ def check_spectrum_containment(instances_wanted: int = 60) -> CriterionResult:
 # 3. abelian Cayley gap bound sweep
 
 
-def check_abelian_bound(
-    multisets_per_group: int = 200,
-) -> tuple[CriterionResult, list[Instance]]:
+def check_abelian_bound() -> tuple[CriterionResult, list[Instance]]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250803)
     instances: list[Instance] = []
@@ -259,7 +258,7 @@ def check_abelian_bound(
     for name in names:
         group = catalog_group(name)
         trivial = group.trivial_subgroup()
-        for i in range(multisets_per_group):
+        for i in range(200):
             multiset = sample_symmetric_multiset(group, _random_size(i), rng)
             summary = _measure(group, trivial, multiset)
             bound = abelian_gap_bound(group.order, multiset.size)
@@ -285,9 +284,7 @@ def check_abelian_bound(
 # 4. induced multisets never lose gap and never gain two-sided lambda
 
 
-def check_induced_monotonicity(
-    instances_wanted: int = 520,
-) -> tuple[CriterionResult, list[Instance], Tally]:
+def check_induced_monotonicity() -> tuple[CriterionResult, list[Instance], Tally]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250804)
     pool = _midsize_pool()
@@ -297,7 +294,7 @@ def check_induced_monotonicity(
     gaps, lambdas = Tally(INDUCED_GAP.name), Tally(INDUCED_LAMBDA.name)
     laws = Tally(SIZE_LAW.name)
     instances: list[Instance] = []
-    for i in range(instances_wanted):
+    for i in range(520):
         name, group = pool[i % len(pool)]
         stabs = candidates[name]
         stabilizer = stabs[int(rng.integers(0, len(stabs)))]
@@ -309,9 +306,7 @@ def check_induced_monotonicity(
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
 
         parent = _measure(group, stabilizer, multiset)
-        induction = induce_with_laws(
-            group, subgroup, Transversal(group, subgroup), multiset
-        )
+        induction = induce_with_laws(Transversal(group, subgroup), multiset)
         laws.add(induction.size_law)
 
         child = _measure(subgroup, stabilizer, induction.multiset)
@@ -350,7 +345,7 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
             "sets_examined": result.sets_examined,
             "connected_sets": result.connected_count,
             "witnesses": len(result.witnesses),
-            "multiset_violations": len(result.multiset_violations),
+            "multiset_violations": result.monotonicity.violations,
             "default_transversal": result.used_default_transversal,
             "transversals_scanned": result.transversals_scanned,
         },
@@ -365,12 +360,12 @@ def check_dedup_search() -> tuple[CriterionResult, dict]:
 # 6. random multiset expansion on the degree-6 symmetric group
 
 
-def check_random_expansion(trials: int = 400) -> CriterionResult:
+def check_random_expansion() -> CriterionResult:
     start = time.perf_counter()
     group = catalog_group("sym:6")
     stabilizer = group.point_stabilizer(0)
     epsilon = delta = 0.25
-    stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, seed=2025)
+    stats = run_expansion_trials(group, stabilizer, epsilon, delta, 400, seed=2025)
     return _result(
         "random-expansion",
         "random multisets of the prescribed size expand with high probability",
@@ -431,9 +426,7 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
 _NILPOTENT_GROUPS = ["heisenberg:3", "heisenberg:5", "dihedral:8", "dihedral:16"]
 
 
-def check_nilpotent_bound(
-    multisets_per_action: int = 100,
-) -> tuple[CriterionResult, list[Instance]]:
+def check_nilpotent_bound() -> tuple[CriterionResult, list[Instance]]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250808)
     gaps = Tally(NILPOTENT_BOUND.name)
@@ -448,7 +441,7 @@ def check_nilpotent_bound(
         for stabilizer in intermediate_subgroups(group, group.trivial_subgroup()):
             actions += 1
             omega = group.order // stabilizer.order
-            for i in range(multisets_per_action):
+            for i in range(100):
                 multiset = sample_symmetric_multiset(group, _random_size(i), rng)
                 summary = _measure(group, stabilizer, multiset)
                 bound = nilpotent_gap_bound(omega, multiset.size, class_c)
@@ -507,7 +500,7 @@ def check_derived_index(instances: list[Instance]) -> CriterionResult:
 # 10. index-2 avoidance agrees with BFS bipartiteness
 
 
-def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResult:
+def check_bipartite_equivalence() -> CriterionResult:
     """Cayley instances only: the equivalence is a theorem of the regular
     action.  With a nontrivial stabilizer only the avoidance direction
     survives; see test_bipartite_criterion_limits for a degree-4
@@ -517,6 +510,7 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
     disagreements = 0
     total = 0
     short_groups = []
+    quota = 100
     for name, group in _group_pool(_SMALL_POOL):
         if group.order > 16:
             continue
@@ -524,7 +518,7 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
         classes = group.inverse_classes()
         found = 0
         attempts = 0
-        while found < instances_per_group and attempts < 200 * instances_per_group:
+        while found < quota and attempts < 200 * quota:
             attempts += 1
             k = int(rng.integers(1, min(6, len(classes)) + 1))
             chosen = rng.choice(len(classes), size=k, replace=False)
@@ -537,10 +531,9 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
                 continue
             found += 1
             total += 1
-            criterion = bipartite_criterion(group, stabilizer, multiset)
-            if criterion.criterion_holds != report.bipartite:
+            if bipartite_criterion(graph).criterion_holds != report.bipartite:
                 disagreements += 1
-        if found < instances_per_group:
+        if found < quota:
             short_groups.append(name)
     return _result(
         "bipartite-criterion",
@@ -560,7 +553,7 @@ def check_bipartite_equivalence(instances_per_group: int = 100) -> CriterionResu
 # 11. the induction size law, everywhere
 
 
-def check_induction_laws(laws: Tally, dedup: dict, extra_instances: int = 100) -> CriterionResult:
+def check_induction_laws(laws: Tally, dedup: dict) -> CriterionResult:
     """``laws`` holds the size-law verdicts of check 4; this check adds
     those of the dedup-search pair ``dedup`` and of random pool pairs."""
     start = time.perf_counter()
@@ -576,11 +569,11 @@ def check_induction_laws(laws: Tally, dedup: dict, extra_instances: int = 100) -
     ]
     for multiset in symmetric_subsets(group):
         for transversal in transversals:
-            laws.add(induce_with_laws(group, subgroup, transversal, multiset).size_law)
+            laws.add(induce_with_laws(transversal, multiset).size_law)
 
     # randomized pairs across the pool, with random transversals
     pool = _midsize_pool()
-    for i in range(extra_instances):
+    for i in range(100):
         name, group = pool[i % len(pool)]
         picks = [
             group.elements[int(j)]
@@ -590,7 +583,7 @@ def check_induction_laws(laws: Tally, dedup: dict, extra_instances: int = 100) -
         members = Transversal(group, subgroup).coset_members()
         transversal = _random_transversal(group, subgroup, members, rng)
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
-        laws.add(induce_with_laws(group, subgroup, transversal, multiset).size_law)
+        laws.add(induce_with_laws(transversal, multiset).size_law)
 
     return _result(
         "induction-laws",
@@ -605,7 +598,7 @@ def check_induction_laws(laws: Tally, dedup: dict, extra_instances: int = 100) -
 # 12. Rayleigh quotients stay inside the spectrum
 
 
-def check_rayleigh(vectors_per_matrix: int = 1000) -> CriterionResult:
+def check_rayleigh() -> CriterionResult:
     start = time.perf_counter()
     rng = np.random.default_rng(20250812)
     matrices = []
@@ -627,6 +620,7 @@ def check_rayleigh(vectors_per_matrix: int = 1000) -> CriterionResult:
         matrices.append(schreier_graph(group, stabilizer, multiset).walk)
 
     worst_overshoot = -math.inf
+    vectors_per_matrix = 1000
     for matrix in matrices:
         eigs = sym_eigenvalues(matrix)
         lo, hi = eigs[-1], eigs[0]

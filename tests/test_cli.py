@@ -133,6 +133,18 @@ def test_theta_command(capsys):
     assert payload["results"]["theta"] == pytest.approx(9.0, rel=1e-9)
 
 
+def test_theta_of_an_empty_interval_fails_its_range(monkeypatch):
+    # the stabilizer is in every interval, so only a broken lattice is empty
+    from schreierlab import bounds
+
+    monkeypatch.setattr(bounds, "interval_data", lambda *args, **kwargs: [])
+    report = run(ExperimentConfig(command="theta", group_spec="cyclic:6"))
+    assert report.results["log_theta"] == -math.inf
+    [verdict] = report.verdicts
+    assert verdict.name == "theta-range" and not verdict.passed
+    assert not report.ok
+
+
 def test_rs_induce_command(tmp_path, capsys):
     sub = tmp_path / "rot.txt"
     sub.write_text("(1 2 3 4)\n", encoding="utf-8")

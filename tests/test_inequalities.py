@@ -22,7 +22,6 @@ from schreierlab.inequalities import (
     EXPONENT_CLOSED_FORM,
     INDUCED_GAP,
     INDUCED_LAMBDA,
-    MULTISET_MONOTONICITY,
     NILPOTENT_BOUND,
     RAYLEIGH_RANGE,
     SET_SIZE,
@@ -53,7 +52,6 @@ REPLACED = [
     (THETA_CEILING, lambda theta, omega: theta <= omega + LOG_TOL),
     (INDUCED_GAP, lambda child, parent: not child < parent - GAP_TOL),
     (INDUCED_LAMBDA, lambda child, parent: not child > parent + GAP_TOL),
-    (MULTISET_MONOTONICITY, lambda gap, parent: not gap < parent - LOG_TOL),
     (BUDGET, lambda seconds, budget: seconds < budget),
 ]
 # the oracles compared an error with their tolerance: the right side is 0

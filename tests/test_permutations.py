@@ -18,7 +18,8 @@ from schreierlab import (
     lower_central_series,
 )
 from schreierlab.permutations import CosetAction, Transversal, group_from_images
-from testkit import coset_permutation, faithful_reduction, normal_core
+from schreierlab.sweeps import _MIDSIZE_POOL, _NILPOTENT_GROUPS, _SMALL_POOL
+from testkit import all_members_series, coset_permutation, faithful_reduction, normal_core
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +327,18 @@ def test_integer_core_matches_permutation_products(name, data):
     expected = generated_by([elements[i] for i in base_gens + seed], group.degree)
     assert images(closure) == {p.images for p in expected}
 
-    conjugators = data.draw(st.lists(index, max_size=2))
-    normal = group._normal_closure(seed, conjugators)
-    expected = normally_generated_by(
-        [elements[i] for i in seed], [elements[i] for i in conjugators], group.degree
-    )
-    assert images(normal) == {p.images for p in expected}
+    right = data.draw(st.lists(index, max_size=2))
+    closure, adjoined = group._commutator_closure(seed, right)
+    commutators = [
+        elements[a].inverse() * elements[b].inverse() * elements[a] * elements[b]
+        for a in seed
+        for b in right
+    ]
+    expected = normally_generated_by(commutators, [elements[i] for i in right], group.degree)
+    assert images(closure) == {p.images for p in expected}
+    assert images(closure) == {
+        p.images for p in generated_by([elements[i] for i in adjoined], group.degree)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +387,25 @@ def test_lcs_matches_brute_force(d8, s3, heis3):
                 break
         terms, _ = lower_central_series(group)
         assert [t.order for t in terms] == expected_orders
+
+
+# the sweep pools and groups whose series are long, wide or perfect
+SERIES_GROUPS = sorted(
+    set(_MIDSIZE_POOL + _SMALL_POOL + _NILPOTENT_GROUPS)
+    | {"heisenberg:5", "heisenberg:7", "dihedral:64", "dihedral:256", "elem-abelian:2^9"}
+    | {"cyclic:1024", "sym:5", "alt:5"}
+)
+
+
+@pytest.mark.parametrize("name", SERIES_GROUPS)
+def test_lcs_matches_the_all_members_series(name):
+    group = catalog_group(name)
+    terms, class_c = lower_central_series(group)
+    expected_terms, expected_class = all_members_series(group)
+    assert [group.indices_of(t) for t in terms] == expected_terms
+    assert class_c == expected_class
+    derived = expected_terms[1] if len(expected_terms) > 1 else expected_terms[0]
+    assert group.indices_of(derived_subgroup(group)) == derived
 
 
 def test_nilpotency_classes(d8, s3, heis3, c6):

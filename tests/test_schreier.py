@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from schreierlab import (
     spectral_summary,
     symmetrize,
 )
+from schreierlab import schreier
 from schreierlab.cli import main
+from schreierlab.inequalities import INDUCED_GAP
 from schreierlab.permutations import CosetAction, Transversal
 from testkit import indexed, ones, permutation_entries
 
@@ -137,7 +140,7 @@ def test_multiset_of_another_group_refused(d8):
     with pytest.raises(ValueError, match="another group"):
         schreier_graph(d8, d8.trivial_subgroup(), rotations)
     with pytest.raises(ValueError, match="another group"):
-        rs_induce(d8, h, Transversal(d8, h), rotations)
+        rs_induce(Transversal(d8, h), rotations)
 
 
 def test_row_sums_and_exact_symmetry_randomized():
@@ -355,7 +358,7 @@ def test_index_multisets_match_the_permutation_multisets(name, draws, subgroup_g
     assert in_image_order(multiset.as_set()) == oracle.as_set().entries
     subgroup = group.subgroup_generated(group.elements[i % group.order] for i in subgroup_gens)
     transversal = Transversal(group, subgroup)
-    induced = rs_induce(group, subgroup, transversal, multiset)
+    induced = rs_induce(transversal, multiset)
     oracle_induced = permutation_rs_induce(group, transversal, oracle)
     assert induced.group is subgroup
     assert all(p in subgroup for p, _ in oracle_induced.entries)
@@ -386,7 +389,7 @@ def test_samplers_match_the_permutation_samplers(name, seed, size):
 
 
 def test_criterion_on_even_cycle(c6):
-    result = bipartite_criterion(c6, c6.trivial_subgroup(), cycle_pair(c6))
+    result = bipartite_criterion(schreier_graph(c6, c6.trivial_subgroup(), cycle_pair(c6)))
     assert result.criterion_holds
     g = c6.elements[1]
     assert result.witness is not None
@@ -398,7 +401,7 @@ def test_criterion_on_transposition_cayley(s3):
         p for p in s3.elements if sorted(len(c) for c in p.cycles()) == [2]
     ]
     result = bipartite_criterion(
-        s3, s3.trivial_subgroup(), SymmetricMultiset(s3, ones(s3, transpositions))
+        schreier_graph(s3, s3.trivial_subgroup(), SymmetricMultiset(s3, ones(s3, transpositions)))
     )
     assert result.criterion_holds
     assert s3.indices_of(result.witness) == s3.indices_of(derived_subgroup(s3))
@@ -406,16 +409,17 @@ def test_criterion_on_transposition_cayley(s3):
 
 def test_criterion_on_odd_cycle():
     c5 = catalog_group("cyclic:5")
-    result = bipartite_criterion(c5, c5.trivial_subgroup(), cycle_pair(c5))
+    result = bipartite_criterion(schreier_graph(c5, c5.trivial_subgroup(), cycle_pair(c5)))
     assert not result.criterion_holds and result.witness is None
 
 
 def test_criterion_requires_connected(c4):
     g = c4.elements[1]
-    with pytest.raises(DisconnectedGraphError):
-        bipartite_criterion(
-            c4, c4.trivial_subgroup(), SymmetricMultiset(c4, indexed(c4, [(g * g, 2)]))
-        )
+    graph = schreier_graph(
+        c4, c4.trivial_subgroup(), SymmetricMultiset(c4, indexed(c4, [(g * g, 2)]))
+    )
+    with pytest.raises(DisconnectedGraphError, match="connected graphs only"):
+        bipartite_criterion(graph)
 
 
 def test_criterion_matches_bfs_on_cayley_instances():
@@ -436,7 +440,7 @@ def test_criterion_matches_bfs_on_cayley_instances():
             report = connectivity_and_bipartiteness(graph)
             if not report.connected:
                 continue
-            assert bipartite_criterion(group, trivial, s).criterion_holds == report.bipartite
+            assert bipartite_criterion(graph).criterion_holds == report.bipartite
 
 
 def test_bipartite_criterion_limits():
@@ -452,7 +456,7 @@ def test_bipartite_criterion_limits():
     report = connectivity_and_bipartiteness(graph)
     assert report.connected and report.bipartite
     assert index2_overgroups(a4, y) == []
-    assert not bipartite_criterion(a4, y, s).criterion_holds
+    assert not bipartite_criterion(graph).criterion_holds
 
 
 def test_no_index2_transfer_to_induced_sets():
@@ -471,9 +475,7 @@ def test_no_index2_transfer_to_induced_sets():
             parent_graph = schreier_graph(group, trivial, s)
             if not connectivity_and_bipartiteness(parent_graph).connected:
                 continue
-            induced = rs_induce(
-                group, subgroup, Transversal(group, subgroup), s
-            )
+            induced = rs_induce(Transversal(group, subgroup), s)
             child = schreier_graph(subgroup, trivial, induced)
             child_report = connectivity_and_bipartiteness(child)
             assert child_report.connected
@@ -489,7 +491,7 @@ def test_rs_induce_c4_example(c4):
     h = c4.subgroup_generated([g * g])
     t = Transversal(c4, h)
     s = SymmetricMultiset(c4, ones(c4, [g, g * g * g]))
-    induced = rs_induce(c4, h, t, s)
+    induced = rs_induce(t, s)
     # four (t, s) pairs by hand: e*g -> e, e*g^3 -> g^2, g*g -> g^2, g*g^3 -> e
     assert {(p.images, m) for p, m in permutation_entries(induced)} == {
         (c4.identity.images, 2),
@@ -501,14 +503,14 @@ def test_rs_induce_c4_example(c4):
 def test_rs_induce_whole_group_is_identity_map(s3):
     t = Transversal(s3, s3)
     s = sample_symmetric_multiset(s3, 4, np.random.default_rng(3))
-    assert rs_induce(s3, s3, t, s) == s
+    assert rs_induce(t, s) == s
 
 
 def test_rs_induce_identity_multiset(s3):
     h = s3.subgroup_generated([Permutation.from_cycles([[0, 1]], 3)])
     t = Transversal(s3, h)
     s = SymmetricMultiset(s3, indexed(s3, [(s3.identity, 2)]))
-    induced = rs_induce(s3, h, t, s)
+    induced = rs_induce(t, s)
     assert permutation_entries(induced) == [(s3.identity, 6)]
 
 
@@ -524,7 +526,7 @@ def test_rs_size_law_and_symmetry_randomized():
             subgroup = group.subgroup_generated(picks)
             t = Transversal(group, subgroup)
             s = sample_symmetric_multiset(group, 2 + trial % 6, rng)
-            induced = rs_induce(group, subgroup, t, s)
+            induced = rs_induce(t, s)
             assert induced.size == (group.order // subgroup.order) * s.size
             assert induced.group is subgroup
             assert all(p in subgroup for p, _ in permutation_entries(induced))
@@ -542,7 +544,7 @@ def test_generation_transfers_to_subgroup():
         generated = group.subgroup_generated(p for p, _ in permutation_entries(s))
         if generated.order != group.order:
             continue
-        induced = rs_induce(group, subgroup, Transversal(group, subgroup), s)
+        induced = rs_induce(Transversal(group, subgroup), s)
         assert subgroup.subgroup_generated(
             p for p, _ in permutation_entries(induced)
         ).order == subgroup.order
@@ -555,7 +557,7 @@ def test_rs_induce_with_custom_transversal(d8):
     other_members = [p for p in d8.elements if p not in h]
     custom = Transversal.from_reps(d8, h, [d8.index_of(p) for p in [rotation, other_members[-1]]])
     s = sample_symmetric_multiset(d8, 4, np.random.default_rng(8))
-    induced = rs_induce(d8, h, custom, s)
+    induced = rs_induce(custom, s)
     assert induced.size == 2 * s.size
 
 
@@ -566,7 +568,7 @@ def test_rs_induce_with_custom_transversal(d8):
 def test_dedup_search_trivial_when_subgroup_is_whole_group(c4):
     result = dedup_counterexample_search(c4, c4, c4.trivial_subgroup())
     assert result.witnesses == ()
-    assert result.multiset_violations == ()
+    assert result.monotonicity.violations == 0
     assert not result.used_default_transversal
     # one coset, so each of the four elements is a transversal on its own
     assert result.transversals_scanned == 4
@@ -577,10 +579,11 @@ def test_dedup_search_trivial_when_subgroup_is_whole_group(c4):
     assert result.transversals_scanned == 1
 
 
-def test_dedup_search_without_witness_reports_every_transversal(c4):
-    # no gap can drop by more than 2, so this margin rules every witness out
+def test_dedup_search_without_witness_reports_every_transversal(c4, monkeypatch):
+    # no gap can drop by more than 2, so this tolerance rules every witness out
+    monkeypatch.setattr(schreier, "INDUCED_GAP", replace(INDUCED_GAP, tol=2.0))
     h = c4.subgroup_generated([c4.elements[2]])
-    result = dedup_counterexample_search(c4, h, c4.trivial_subgroup(), gap_margin=2.0)
+    result = dedup_counterexample_search(c4, h, c4.trivial_subgroup())
     assert result.witnesses == ()
     assert not result.used_default_transversal
     # two cosets of two elements each: 2 * 2 transversals, the default among them
@@ -594,7 +597,7 @@ def test_dedup_search_dihedral_finds_witnesses(d8):
     assert len(result.witnesses) >= 1
     assert result.used_default_transversal
     assert result.transversals_scanned == 1
-    assert result.multiset_violations == ()
+    assert result.monotonicity.violations == 0
     for witness in result.witnesses:
         assert all(m == 1 for _, m in witness.connection_set.entries)
         assert witness.induced_set_gap < witness.parent_gap - 1e-9
@@ -609,7 +612,7 @@ def test_dedup_witness_is_reproducible(d8):
     trivial = d8.trivial_subgroup()
     parent = spectral_summary(schreier_graph(d8, trivial, w.connection_set))
     t = Transversal.from_reps(d8, h, list(w.transversal_reps))
-    induced = rs_induce(d8, h, t, w.connection_set)
+    induced = rs_induce(t, w.connection_set)
     dedup = spectral_summary(schreier_graph(h, trivial, induced.as_set()))
     assert parent.gap == pytest.approx(w.parent_gap, abs=1e-12)
     assert dedup.gap == pytest.approx(w.induced_set_gap, abs=1e-12)

@@ -59,3 +59,27 @@ def faithful_reduction(group, stabilizer, cap=DEFAULT_ORDER_CAP):
     action = CosetAction(group, stabilizer)
     images = [coset_permutation(action, g) for g in group.generators]
     return group_from_generators(images, cap=cap), action.base_point
+
+
+def all_members_series(group):
+    """Member sets of the lower central series and the nilpotency class,
+    seeded from every member: gamma_(i+1) is the normal closure of [x, g]
+    for every member x of gamma_i and every generator g of the group,
+    closed by adding whole conjugate sets."""
+    gens = [group.index_of(g) for g in group.generators]
+    inv = group.inverse_indices()
+    current = frozenset(range(group.order))
+    terms = [current]
+    while True:
+        members = group._closure({group.commutator(x, g) for x in current for g in gens})
+        while True:
+            conjugates = {group.mult(group.mult(inv[g], x), g) for x in members for g in gens}
+            if conjugates <= members:
+                break
+            members = group._closure(members | conjugates)
+        if members == current:
+            return terms, 0 if len(current) == 1 else None
+        terms.append(members)
+        if len(members) == 1:
+            return terms, len(terms) - 1
+        current = members
