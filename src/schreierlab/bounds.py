@@ -51,15 +51,17 @@ def interval_data(
     Computed in the group's index space on its table: H' is the
     commutator closure of H's small generating set with itself, and H'Y is
     grown from H' by the stabilizer's generators, which normalise H'
-    because Y <= H.
+    because Y <= H.  The interval is read through ``intermediate_subgroups``
+    on every call, so a cached interval is still checked against ``limit``.
     """
+    subgroups = intermediate_subgroups(group, stabilizer, limit=limit)
     key = ("interval-data", group.indices_of(stabilizer))
     cached = group._cache.get(key)
     if cached is not None:
         return cached
     entries = []
     stab_gens = [group.index_of(p) for p in stabilizer.generators]
-    for sub in intermediate_subgroups(group, stabilizer, limit=limit):
+    for sub in subgroups:
         gens = [group.index_of(p) for p in sub.generators]
         derived, _ = group._commutator_closure(gens, gens)
         join = group._closure(stab_gens, base=derived)
@@ -74,15 +76,20 @@ def interval_data(
     return entries
 
 
+def _theta_entry(group: FiniteGroup, stabilizer: FiniteGroup, limit: int):
+    """log Θ, the largest log(section) / index over the interval, and the
+    first entry attaining it (None for an empty interval)."""
+    entries = interval_data(group, stabilizer, limit=limit)
+    scored = ((math.log(e.section) / e.index, e) for e in entries)
+    return max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
+
+
 def log_theta(
     group: FiniteGroup,
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
 ) -> float:
-    best = -math.inf
-    for entry in interval_data(group, stabilizer, limit=limit):
-        best = max(best, math.log(entry.section) / entry.index)
-    return best
+    return _theta_entry(group, stabilizer, limit)[0]
 
 
 def theta(
@@ -125,15 +132,10 @@ def subgroup_gap_bound(
     size = multiset if isinstance(multiset, int) else multiset.size
     if size < 1:
         raise ValueError("multiset size must be positive")
-    best_log = math.inf
-    best_entry = None
-    for entry in interval_data(group, stabilizer, limit=limit):
-        value = math.log(5.0) - 2.0 * math.log(entry.section) / (size * entry.index)
-        if value < best_log:
-            best_log = value
-            best_entry = entry
+    # min_H [log 5 - 2 log section(H) / (|S| |G:H|)] = log 5 - 2 log Θ / |S|
+    best, best_entry = _theta_entry(group, stabilizer, limit)
     assert best_entry is not None
-    return math.exp(best_log), best_entry.subgroup
+    return math.exp(math.log(5.0) - 2.0 * best / size), best_entry.subgroup
 
 
 def abelian_gap_bound(group_order: int, set_size: int) -> float:

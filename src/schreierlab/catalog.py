@@ -3,14 +3,14 @@
 Catalog names: ``cyclic:n``, ``dihedral:n`` (n = group order, even, >= 4),
 ``elem-abelian:p^k``, ``sym:n``, ``alt:n``, ``heisenberg:p``, and direct
 products joined with an ``x`` (or a multiplication sign).  Enumerated
-element tables can be cached on disk under SCHREIERLAB_CACHE_DIR; a cached
-table is checked on load and rebuilt when it does not match.
+groups can be cached under SCHREIERLAB_CACHE_DIR as ``<name>.npy``, the array
+of element images, checked on load under the catalog's own generators and
+rebuilt when it does not match.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 import tempfile
@@ -218,31 +218,25 @@ def _cache_path(name: str) -> Optional[Path]:
     if not root:
         return None
     safe = re.sub(r"[^A-Za-z0-9._^-]", "_", name)
-    return Path(root) / f"{safe}.json"
+    return Path(root) / f"{safe}.npy"
 
 
 def _load_cached(
     path: Path, name: str, generators: list[Permutation], cap: int
 ) -> Optional[FiniteGroup]:
     """The group in a cache file, or None unless the file holds exactly
-    what ``group_from_generators(generators)`` enumerates.  A file listing
-    more than ``cap`` elements raises GroupTooLargeError first."""
+    the image array ``group_from_generators(generators)`` enumerates.  An
+    array of more than ``cap`` rows raises GroupTooLargeError first."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        count = len(payload["elements"])
-    except (ValueError, KeyError, TypeError):
+        with path.open("rb") as fh:
+            images = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError:  # not a whole .npy file of numbers
         return None
-    if count > cap:
+    if images.ndim == 2 and len(images) > cap:
         raise GroupTooLargeError(
-            f"cached group {name!r} has {count} elements, "
+            f"cached group {name!r} has {len(images)} elements, "
             f"above the configured cap of {cap}"
         )
-    if payload.get("generators") != [list(g.images) for g in generators]:
-        return None
-    try:
-        images = np.array(payload.pop("elements"))
-    except ValueError:  # rows of unequal lengths
-        return None
     return group_from_images(generators, images)
 
 
@@ -263,16 +257,10 @@ def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     group = group_from_generators(generators, cap=cap)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "name": name,
-            "degree": group.degree,
-            "generators": [list(g.images) for g in group.generators],
-            "elements": [list(p.images) for p in group.elements],
-        }
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload))
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, group._image_array()[0])
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

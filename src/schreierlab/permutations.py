@@ -843,14 +843,14 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
     """All index-2 subgroups of the group that contain the floor.
 
     Index-2 subgroups are exactly the preimages of hyperplanes in the
-    elementary abelian quotient by K = <commutators, squares>; there are
-    2^r - 1 of them for a quotient of rank r.
+    elementary abelian quotient by K = <g^2 : g in G>, which contains G'
+    since [a, b] = a^-2 (a b^-1)^2 b^2; there are 2^r - 1 of them for a
+    quotient of rank r.
     """
     floor_idx = group.indices_of(floor)
     hyperplanes = group._cache.get("index2")
     if hyperplanes is None:
-        seed = set(group.indices_of(derived_subgroup(group)))
-        seed.update(group.mult(i, i) for i in range(group.order))
+        seed = {group.mult(i, i) for i in range(group.order)}
         quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
         slot_of, cosets = quotient.slot_of, quotient.rep_indices
 

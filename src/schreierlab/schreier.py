@@ -267,10 +267,11 @@ class Induction:
 
 
 def induce_with_laws(transversal: Transversal, multiset: SymmetricMultiset) -> Induction:
-    """``rs_induce`` together with its size law, |S_H| = |G:H| |S|.  The
+    """``rs_induce`` together with its size law, |S_H| = |G:H| |S|, with
+    |G:H| from the orders, not from the transversal's coset count.  The
     induced multiset is symmetric because ``SymmetricMultiset`` checks it."""
     induced = rs_induce(transversal, multiset)
-    index = transversal.coset_count
+    index = transversal.parent.order // transversal.subgroup.order
     detail = f"{induced.size} == {index} * {multiset.size}"
     return Induction(induced, SIZE_LAW.check(abs(induced.size - index * multiset.size), 0, detail))
 

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreierlab import (
     Permutation,
+    SubgroupLimitError,
     SymmetricMultiset,
     abelian_gap_bound,
     build_bound_report,
     catalog_group,
     derived_index_check,
+    interval_data,
     nilpotent_exponents,
     nilpotent_gap_bound,
     sample_symmetric_multiset,
@@ -19,7 +23,8 @@ from schreierlab import (
     theta,
     theta_min_set_size,
 )
-from testkit import conjugate_subgroup, indexed, ones
+from schreierlab.bounds import log_theta
+from testkit import conjugate_subgroup, indexed, ones, subgroup_bound_by_minimum
 
 
 def test_theta_c4_regular(c4):
@@ -112,6 +117,47 @@ def test_subgroup_bound_reduces_to_abelian_bound():
             value, argmin = subgroup_gap_bound(group, group.trivial_subgroup(), size)
             assert argmin.order == group.order
             assert value == pytest.approx(abelian_gap_bound(group.order, size), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        ["sym:4", "sym:5", "alt:5", "dihedral:8", "dihedral:16", "heisenberg:3",
+         "heisenberg:5", "cyclic:2xsym:4", "elem-abelian:2^5", "cyclic:2xcyclic:4xcyclic:8"]
+    ),
+    st.lists(st.integers(min_value=0), max_size=2),
+    st.integers(min_value=1, max_value=40),
+)
+def test_subgroup_bound_matches_the_minimum_over_the_interval(name, picks, size):
+    # 5 Θ^(-2/|S|) is the minimum of 5 section(H)^(-2/(|S| |G:H|)): the
+    # same float and the same first subgroup attaining it
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated([group.elements[i % group.order] for i in picks])
+    value, argmin = subgroup_gap_bound(group, stabilizer, size)
+    expected, expected_argmin = subgroup_bound_by_minimum(group, stabilizer, size)
+    assert value == expected
+    assert group.indices_of(argmin) == group.indices_of(expected_argmin)
+    assert log_theta(group, stabilizer) == max(
+        math.log(e.section) / e.index for e in interval_data(group, stabilizer)
+    )
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        interval_data,
+        log_theta,
+        lambda group, floor, limit: subgroup_gap_bound(group, floor, 4, limit=limit),
+    ],
+    ids=["interval_data", "log_theta", "subgroup_gap_bound"],
+)
+def test_a_cached_interval_honours_a_smaller_limit(read):
+    group = catalog_group("sym:4")
+    floor = group.trivial_subgroup()
+    assert len(interval_data(group, floor)) == 30
+    with pytest.raises(SubgroupLimitError, match="more than 5 subgroups"):
+        read(group, floor, limit=5)
+    read(group, floor, limit=30)
 
 
 def test_abelian_bound_values():

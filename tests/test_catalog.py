@@ -1,10 +1,16 @@
-import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from schreierlab import catalog_group, lower_central_series, resolve_action, resolve_group
+from schreierlab import (
+    catalog_group,
+    group_from_generators,
+    lower_central_series,
+    resolve_action,
+    resolve_group,
+)
 from schreierlab.catalog import abelian_names_up_to, catalog_generators
 
 
@@ -119,11 +125,19 @@ def test_group_from_file(tmp_path):
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
     first = catalog_group("dihedral:12")
-    cached = list(tmp_path.glob("*.json"))
-    assert len(cached) == 1
+    (path,) = tmp_path.iterdir()
+    assert path.name == "dihedral_12.npy"
+    assert np.array_equal(np.load(path), [p.images for p in first.elements])
     second = catalog_group("dihedral:12")
     assert first.indices_of(second) == frozenset(range(first.order))
     assert [p.images for p in first.elements] == [p.images for p in second.elements]
+
+
+def test_disk_cache_ignores_a_json_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    (tmp_path / "sym_5.json").write_text('{"elements": [[0]]}', encoding="utf-8")
+    assert catalog_group("sym:5").order == 120
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sym_5.json", "sym_5.npy"]
 
 
 def test_disk_cache_respects_the_cap(tmp_path, monkeypatch):
@@ -131,7 +145,7 @@ def test_disk_cache_respects_the_cap(tmp_path, monkeypatch):
 
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
     assert catalog_group("sym:5").order == 120
-    with pytest.raises(GroupTooLargeError, match="cap of 10"):
+    with pytest.raises(GroupTooLargeError, match="cached group 'sym:5' has 120 elements.*cap of 10"):
         catalog_group("sym:5", cap=10)
     assert catalog_group("sym:5", cap=120).order == 120
 
@@ -150,58 +164,96 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
     catalog_group("dihedral:12")
-    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["dihedral_12.npy"]
 
 
-def _truncate_to_60(payload):
-    payload["elements"] = payload["elements"][:60]
+def _truncate_to_60(path, images):
+    np.save(path, images[:60])
 
 
-def _edit_a_generator(payload):
-    payload["generators"][0] = [0, 1, 2, 4, 3]
+def _swap_two_rows(path, images):
+    np.save(path, images[[0, 1, 2, 4, 3, *range(5, len(images))]])
 
 
-def _swap_two_elements(payload):
-    elements = payload["elements"]
-    elements[3], elements[4] = elements[4], elements[3]
-
-
-def _add_a_coset(payload):
+def _add_a_coset(path, images):
     # cyclic:1xcyclic:3 has the identity as its first generator, so the
     # coset t<c> of a transposition t meets each of its members in the
     # member's own row: it is refused because discovery must come earlier
-    t = [1, 0, 2, 3]
-    payload["elements"] += [[row[i] for i in t] for row in payload["elements"]]
+    np.save(path, np.concatenate([images, images[:, [1, 0, 2, 3]]]))
+
+
+def _other_generating_set(path, images):
+    # the same elements, discovered in the breadth-first order of the
+    # catalog's generators taken in reverse
+    reordered = group_from_generators(catalog_generators("sym:5")[::-1])
+    assert sorted(p.images for p in reordered.elements) == sorted(map(tuple, images.tolist()))
+    np.save(path, np.array([p.images for p in reordered.elements]))
+
+
+def _text(path, images):
+    path.write_text("[[0, 1, 2, 3, 4]]", encoding="utf-8")
+
+
+def _empty(path, images):
+    path.write_bytes(b"")
+
+
+def _truncated_bytes(path, images):
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _npz_archive(path, images):
+    with path.open("wb") as fh:
+        np.savez(fh, images=images)
+
+
+def _truncated_npz(path, images):
+    # np.load would open it as a zip archive and raise BadZipFile
+    _npz_archive(path, images)
+    path.write_bytes(path.read_bytes()[:30])
+
+
+def _zero_dimensional(path, images):
+    np.save(path, np.array(7))
+
+
+def _float_array(path, images):
+    np.save(path, images.astype(float))
 
 
 @pytest.mark.parametrize(
     "name, corrupt",
     [
         ("sym:5", _truncate_to_60),
-        ("sym:5", _edit_a_generator),
-        ("sym:5", _swap_two_elements),
-        ("sym:5", None),
+        ("sym:5", _swap_two_rows),
         ("cyclic:1xcyclic:3", _add_a_coset),
+        ("sym:5", _other_generating_set),
+        ("sym:5", _text),
+        ("sym:5", _empty),
+        ("sym:5", _truncated_bytes),
+        ("sym:5", _npz_archive),
+        ("sym:5", _truncated_npz),
+        ("sym:5", _zero_dimensional),
+        ("sym:5", _float_array),
     ],
-    ids=["truncated", "edited-generator", "reordered", "not-json", "extra-coset"],
+    ids=[
+        "truncated", "reordered", "extra-coset", "other-generators", "text",
+        "empty", "truncated-bytes", "npz", "truncated-npz", "zero-dimensional", "float",
+    ],
 )
 def test_disk_cache_rebuilds_a_file_that_does_not_match(tmp_path, monkeypatch, name, corrupt):
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
-    expected = [list(p.images) for p in catalog_group(name).elements]
-    (path,) = tmp_path.glob("*.json")
-    if corrupt is None:
-        path.write_text("{not json", encoding="utf-8")
-    else:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    expected = [p.images for p in catalog_group(name).elements]
+    (path,) = tmp_path.iterdir()
+    corrupt(path, np.load(path))
     loaded = catalog_group(name)
-    assert [list(p.images) for p in loaded.elements] == expected
+    assert [p.images for p in loaded.elements] == expected
     assert [p.images for p in loaded.generators] == [
         p.images for p in catalog_generators(name)
     ]
     # the file is rewritten, so the next load reads the right group
-    assert json.loads(path.read_text(encoding="utf-8"))["elements"] == expected
+    rewritten = np.load(path)
+    assert rewritten.dtype == np.int32 and rewritten.tolist() == [list(e) for e in expected]
 
 
 def test_disk_cache_loads_a_good_file_without_enumerating(tmp_path, monkeypatch):

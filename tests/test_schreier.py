@@ -28,6 +28,7 @@ from schreierlab import schreier
 from schreierlab.cli import main
 from schreierlab.inequalities import INDUCED_GAP
 from schreierlab.permutations import CosetAction, Transversal
+from schreierlab.schreier import induce_with_laws
 from testkit import indexed, ones, permutation_entries
 
 
@@ -530,6 +531,20 @@ def test_rs_size_law_and_symmetry_randomized():
             assert induced.size == (group.order // subgroup.order) * s.size
             assert induced.group is subgroup
             assert all(p in subgroup for p, _ in permutation_entries(induced))
+
+
+def test_size_law_fails_for_a_truncated_transversal(d8):
+    rotations = d8.subgroup_generated([d8.generators[0]])
+    s = cycle_pair(d8)
+    assert all(d8.elements[i] in rotations for i, _ in s.entries)
+    transversal = Transversal(d8, rotations)
+    law = induce_with_laws(transversal, s).size_law
+    assert law.passed and law.detail == "4 == 2 * 2"
+    # with one representative dropped rs_induce loops over one coset, so
+    # the induced size is 1 * |S|, not |G:H| |S|
+    transversal.rep_indices = transversal.rep_indices[:1]
+    law = induce_with_laws(transversal, s).size_law
+    assert not law.passed and law.detail == "2 == 2 * 2"
 
 
 def test_generation_transfers_to_subgroup():

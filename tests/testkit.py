@@ -2,7 +2,9 @@
 need, and conversions between permutations and the element indices that
 connection multisets hold."""
 
-from schreierlab import CosetAction, Permutation, group_from_generators
+import math
+
+from schreierlab import CosetAction, Permutation, group_from_generators, interval_data
 from schreierlab.permutations import DEFAULT_ORDER_CAP, Transversal
 
 
@@ -83,3 +85,14 @@ def all_members_series(group):
         if len(members) == 1:
             return terms, len(terms) - 1
         current = members
+
+
+def subgroup_bound_by_minimum(group, stabilizer, size):
+    """The subgroup bound as the minimum of log 5 - 2 log(section) /
+    (|S| |G:H|) over the interval, with the first subgroup attaining it."""
+    best_log, best_entry = math.inf, None
+    for entry in interval_data(group, stabilizer):
+        value = math.log(5.0) - 2.0 * math.log(entry.section) / (size * entry.index)
+        if value < best_log:
+            best_log, best_entry = value, entry
+    return math.exp(best_log), best_entry.subgroup
