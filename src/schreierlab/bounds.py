@@ -60,9 +60,9 @@ def interval_data(
     if cached is not None:
         return cached
     entries = []
-    stab_gens = [group.index_of(p) for p in stabilizer.generators]
+    stab_gens = group._indices_of_rows(stabilizer.generator_images).tolist()
     for sub in subgroups:
-        gens = [group.index_of(p) for p in sub.generators]
+        gens = group._indices_of_rows(sub.generator_images).tolist()
         derived, _ = group._commutator_closure(gens, gens)
         join = group._closure(stab_gens, base=derived)
         entries.append(

@@ -260,7 +260,7 @@ def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.save(fh, group._image_array()[0])
+                np.save(fh, group.images)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -2,9 +2,10 @@
 
 Group-spec files carry one permutation per line in disjoint-cycle notation
 over 1-based points, e.g. ``(1 2 3)(4 5)``.  Blank lines are ignored and
-``#`` starts a comment.  The degree is the largest point mentioned unless a
-``degree N`` header line says otherwise.  Multiset files use the same cycle
-notation with an optional ``* multiplicity`` suffix per line.
+``#`` starts a comment.  Multiset files use the same cycle notation with an
+optional ``* multiplicity`` suffix per line.  Both kinds of file take their
+degree by one rule: the largest point mentioned, raised to a ``degree N``
+header line (which may not be smaller) and to the caller's floor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 
 from .permutations import Permutation
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLE_RE = re.compile(r"\(([0-9\s,]*)\)")
 _DEGREE_RE = re.compile(r"^degree\s+(\d+)$", re.IGNORECASE)
 
 
@@ -74,6 +75,16 @@ def _parse_lines(text: str) -> tuple[list[str], int | None]:
     return lines, header_degree
 
 
+def _degree(cycle_lists: list[list[list[int]]], header: int | None, floor: int | None) -> int:
+    """The degree of a file's permutations: the largest point used, raised
+    to the ``degree N`` header and to the caller's floor.  A header below
+    the largest point is refused."""
+    needed = max((max(c) + 1 for cycles in cycle_lists for c in cycles), default=1)
+    if header is not None and header < needed:
+        raise ValueError(f"declared degree {header} too small for the points used")
+    return max(needed, header or 1, floor or 1)
+
+
 def parse_group_text(text: str, degree: int | None = None) -> list[Permutation]:
     """Parse a group-spec file body into its generator list.
 
@@ -85,44 +96,26 @@ def parse_group_text(text: str, degree: int | None = None) -> list[Permutation]:
     if not lines:
         raise ValueError("no permutations found in group spec")
     cycle_lists = [parse_cycle_text(line) for line in lines]
-    needed = max(
-        (max(c) + 1 for cycles in cycle_lists for c in cycles), default=1
-    )
-    if header_degree is not None and header_degree < needed:
-        raise ValueError(
-            f"declared degree {header_degree} too small for the points used"
-        )
-    degree = max(needed, header_degree or 1, degree or 1)
+    degree = _degree(cycle_lists, header_degree, degree)
     return [Permutation.from_cycles(cycles, degree) for cycles in cycle_lists]
 
 
 def parse_multiset_text(text: str, degree: int | None = None) -> list[tuple[Permutation, int]]:
-    """Parse a multiset file into (permutation, multiplicity) entries."""
+    """Parse a multiset file into (permutation, multiplicity) entries, with
+    the degree rule of ``parse_group_text``."""
     lines, header_degree = _parse_lines(text)
     if not lines:
         raise ValueError("no entries found in multiset spec")
-    if header_degree is not None:
-        degree = header_degree if degree is None else degree
-    parsed = []
+    cycle_lists, mults = [], []
     for line in lines:
-        if "*" in line:
-            body, mult_text = line.rsplit("*", 1)
-            mult = int(mult_text.strip())
-            if mult < 1:
-                raise ValueError(f"multiplicity must be positive: {line!r}")
-        else:
-            body, mult = line, 1
-        parsed.append((parse_cycle_text(body), mult))
-    needed = max(
-        (max(c) + 1 for cycles, _ in parsed for c in cycles), default=1
-    )
-    if degree is None:
-        degree = needed
-    elif degree < needed:
-        raise ValueError(f"degree {degree} too small for the points used")
-    return [
-        (Permutation.from_cycles(cycles, degree), mult) for cycles, mult in parsed
-    ]
+        body, _, mult_text = line.rpartition("*") if "*" in line else (line, "", "1")
+        mult_text = mult_text.strip()
+        if not (mult_text.isascii() and mult_text.isdigit() and int(mult_text) > 0):
+            raise ValueError(f"multiplicity must be a positive integer: {line!r}")
+        cycle_lists.append(parse_cycle_text(body))
+        mults.append(int(mult_text))
+    degree = _degree(cycle_lists, header_degree, degree)
+    return [(Permutation.from_cycles(c, degree), m) for c, m in zip(cycle_lists, mults)]
 
 
 def multiset_to_text(entries) -> str:

@@ -1,11 +1,12 @@
 """Permutations and finite permutation groups with full element tables.
 
-Groups are stored as exhaustive element tables in a deterministic canonical
-order: breadth-first discovery from the identity, following the given
-generator order.  At desk scale this is the right trade-off, because every
-downstream computation (transversals, subgroup lattices, commutator series,
-coset actions) needs fast membership tests and iteration rather than
-compact stabilizer-chain machinery.
+A group is its image array: one int32 row of point images per element, in
+a deterministic canonical order (breadth-first discovery from the identity,
+following the given generator order); ``Permutation`` objects are built only
+where input is parsed or output printed.  At desk scale full tables are the
+right trade-off: every downstream computation (transversals, subgroup
+lattices, commutator series, coset actions) needs fast membership tests and
+iteration rather than compact stabilizer-chain machinery.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +26,7 @@ DEFAULT_ORDER_CAP = 100_000
 DEFAULT_SUBGROUP_LIMIT = 20_000
 
 # Multiplication tables are materialised for groups up to this order; beyond
-# it, products fall back to composing image tuples.
+# it, a product is one gather of two image rows, looked up by its bytes.
 _TABLE_LIMIT = 512
 
 
@@ -195,46 +197,81 @@ class Permutation:
         return f"Permutation[{text}]"
 
 
+class _PermutationRows(Sequence):
+    """An image array's rows as a read-only sequence of Permutations."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return Permutation._raw(tuple(self._rows[i].tolist()))
+
+
 class FiniteGroup:
     """A finite permutation group given by its full element table.
 
-    ``elements[0]`` is always the identity.  For groups built by closure the
-    element order is the breadth-first discovery order; subgroups carved out
-    of a parent keep the parent's relative order.  Both are deterministic,
-    which makes transversals and induced multisets reproducible.
+    ``images`` is the read-only int32 ``order x degree`` array of element
+    images, row 0 the identity and no row repeated; ``generator_images``
+    holds the generators' rows.  Groups built by closure keep the
+    breadth-first discovery order and subgroups their parent's relative
+    order, so transversals and induced multisets are reproducible.
     """
 
-    def __init__(self, elements: Sequence[Permutation], generators: Sequence[Permutation]):
-        if not elements:
-            raise ValueError("a group needs at least the identity element")
-        self.elements: tuple[Permutation, ...] = tuple(elements)
-        self.degree: int = self.elements[0].degree
-        if not self.elements[0].is_identity():
-            raise ValueError("elements[0] must be the identity")
-        self.generators: tuple[Permutation, ...] = tuple(generators)
-        self._index: dict[tuple[int, ...], int] = {
-            p.images: i for i, p in enumerate(self.elements)
-        }
-        if len(self._index) != len(self.elements):
+    def __init__(self, images, generator_images):
+        images = np.asarray(images)
+        if images.ndim != 2 or not images.size or images.dtype.kind not in "iu":
+            raise ValueError("a group needs a 2-D integer array of images, identity first")
+        points = np.arange(images.shape[1])
+        if not ((images[0] == points).all() and (np.sort(images) == points).all()):
+            raise ValueError("row 0 must be the identity and each row a bijection of range(degree)")
+        rows = np.array(images, dtype=np.int32, order="C")  # a copy no caller can write
+        keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate elements in table")
+        self._adopt(rows, np.array(generator_images, np.int32))
+
+    def _adopt(self, images: np.ndarray, generator_images: np.ndarray) -> "FiniteGroup":
+        """Hold rows that ``__init__`` would accept, in fresh int32 arrays:
+        the unchecked path for rows sliced from a group or closed by BFS."""
+        self.images, (self.order, self.degree) = images, images.shape
+        self.generator_images = generator_images.reshape(-1, self.degree)
+        self.images.flags.writeable = self.generator_images.flags.writeable = False
         self._cache: dict = {}
+        return self
 
     # -- basic queries ----------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> Sequence[Permutation]:
+        """The elements as Permutations, each built when it is read."""
+        return _PermutationRows(self.images)
+
+    @property
+    def generators(self) -> Sequence[Permutation]:
+        return _PermutationRows(self.generator_images)
 
     @property
     def identity(self) -> Permutation:
-        return self.elements[0]
+        return Permutation.identity(self.degree)
+
+    def _index(self) -> dict[bytes, int]:
+        """Element index by the bytes of its image row; built on first use."""
+        index = self._cache.get("index")
+        if index is None:
+            index = self._cache["index"] = {row.tobytes(): i for i, row in enumerate(self.images)}
+        return index
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.images in self._index
+        return isinstance(p, Permutation) and np.array(p.images, np.int32).tobytes() in self._index()
 
     def index_of(self, p: Permutation) -> int:
         try:
-            return self._index[p.images]
+            return self._index()[np.array(p.images, np.int32).tobytes()]
         except KeyError:
             raise ValueError(f"{p!r} is not an element of this group") from None
 
@@ -243,8 +280,9 @@ class FiniteGroup:
 
         Raises NotASubgroupError when some member is not an element here.
         """
+        index = self._index()
         try:
-            return frozenset(self._index[p.images] for p in subgroup.elements)
+            return frozenset(index[row.tobytes()] for row in subgroup.images)
         except KeyError:
             raise NotASubgroupError(
                 f"group of order {subgroup.order} is not a subgroup of the parent"
@@ -259,37 +297,29 @@ class FiniteGroup:
         """Cayley table as rows of element indices, up to ``_TABLE_LIMIT``.
 
         ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  Row
-        ``i`` is one numpy gather over the ``order x degree`` image array
-        (every element applied after ``elements[i]``), looked up with
-        ``_row_lookup``, so a product that is not an element raises
-        ValueError.  Rows are kept as Python lists because the hot loops
-        read single entries.
+        ``i`` is one numpy gather over the image array (every element
+        applied after ``elements[i]``), looked up with ``_row_lookup``, so
+        a product that is not an element raises ValueError.  Rows are kept
+        as Python lists because the hot loops read single entries.
         """
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
-            images = self._image_array()[0]
-            table = [self._indices_of_rows(images[:, image]).tolist() for image in images]
+            table = [self._indices_of_rows(self.images[:, row]).tolist() for row in self.images]
             self._cache["table"] = table
         return table
-
-    def _image_array(self):
-        """The ``order x degree`` int32 array of element images, with its
-        ``_row_lookup``; built once per group."""
-        cached = self._cache.get("image_array")
-        if cached is None:
-            images = np.array([p.images for p in self.elements], dtype=np.int32)
-            cached = self._cache["image_array"] = (images, _row_lookup(images))
-        return cached
 
     def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row of an ``m x degree`` image array.
 
         Raises ValueError when a row is not an element, which for a row of
-        products means the element table is not closed.
+        products means the element table is not closed.  The ``_row_lookup``
+        of the image array is built on first use.
         """
-        found = self._image_array()[1](rows)
+        if "lookup" not in self._cache:
+            self._cache["lookup"] = _row_lookup(self.images)
+        found = self._cache["lookup"](rows)
         if found is None:
             raise ValueError("the element table is not closed under products")
         return found
@@ -306,14 +336,14 @@ class FiniteGroup:
         table = self._table()
         if table is not None:
             return table[i][j]
-        return self._index[(self.elements[i] * self.elements[j]).images]
+        return self._index()[self.images[j][self.images[i]].tobytes()]
 
     def inverse_indices(self) -> tuple[int, ...]:
         """``inverse_indices()[i]`` is the index of elements[i]^-1: each
         row of the image array scattered into its inverse, looked up once."""
         inv = self._cache.get("inverse")
         if inv is None:
-            images = self._image_array()[0]
+            images = self.images
             inverses = np.empty_like(images)
             np.put_along_axis(inverses, images, np.arange(images.shape[1], dtype=images.dtype), axis=1)
             inv = self._cache["inverse"] = tuple(self._indices_of_rows(inverses).tolist())
@@ -339,24 +369,16 @@ class FiniteGroup:
         flag = self._cache.get("abelian")
         if flag is None:
             flag = all(
-                (p * q).images == (q * p).images
-                for p, q in itertools.combinations(self.generators, 2)
+                [q[x] for x in p] == [p[x] for x in q]
+                for p, q in itertools.combinations(self.generator_images.tolist(), 2)
             )
             self._cache["abelian"] = flag
         return flag
 
     def is_transitive(self) -> bool:
-        """Whether the group is transitive on its natural points."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            point = frontier.pop()
-            for g in self.generators:
-                image = g.images[point]
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
-        return len(seen) == self.degree
+        """Whether the group is transitive on its natural points: whether
+        the images of point 0 are every point."""
+        return len(set(self.images[:, 0].tolist())) == self.degree
 
     def self_inverse_indices(self) -> tuple[int, ...]:
         """Indices of elements equal to their own inverse (identity included)."""
@@ -476,14 +498,10 @@ class FiniteGroup:
         idx = sorted(set(indices))
         if not idx or idx[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
-        elements = [self.elements[i] for i in idx]
+        images, group = self.images[idx], FiniteGroup.__new__(FiniteGroup)
         if generator_indices:
-            gens = [self.elements[i] for i in generator_indices]
-        elif len(idx) == 1:
-            gens = [self.identity]
-        else:
-            gens = [self.elements[i] for i in idx if i != 0]
-        return FiniteGroup(elements, gens)
+            return group._adopt(images, self.images[list(generator_indices)])
+        return group._adopt(images, images[1:] if len(idx) > 1 else images)
 
     def subgroup_generated(self, perms: Iterable[Permutation]) -> "FiniteGroup":
         """Subgroup of self generated by the given elements."""
@@ -494,8 +512,7 @@ class FiniteGroup:
         return self.subgroup_from_indices([0])
 
     def point_stabilizer(self, point: int) -> "FiniteGroup":
-        indices = [i for i, p in enumerate(self.elements) if p.images[point] == point]
-        return self.subgroup_from_indices(indices)
+        return self.subgroup_from_indices(np.flatnonzero(self.images[:, point] == point).tolist())
 
 
 def group_from_generators(
@@ -503,31 +520,33 @@ def group_from_generators(
 ) -> FiniteGroup:
     """Breadth-first closure of the generators, identity first.
 
-    Raises GroupTooLargeError once more than ``cap`` elements are found;
-    the enumeration never truncates silently.
+    Closed level by level on the image array: a frontier's products with
+    every generator are one gather, scanned in the order a breadth-first
+    queue meets them, and new rows are kept by their bytes.  Raises
+    GroupTooLargeError once more than ``cap`` elements are found; the
+    enumeration never truncates silently.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators must share one degree")
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    seen = {identity.images}
-    cursor = 0
-    while cursor < len(elements):
-        current = elements[cursor]
-        cursor += 1
-        for g in generators:
-            nxt = current * g
-            if nxt.images not in seen:
-                if len(elements) >= cap:
-                    raise GroupTooLargeError(
-                        f"group exceeds the configured cap of {cap} elements"
-                    )
-                seen.add(nxt.images)
-                elements.append(nxt)
-    return FiniteGroup(elements, generators)
+    gens = np.array([g.images for g in generators], dtype=np.int32)
+    levels = [np.arange(degree, dtype=np.int32)[None]]
+    index, width = {levels[0].tobytes(): 0}, 4 * degree
+    while len(levels[-1]):
+        # row i * len(gens) + j is frontier[i] * generators[j]
+        products = gens[:, levels[-1]].transpose(1, 0, 2).reshape(-1, degree)
+        blob, new = products.tobytes(), []
+        for k in range(len(products)):
+            row = blob[k * width : (k + 1) * width]
+            if row not in index:
+                if len(index) >= cap:
+                    raise GroupTooLargeError(f"group exceeds the configured cap of {cap} elements")
+                index[row] = len(index)
+                new.append(k)
+        levels.append(products[new])
+    return FiniteGroup.__new__(FiniteGroup)._adopt(np.concatenate(levels), gens)
 
 
 def group_from_images(
@@ -537,29 +556,22 @@ def group_from_images(
     ``order x degree`` integer array of its element images; None when the
     array holds anything else.
 
-    The array is checked, not recomputed: every row is a bijection and row
-    0 the identity; every element times every generator is an element; and,
-    scanning those products row by row, the elements other than the
-    identity first turn up in the order 1, 2, ..., n-1, each in a row before
-    its own.  That is the breadth-first discovery order, so a truncated
-    table, a table with extra cosets or one in another order is refused.
+    The array is checked, not recomputed: it must make a ``FiniteGroup``;
+    every element times every generator must be an element; and, scanning
+    those products row by row, the elements other than the identity must
+    first turn up in the order 1, 2, ..., n-1, each in a row before its
+    own.  That is the breadth-first discovery order, so a truncated table,
+    a table with extra cosets or one in another order is refused.
     """
-    points = np.arange(generators[0].degree)
-    if not (
-        images.ndim == 2
-        and len(images) > 0
-        and images.shape[1:] == points.shape
-        and images.dtype.kind in "iu"
-        and np.array_equal(images[0], points)
-        and np.array_equal(np.sort(images, axis=1), np.broadcast_to(points, images.shape))
-    ):
+    if images.shape[1:] != (generators[0].degree,):
         return None
-    images = images.astype(np.int32)
-    lookup = _row_lookup(images)
-    # row i * len(generators) + j is elements[i] * generators[j]
-    gens = np.array([g.images for g in generators])
-    products = lookup(gens[:, images].transpose(1, 0, 2).reshape(-1, len(points)))
-    if products is None:
+    try:
+        group = FiniteGroup(images, [g.images for g in generators])
+        images, gens = group.images, group.generator_images
+        # row i * len(generators) + j is elements[i] * generators[j]
+        products = gens[:, images].transpose(1, 0, 2).reshape(-1, group.degree)
+        products = group._indices_of_rows(products)
+    except ValueError:  # not a group, or not closed under the generators
         return None
     # found[0] is the identity (some g^-1 g); the rest must be 1, ..., n-1
     found, first = np.unique(products, return_index=True)
@@ -570,8 +582,6 @@ def group_from_images(
         and np.all(first // len(generators) < found)
     ):
         return None
-    group = FiniteGroup([Permutation._raw(tuple(row)) for row in images.tolist()], generators)
-    group._cache["image_array"] = (images, lookup)
     return group
 
 
@@ -658,9 +668,8 @@ class CosetAction:
         self.transversal = Transversal(group, stabilizer)
         self.n_points = self.transversal.coset_count
         self.base_point = self.transversal.slot_of[0]
-        images = group._image_array()[0]
-        self._images = images
-        self._rep_images = images[list(self.transversal.rep_indices)]
+        self._images = group.images
+        self._rep_images = group.images[list(self.transversal.rep_indices)]
         self._slot_of = np.array(self.transversal.slot_of, dtype=np.intp)
 
     def permutation_of_index(self, element_index: int) -> np.ndarray:
@@ -696,8 +705,7 @@ class CosetAction:
         candidates = np.arange(len(images))
         if self.stabilizer.order > 1:
             inverses = images[np.array(self.group.inverse_indices())]
-            for h in self.stabilizer.generators:
-                h_images = np.array(h.images, dtype=images.dtype)
+            for h_images in self.stabilizer.generator_images:
                 # rows of g^-1 h g, for every candidate g
                 conjugates = np.take_along_axis(
                     images[candidates], h_images[inverses[candidates]], axis=1
@@ -768,7 +776,7 @@ def lower_central_series(
     cached = group._cache.get("lcs")
     if cached is not None:
         return cached
-    gen_idx = sorted({group.index_of(g) for g in group.generators})
+    gen_idx = sorted(set(group._indices_of_rows(group.generator_images).tolist()))
     terms = [group]
     current, normal_gens = frozenset(range(group.order)), gen_idx
     while True:
@@ -850,7 +858,7 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
     floor_idx = group.indices_of(floor)
     hyperplanes = group._cache.get("index2")
     if hyperplanes is None:
-        seed = {group.mult(i, i) for i in range(group.order)}
+        seed = set(group._indices_of_rows(_power_images(group.images, 2)).tolist())
         quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
         slot_of, cosets = quotient.slot_of, quotient.rep_indices
 

@@ -253,9 +253,8 @@ def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> Symmetri
     home = transversal.slot_of[0]
     if any(transversal.slot_of[i] != home for i in counts):
         raise AssertionError("rewritten element escaped the subgroup")
-    return SymmetricMultiset(
-        subgroup, ((subgroup.index_of(group.elements[i]), m) for i, m in counts.items())
-    )
+    found = subgroup._indices_of_rows(group.images[list(counts)]).tolist()
+    return SymmetricMultiset(subgroup, zip(found, counts.values()))
 
 
 @dataclass(frozen=True)

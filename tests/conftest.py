@@ -1,6 +1,6 @@
 import pytest
 
-from schreierlab import catalog_group
+from schreierlab import Permutation, catalog_group
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +26,22 @@ def d8():
 @pytest.fixture(scope="session")
 def heis3():
     return catalog_group("heisenberg:3")
+
+
+@pytest.fixture
+def built_permutations(monkeypatch):
+    """A list that grows by one for every Permutation built in the test."""
+    built = []
+    init, raw = Permutation.__init__, Permutation._raw.__func__
+
+    def counting_init(self, images):
+        built.append(1)
+        init(self, images)
+
+    def counting_raw(cls, images):
+        built.append(1)
+        return raw(cls, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    monkeypatch.setattr(Permutation, "_raw", classmethod(counting_raw))
+    return built

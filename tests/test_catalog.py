@@ -122,6 +122,15 @@ def test_group_from_file(tmp_path):
     assert group.order == 6
 
 
+def test_a_cached_group_is_its_image_array(tmp_path, monkeypatch):
+    monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
+    built = catalog_group("cyclic:1024")
+    loaded = catalog_group("cyclic:1024")
+    assert np.array_equal(loaded.images, built.images)
+    assert set(vars(loaded)) == {"images", "generator_images", "order", "degree", "_cache"}
+    assert set(loaded._cache) == {"lookup"}
+
+
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHREIERLAB_CACHE_DIR", str(tmp_path))
     first = catalog_group("dihedral:12")

@@ -7,6 +7,7 @@ import types
 
 import pytest
 
+from schreierlab.catalog import CACHE_ENV_VAR
 from schreierlab.cli import ExperimentConfig, main, render_report, run
 
 
@@ -497,3 +498,48 @@ def test_subgroup_file_mentions_only_moved_points(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["subgroup_order"] == 2
     assert payload["results"]["induced_size"] == 24
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--group", "sym:3", "--set", "{f}", "--symmetrize"],
+        ["theta", "--group", "sym:3", "--action", "cosets-of:{f}"],
+    ],
+)
+def test_group_and_multiset_files_share_the_degree_rule(argv, tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text("degree 2\n(1 2 3)\n", encoding="utf-8")
+    assert main([a.format(f=path) for a in argv]) == 2
+    assert "declared degree 2 too small for the points used" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("(1 2) * x", "multiplicity must be a positive integer: '(1 2) * x'"),
+        ("(1 2) * 0", "multiplicity must be a positive integer: '(1 2) * 0'"),
+        ("(1 a)", "cannot parse cycle notation: '(1 a)'"),
+    ],
+)
+def test_multiset_parse_errors_name_the_input(line, message, tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["spectrum", "--group", "sym:3", "--set", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_permutations_are_built_only_at_parse_and_print(
+    tmp_path, monkeypatch, capsys, built_permutations
+):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    path = tmp_path / "set.txt"
+    path.write_text("(" + " ".join(map(str, range(1, 1025))) + ")\n", encoding="utf-8")
+    spectrum = ["spectrum", "--group", "cyclic:1024", "--set", str(path), "--symmetrize"]
+    assert main(spectrum) == 0  # fills the cache
+    assert (tmp_path / "cache" / "cyclic_1024.npy").exists()
+    for argv in (spectrum, ["theta", "--group", "sym:5"]):
+        built_permutations.clear()
+        assert main(argv) == 0
+        assert len(built_permutations) <= 16, argv
+    capsys.readouterr()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from schreierlab import (
     FiniteGroup,
-    Permutation,
     SubgroupLimitError,
     catalog_group,
     interval_data,
@@ -166,8 +165,6 @@ def test_table_matches_permutation_products(name):
 
 
 def test_table_rejects_elements_that_are_not_closed():
-    identity = Permutation.identity(3)
-    three_cycle = Permutation.from_cycles([[0, 1, 2]], 3)
-    group = FiniteGroup([identity, three_cycle], [three_cycle])
+    group = FiniteGroup([[0, 1, 2], [1, 2, 0]], [[1, 2, 0]])
     with pytest.raises(ValueError, match="not closed"):
         group._table()

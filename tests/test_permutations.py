@@ -17,9 +17,15 @@ from schreierlab import (
     intermediate_subgroups,
     lower_central_series,
 )
-from schreierlab.permutations import CosetAction, Transversal, group_from_images
+from schreierlab.permutations import CosetAction, FiniteGroup, Transversal, group_from_images
 from schreierlab.sweeps import _MIDSIZE_POOL, _NILPOTENT_GROUPS, _SMALL_POOL
-from testkit import all_members_series, coset_permutation, faithful_reduction, normal_core
+from testkit import (
+    all_members_series,
+    coset_permutation,
+    faithful_reduction,
+    normal_core,
+    tuple_closure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +553,83 @@ def test_subgroup_enumeration_limit_is_explicit(c4):
 
     with pytest.raises(SubgroupLimitError):
         intermediate_subgroups(c4, c4.trivial_subgroup(), limit=2)
+
+
+@pytest.mark.parametrize("name", ["sym:6", "dihedral:1024"])
+def test_index2_overgroups_hold_every_square(name):
+    # above the table limit; the squares come one mult call at a time here
+    group = catalog_group(name)
+    assert group.order > 512
+    squares = {group.mult(i, i) for i in range(group.order)}
+    rank = (group.order // len(group._closure(squares))).bit_length() - 1
+    found = [group.indices_of(h) for h in index2_overgroups(group, group.trivial_subgroup())]
+    assert len(found) == len(set(found)) == 2**rank - 1
+    assert all(2 * len(h) == group.order and squares <= h for h in found)
+
+
+# ---------------------------------------------------------------------------
+# the image array is the group
+
+
+@st.composite
+def generating_sets(draw):
+    """1-4 permutations of degree 1-8, with repeats and the identity mixed in."""
+    degree = draw(st.integers(1, 8))
+    perm = st.permutations(range(degree)).map(Permutation)
+    gens = draw(st.lists(perm, min_size=1, max_size=4))
+    extras = draw(st.lists(st.sampled_from(gens + [Permutation.identity(degree)]), max_size=2))
+    return draw(st.permutations(gens + extras))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generating_sets())
+def test_array_closure_matches_the_tuple_closure(gens):
+    group = group_from_generators(gens)
+    expected = tuple_closure(gens)
+    assert group.order == len(expected)
+    assert group.images.tolist() == [list(row) for row in expected]
+    if group.order == 1:
+        assert group_from_generators(gens, cap=0).order == len(tuple_closure(gens, cap=0)) == 1
+        return
+    with pytest.raises(GroupTooLargeError) as array_error:
+        group_from_generators(gens, cap=group.order - 1)
+    with pytest.raises(GroupTooLargeError) as tuple_error:
+        tuple_closure(gens, cap=group.order - 1)
+    assert str(array_error.value) == str(tuple_error.value)
+
+
+def test_image_arrays_are_read_only(s3):
+    with pytest.raises(ValueError):
+        s3.images[1, 0] = 0
+    with pytest.raises(ValueError):
+        s3.generator_images[0, 0] = 1
+    assert s3.images.dtype == np.int32 and s3.images.flags.c_contiguous
+
+
+def test_row_tables_need_distinct_rows_and_the_identity_first():
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [1, 2, 0]], [[1, 2, 0]])
+    with pytest.raises(ValueError, match="identity"):
+        FiniteGroup([[1, 2, 0], [0, 1, 2]], [[1, 2, 0]])
+    with pytest.raises(ValueError, match="bijection"):
+        FiniteGroup([[0, 1, 2], [1, 1, 0]], [[1, 1, 0]])
+
+
+def test_reading_an_element_builds_one_permutation(built_permutations):
+    group = catalog_group("cyclic:2xsym:4")
+    built_permutations.clear()
+    assert group.elements[7] != group.generators[0]
+    assert len(built_permutations) == 2
+
+
+def test_elements_are_rows_read_as_permutations():
+    group = catalog_group("sym:4")
+    rows = [Permutation(row) for row in group.images.tolist()]
+    assert len(group.elements) == group.order
+    for i in (0, 5, group.order - 1, -1, -group.order):
+        assert group.elements[i] == rows[i]
+    for part in (slice(None), slice(3, 9), slice(None, None, -2), slice(-4, None)):
+        assert group.elements[part] == tuple(rows[part])
+    with pytest.raises(IndexError):
+        group.elements[group.order]
+    assert list(group.generators) == [Permutation(row) for row in group.generator_images.tolist()]

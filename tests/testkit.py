@@ -4,7 +4,13 @@ connection multisets hold."""
 
 import math
 
-from schreierlab import CosetAction, Permutation, group_from_generators, interval_data
+from schreierlab import (
+    CosetAction,
+    GroupTooLargeError,
+    Permutation,
+    group_from_generators,
+    interval_data,
+)
 from schreierlab.permutations import DEFAULT_ORDER_CAP, Transversal
 
 
@@ -96,3 +102,20 @@ def subgroup_bound_by_minimum(group, stabilizer, size):
         if value < best_log:
             best_log, best_entry = value, entry
     return math.exp(best_log), best_entry.subgroup
+
+
+def tuple_closure(generators, cap=DEFAULT_ORDER_CAP):
+    """Image tuples of the breadth-first closure of the generators, one
+    product at a time: the oracle for the level-by-level array closure of
+    ``group_from_generators``."""
+    identity = tuple(range(generators[0].degree))
+    elements, seen = [identity], {identity}
+    for current in elements:
+        for g in generators:
+            nxt = tuple(g.images[x] for x in current)
+            if nxt not in seen:
+                if len(elements) >= cap:
+                    raise GroupTooLargeError(f"group exceeds the configured cap of {cap} elements")
+                seen.add(nxt)
+                elements.append(nxt)
+    return elements
