@@ -57,31 +57,28 @@ def interval_data(
     subgroups = intermediate_subgroups(group, stabilizer, limit=limit)
     key = ("interval-data", group.indices_of(stabilizer))
     cached = group._cache.get(key)
-    if cached is not None:
-        return cached
-    entries = []
-    stab_gens = group._indices_of_rows(stabilizer.generator_images).tolist()
-    for sub in subgroups:
-        gens = group._indices_of_rows(sub.generator_images).tolist()
-        derived, _ = group._commutator_closure(gens, gens)
-        join = group._closure(stab_gens, base=derived)
-        entries.append(
-            IntervalEntry(
-                subgroup=sub,
-                index=group.order // sub.order,
-                section=sub.order // len(join),
-            )
-        )
-    group._cache[key] = entries
-    return entries
+    if cached is None:
+        index, cached = group._index(), []
+        stab_gens = [index[row.tobytes()] for row in stabilizer.generator_images]
+        for sub in subgroups:
+            gens = [index[row.tobytes()] for row in sub.generator_images]
+            derived, _ = group._commutator_closure(gens, gens)
+            join = group._closure(stab_gens, base=derived)
+            cached.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))
+        group._cache[key] = cached
+    return cached
 
 
 def _theta_entry(group: FiniteGroup, stabilizer: FiniteGroup, limit: int):
-    """log Θ, the largest log(section) / index over the interval, and the
-    first entry attaining it (None for an empty interval)."""
+    """log Θ, the largest log(section) / index over ``interval_data``, and
+    the first entry attaining it (None if there is none); cached."""
     entries = interval_data(group, stabilizer, limit=limit)
-    scored = ((math.log(e.section) / e.index, e) for e in entries)
-    return max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
+    key = ("theta", group.indices_of(stabilizer))
+    best = group._cache.get(key)
+    if best is None:
+        scored = ((math.log(e.section) / e.index, e) for e in entries)
+        best = group._cache[key] = max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
+    return best
 
 
 def log_theta(

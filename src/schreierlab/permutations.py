@@ -293,22 +293,38 @@ class FiniteGroup:
 
     # -- index arithmetic --------------------------------------------------
 
-    def _table(self) -> Optional[list[list[int]]]:
-        """Cayley table as rows of element indices, up to ``_TABLE_LIMIT``.
-
-        ``table[i][j]`` is the index of ``elements[i] * elements[j]``.  Row
-        ``i`` is one numpy gather over the image array (every element
-        applied after ``elements[i]``), looked up with ``_row_lookup``, so
-        a product that is not an element raises ValueError.  Rows are kept
-        as Python lists because the hot loops read single entries.
-        """
+    def _table(self) -> Optional[np.ndarray]:
+        """Cayley table up to ``_TABLE_LIMIT``, built by ``_gathered``; its
+        ``.tolist()`` rows serve the loops that read single entries."""
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
-            table = [self._indices_of_rows(self.images[:, row]).tolist() for row in self.images]
-            self._cache["table"] = table
+            every = np.arange(self.order)
+            table = self._cache["table"] = self._gathered(*np.broadcast_arrays(every[:, None], every))
+            self._cache["rows"] = table.tolist().__getitem__
         return table
+
+    def products(self, left, right) -> np.ndarray:
+        """Indices of ``elements[l] * elements[r]`` for index arrays that
+        broadcast together (``reps[:, None]`` against ``support`` gives the
+        outer product): one read of the Cayley table, or ``_gathered``."""
+        table = self._table()
+        if table is not None:
+            return table[left, right]
+        return self._gathered(*np.broadcast_arrays(left, right))
+
+    def _gathered(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``products`` from image gathers (``p * q`` is q's images at p's); a
+        product outside the group raises ValueError.  A 2-D result takes one
+        gather and lookup per column: at most ``rows x degree`` images."""
+        if left.ndim == 2 and not (left.strides[1] or right.strides[0]):
+            at = self.images[left[:, 0]]  # an outer product: one image row per column
+            return np.stack([self._indices_of_rows(self.images[r][at]) for r in right[0]], axis=1)
+        if left.ndim == 2:
+            return np.stack([self._gathered(*column) for column in zip(left.T, right.T)], axis=1)
+        rows = np.take(self.images, right[..., None] * self.degree + self.images[left])
+        return self._indices_of_rows(rows.reshape(-1, self.degree)).reshape(left.shape)
 
     def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each row of an ``m x degree`` image array.
@@ -325,18 +341,15 @@ class FiniteGroup:
         return found
 
     def _rows(self):
-        """``rows(i)[j]`` is the index of ``elements[i] * elements[j]``."""
-        table = self._table()
-        if table is not None:
-            return table.__getitem__
-        return functools.partial(_ProductRow, self)
+        """``rows(i)[j]`` is the index of ``elements[i] * elements[j]``: the
+        table's rows, or above ``_TABLE_LIMIT`` rows of ``mult`` calls."""
+        return functools.partial(_ProductRow, self) if self._table() is None else self._cache["rows"]
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        table = self._table()
-        if table is not None:
-            return table[i][j]
-        return self._index()[self.images[j][self.images[i]].tobytes()]
+        if self._table() is None:
+            return self._index()[self.images[j][self.images[i]].tobytes()]
+        return self._cache["rows"](i)[j]
 
     def inverse_indices(self) -> tuple[int, ...]:
         """``inverse_indices()[i]`` is the index of elements[i]^-1: each
@@ -656,10 +669,9 @@ class Transversal:
 class CosetAction:
     """The right action of a group on the right cosets of a subgroup.
 
-    Cosets are numbered by their transversal slot.  The action is computed
-    on the group's image array: coset k goes to the coset of
-    ``reps[k] * g`` (``reps`` the transversal's ``rep_indices``), whose
-    images are g's images gathered at those of ``reps[k]``.
+    Cosets are numbered by their transversal slot: g sends coset k to the
+    coset of ``reps[k] * g`` (``reps`` the transversal's ``rep_indices``),
+    a product read through ``group.products``.
     """
 
     def __init__(self, group: FiniteGroup, stabilizer: FiniteGroup):
@@ -668,14 +680,14 @@ class CosetAction:
         self.transversal = Transversal(group, stabilizer)
         self.n_points = self.transversal.coset_count
         self.base_point = self.transversal.slot_of[0]
-        self._images = group.images
-        self._rep_images = group.images[list(self.transversal.rep_indices)]
+        self._reps = np.array(self.transversal.rep_indices, dtype=np.intp)
         self._slot_of = np.array(self.transversal.slot_of, dtype=np.intp)
 
-    def permutation_of_index(self, element_index: int) -> np.ndarray:
-        """Where the element with that index sends each coset, by slot."""
-        products = self._images[element_index][self._rep_images]
-        return self._slot_of[self.group._indices_of_rows(products)]
+    def permutation_of_index(self, element_index) -> np.ndarray:
+        """Where the element with that index sends each coset, by slot; for
+        m indices, an ``n_points x m`` array, one column per element."""
+        reps = self._reps[:, None] if np.ndim(element_index) else self._reps
+        return self._slot_of[self.group.products(reps, element_index)]
 
     def left_action_of_index(self, element_index: int) -> np.ndarray:
         """Where left multiplication by the element sends each coset, by
@@ -685,8 +697,7 @@ class CosetAction:
         map Hx -> Hyx, which commutes with the right action; for any other
         y it depends on the representatives and need not commute.
         """
-        products = self._rep_images[:, self._images[element_index]]
-        return self._slot_of[self.group._indices_of_rows(products)]
+        return self._slot_of[self.group.products(element_index, self._reps)]
 
     def cyclic_symmetry(self) -> tuple[int, int]:
         """``(y, k)``: the least element index y of the normaliser N_G(H)
@@ -700,7 +711,7 @@ class CosetAction:
         stops as soon as k reaches |N_G(H):H|.  ``(0, 1)`` means H is
         self-normalising.
         """
-        images = self._images
+        images = self.group.images
         in_h = self._slot_of == self.base_point
         candidates = np.arange(len(images))
         if self.stabilizer.order > 1:
@@ -727,7 +738,7 @@ class CosetAction:
         """For each element y of N_G(H), the least t >= 1 with y^t in H
         (``in_h`` marks H's members).  That t divides ``index`` =
         |N_G(H):H|, so only the divisors are tried, in ascending order."""
-        generators = self._images[elements]
+        generators = self.group.images[elements]
         orders = np.zeros(len(elements), dtype=np.int64)
         active = np.arange(len(elements))
         for t in (d for d in range(1, index + 1) if index % d == 0):

@@ -115,9 +115,8 @@ class SchreierGraph:
     action: CosetAction
 
     def __post_init__(self):
-        column = {i: c for c, i in enumerate(self.multiset.support())}
-        inv = self.group.inverse_indices()
-        inverse = [column[inv[i]] for i in column]
+        support, inv = self.multiset.support(), self.group.inverse_indices()
+        inverse = np.searchsorted(support, [inv[i] for i in support])
         undone = self.slots[self.slots, inverse] == np.arange(self.vertex_count)[:, None]
         if not (undone.all() and np.array_equal(self.weights[inverse], self.weights)):
             raise ValueError("edge counts are not symmetric")
@@ -149,18 +148,16 @@ def _require_group(multiset: SymmetricMultiset, group: FiniteGroup) -> None:
 def schreier_graph(
     group: FiniteGroup, stabilizer: FiniteGroup, multiset: SymmetricMultiset
 ) -> SchreierGraph:
-    """Graph of the action on right cosets of the stabilizer.
-
-    The Cayley graph is the special case of a trivial stabilizer.  A
-    multiset of another group raises ValueError.
-    """
+    """Graph of the action on right cosets of the stabilizer, its slot
+    table one ``permutation_of_index`` call for the whole support.  The
+    Cayley graph is the special case of a trivial stabilizer; a multiset
+    of another group raises ValueError."""
     _require_group(multiset, group)
     action = CosetAction(group, stabilizer)
-    columns = [action.permutation_of_index(i) for i in multiset.support()]
     return SchreierGraph(
         vertex_count=action.n_points,
         degree=multiset.size,
-        slots=np.stack(columns, axis=1),
+        slots=action.permutation_of_index(multiset.support()),
         weights=np.array([mult for _, mult in multiset.entries], dtype=np.int64),
         group=group,
         stabilizer=stabilizer,
@@ -239,22 +236,21 @@ def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> Symmetri
     Every pair (t, s) of a coset representative and a connection element
     contributes t s (bar(t s))^-1, where bar maps an element to its coset
     representative.  Sizes multiply: the result has |G:H| * |S| members with
-    multiplicity, all inside the subgroup, and stays symmetric.
+    multiplicity, all inside the subgroup, and stays symmetric.  The pairs
+    are two ``products`` calls, their multiplicities one bincount.
     """
     group, subgroup = transversal.parent, transversal.subgroup
     _require_group(multiset, group)
-    inv = group.inverse_indices()
-    counts: Counter = Counter()
-    for t in transversal.rep_indices:
-        for s, mult in multiset.entries:
-            ts = group.mult(t, s)
-            rewritten = group.mult(ts, inv[transversal.rep_of[ts]])
-            counts[rewritten] += mult
-    home = transversal.slot_of[0]
-    if any(transversal.slot_of[i] != home for i in counts):
+    inv = np.array(group.inverse_indices())
+    ts = group.products(np.array(transversal.rep_indices)[:, None], multiset.support())
+    rewritten = group.products(ts, inv[np.array(transversal.rep_of)[ts]]).ravel()
+    counts = np.bincount(rewritten, np.tile([m for _, m in multiset.entries], len(ts))).astype(int)
+    found = np.flatnonzero(counts)
+    if (np.array(transversal.slot_of)[found] != transversal.slot_of[0]).any():
         raise AssertionError("rewritten element escaped the subgroup")
-    found = subgroup._indices_of_rows(group.images[list(counts)]).tolist()
-    return SymmetricMultiset(subgroup, zip(found, counts.values()))
+    index = subgroup._index()
+    entries = [index[row.tobytes()] for row in group.images[found]]
+    return SymmetricMultiset(subgroup, zip(entries, counts[found].tolist()))
 
 
 @dataclass(frozen=True)

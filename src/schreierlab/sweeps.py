@@ -390,14 +390,10 @@ def check_random_expansion() -> CriterionResult:
 
 def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
     start = time.perf_counter()
-    theta_cache: dict[tuple[int, frozenset], float] = {}
     gaps, sizes = Tally(SUBGROUP_BOUND.name), Tally(SET_SIZE.name)
+    pairs = {(id(inst.group), inst.group.indices_of(inst.stabilizer)) for inst in instances}
     for inst in instances:
-        key = (id(inst.group), inst.group.indices_of(inst.stabilizer))
-        ltheta = theta_cache.get(key)
-        if ltheta is None:
-            ltheta = log_theta(inst.group, inst.stabilizer)
-            theta_cache[key] = ltheta
+        ltheta = log_theta(inst.group, inst.stabilizer)
         bound, _ = subgroup_gap_bound(inst.group, inst.stabilizer, inst.multiset)
         gaps.add(SUBGROUP_BOUND.check(inst.gap, bound))
         for epsilon in (0.1, 0.3, 0.5):
@@ -410,7 +406,7 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
         start,
         {
             "instances": len(instances),
-            "pairs_with_theta": len(theta_cache),
+            "pairs_with_theta": len(pairs),
             "bound_violations": gaps.violations,
             "size_checks": sizes.count,
             "size_violations": sizes.violations,

@@ -273,13 +273,67 @@ def test_coset_action_matches_permutation_products(name, data):
     picks = data.draw(st.lists(index, max_size=2))
     action = CosetAction(group, group.subgroup_generated([group.elements[i] for i in picks]))
     t = action.transversal
-    for i in data.draw(st.lists(index, min_size=1, max_size=3)):
+    drawn = data.draw(st.lists(index, min_size=1, max_size=3))
+    columns = []
+    for i in drawn:
         expected = [
             t.slot_of[group.index_of(group.elements[r] * group.elements[i])]
             for r in t.rep_indices
         ]
         assert action.permutation_of_index(i).tolist() == expected
         assert coset_permutation(action, group.elements[i]).images == tuple(expected)
+        columns.append(expected)
+    # an array of indices gives one column per element, in the order given
+    slots = action.permutation_of_index(np.array(drawn))
+    assert slots.shape == (action.n_points, len(drawn))
+    assert slots.T.tolist() == columns
+    assert action.permutation_of_index(drawn).tolist() == slots.tolist()
+
+
+# the left action on both sides of the table limit: alt:6 (360) reads the
+# Cayley table, sym:6 (720) gathers
+@pytest.mark.parametrize("name", ["dihedral:16", "alt:6", "sym:6"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_left_action_matches_permutation_products(name, data):
+    group = catalog_group(name)
+    index = st.integers(0, group.order - 1)
+    picks = data.draw(st.lists(index, max_size=2))
+    action = CosetAction(group, group.subgroup_generated([group.elements[i] for i in picks]))
+    t = action.transversal
+    for y in data.draw(st.lists(index, min_size=1, max_size=3)):
+        expected = [
+            t.slot_of[group.index_of(group.elements[y] * group.elements[r])]
+            for r in t.rep_indices
+        ]
+        assert action.left_action_of_index(y).tolist() == expected
+
+
+@pytest.mark.parametrize("name", ["dihedral:16", "sym:6"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_products_broadcast_like_permutation_products(name, data):
+    group = catalog_group(name)
+    elements = group.elements
+    indices = st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4)
+    left, right = data.draw(indices), data.draw(indices)
+
+    def product(i, j):
+        return group.index_of(elements[int(i)] * elements[int(j)])
+
+    scalar = group.products(left[0], right[0])
+    assert np.shape(scalar) == () and scalar == product(left[0], right[0])
+    row = group.products(left[0], np.array(right))
+    assert row.tolist() == [product(left[0], j) for j in right]
+    column = group.products(np.array(left), right[0])
+    assert column.tolist() == [product(i, right[0]) for i in left]
+    outer = group.products(np.array(left)[:, None], np.array(right))
+    assert outer.tolist() == [[product(i, j) for j in right] for i in left]
+    # elementwise over arrays of one shape, 1-D and 2-D
+    pairs = group.products(np.array(left), np.array(left))
+    assert pairs.tolist() == [product(i, i) for i in left]
+    squares = group.products(outer, outer)
+    assert squares.tolist() == [[product(x, x) for x in row] for row in outer.tolist()]
 
 
 def generated_by(perms, degree):

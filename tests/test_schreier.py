@@ -27,7 +27,7 @@ from schreierlab import (
 from schreierlab import schreier
 from schreierlab.cli import main
 from schreierlab.inequalities import INDUCED_GAP
-from schreierlab.permutations import CosetAction, Transversal
+from schreierlab.permutations import CosetAction, FiniteGroup, Transversal
 from schreierlab.schreier import induce_with_laws
 from testkit import indexed, ones, permutation_entries
 
@@ -563,6 +563,34 @@ def test_generation_transfers_to_subgroup():
         assert subgroup.subgroup_generated(
             p for p, _ in permutation_entries(induced)
         ).order == subgroup.order
+
+
+@pytest.mark.parametrize("name", ["dihedral:16", "heisenberg:5", "alt:6"])
+def test_products_below_the_table_limit_are_table_reads(name, monkeypatch):
+    """Below the table limit a graph, a left action and a rewriting look
+    no row up and call no ``mult``, once the group's tables are built."""
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(group.generators[:1])
+    transversal = Transversal(group, stabilizer)
+    multiset = sample_symmetric_multiset(group, 5, np.random.default_rng(5))
+
+    def run():
+        graph = schreier_graph(group, stabilizer, multiset)
+        graph.action.left_action_of_index(multiset.support()[-1])
+        return rs_induce(transversal, multiset)
+
+    run()  # the Cayley table, inverse tables and element dicts
+    calls = Counter()
+    for attr in ("_indices_of_rows", "mult"):
+        method = getattr(FiniteGroup, attr)
+
+        def counted(self, *args, _method=method, _attr=attr):
+            calls[_attr] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FiniteGroup, attr, counted)
+    assert run() == rs_induce(transversal, multiset)
+    assert not calls
 
 
 def test_rs_induce_with_custom_transversal(d8):
