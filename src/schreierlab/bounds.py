@@ -41,11 +41,21 @@ class IntervalEntry:
     section: int
 
 
+class IntervalData(list):
+    """``interval_data``'s entries; ``best`` is log Θ, their largest
+    log(section) / index, and the first entry attaining it (or None)."""
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        scored = ((math.log(e.section) / e.index, e) for e in self)
+        self.best = max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
+
+
 def interval_data(
     group: FiniteGroup,
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
-) -> list[IntervalEntry]:
+) -> IntervalData:
     """Abelian section data for every subgroup between stabilizer and group.
 
     Computed in the group's index space on its table: H' is the
@@ -58,27 +68,15 @@ def interval_data(
     key = ("interval-data", group.indices_of(stabilizer))
     cached = group._cache.get(key)
     if cached is None:
-        index, cached = group._index(), []
+        index, entries = group._index(), []
         stab_gens = [index[row.tobytes()] for row in stabilizer.generator_images]
         for sub in subgroups:
             gens = [index[row.tobytes()] for row in sub.generator_images]
             derived, _ = group._commutator_closure(gens, gens)
             join = group._closure(stab_gens, base=derived)
-            cached.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))
-        group._cache[key] = cached
+            entries.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))
+        cached = group._cache[key] = IntervalData(entries)
     return cached
-
-
-def _theta_entry(group: FiniteGroup, stabilizer: FiniteGroup, limit: int):
-    """log Θ, the largest log(section) / index over ``interval_data``, and
-    the first entry attaining it (None if there is none); cached."""
-    entries = interval_data(group, stabilizer, limit=limit)
-    key = ("theta", group.indices_of(stabilizer))
-    best = group._cache.get(key)
-    if best is None:
-        scored = ((math.log(e.section) / e.index, e) for e in entries)
-        best = group._cache[key] = max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
-    return best
 
 
 def log_theta(
@@ -86,7 +84,7 @@ def log_theta(
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
 ) -> float:
-    return _theta_entry(group, stabilizer, limit)[0]
+    return interval_data(group, stabilizer, limit=limit).best[0]
 
 
 def theta(
@@ -130,7 +128,7 @@ def subgroup_gap_bound(
     if size < 1:
         raise ValueError("multiset size must be positive")
     # min_H [log 5 - 2 log section(H) / (|S| |G:H|)] = log 5 - 2 log Θ / |S|
-    best, best_entry = _theta_entry(group, stabilizer, limit)
+    best, best_entry = interval_data(group, stabilizer, limit=limit).best
     assert best_entry is not None
     return math.exp(math.log(5.0) - 2.0 * best / size), best_entry.subgroup
 

@@ -294,33 +294,37 @@ class FiniteGroup:
     # -- index arithmetic --------------------------------------------------
 
     def _table(self) -> Optional[np.ndarray]:
-        """Cayley table up to ``_TABLE_LIMIT``, built by ``_gathered``; its
+        """Cayley table up to ``_TABLE_LIMIT``, built by ``_gathered_outer``,
+        held as int16 (enough for every index up to the limit); its
         ``.tolist()`` rows serve the loops that read single entries."""
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
-            every = np.arange(self.order)
-            table = self._cache["table"] = self._gathered(*np.broadcast_arrays(every[:, None], every))
-            self._cache["rows"] = table.tolist().__getitem__
+            table = self._gathered_outer(range(self.order), range(self.order)).astype(np.int16)
+            self._cache["table"], self._cache["rows"] = table, table.tolist().__getitem__
         return table
 
-    def products(self, left, right) -> np.ndarray:
-        """Indices of ``elements[l] * elements[r]`` for index arrays that
-        broadcast together (``reps[:, None]`` against ``support`` gives the
-        outer product): one read of the Cayley table, or ``_gathered``."""
+    def products(self, left, right, outer: bool = False) -> np.ndarray:
+        """Indices of ``elements[l] * elements[r]``, elementwise for arrays that
+        broadcast together or, with ``outer``, l in 1-D ``left`` by r in 1-D
+        ``right``: one read of the Cayley table, or image gathers above it."""
         table = self._table()
         if table is not None:
-            return table[left, right]
+            return table[np.ix_(left, right)] if outer else table[left, right]
+        if outer:
+            return self._gathered_outer(np.asarray(left), right)
         return self._gathered(*np.broadcast_arrays(left, right))
 
+    def _gathered_outer(self, left: np.ndarray, right) -> np.ndarray:
+        """Outer ``products`` by gathers: left's images, then one row per r."""
+        at = self.images[left]
+        return np.stack([self._indices_of_rows(self.images[r][at]) for r in right], axis=1)
+
     def _gathered(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``products`` from image gathers (``p * q`` is q's images at p's); a
-        product outside the group raises ValueError.  A 2-D result takes one
-        gather and lookup per column: at most ``rows x degree`` images."""
-        if left.ndim == 2 and not (left.strides[1] or right.strides[0]):
-            at = self.images[left[:, 0]]  # an outer product: one image row per column
-            return np.stack([self._indices_of_rows(self.images[r][at]) for r in right[0]], axis=1)
+        """Elementwise ``products`` by gathers (``p * q`` is q's images at p's),
+        a 2-D result one column at a time (at most ``rows x degree`` images);
+        a product outside the group raises ValueError."""
         if left.ndim == 2:
             return np.stack([self._gathered(*column) for column in zip(left.T, right.T)], axis=1)
         rows = np.take(self.images, right[..., None] * self.degree + self.images[left])
@@ -341,8 +345,7 @@ class FiniteGroup:
         return found
 
     def _rows(self):
-        """``rows(i)[j]`` is the index of ``elements[i] * elements[j]``: the
-        table's rows, or above ``_TABLE_LIMIT`` rows of ``mult`` calls."""
+        """``rows(i)[j]`` is ``mult(i, j)``: the table's rows, or ``_ProductRow``."""
         return functools.partial(_ProductRow, self) if self._table() is None else self._cache["rows"]
 
     def mult(self, i: int, j: int) -> int:
@@ -686,8 +689,8 @@ class CosetAction:
     def permutation_of_index(self, element_index) -> np.ndarray:
         """Where the element with that index sends each coset, by slot; for
         m indices, an ``n_points x m`` array, one column per element."""
-        reps = self._reps[:, None] if np.ndim(element_index) else self._reps
-        return self._slot_of[self.group.products(reps, element_index)]
+        outer = np.ndim(element_index) > 0
+        return self._slot_of[self.group.products(self._reps, element_index, outer=outer)]
 
     def left_action_of_index(self, element_index: int) -> np.ndarray:
         """Where left multiplication by the element sends each coset, by
@@ -869,7 +872,7 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
     floor_idx = group.indices_of(floor)
     hyperplanes = group._cache.get("index2")
     if hyperplanes is None:
-        seed = set(group._indices_of_rows(_power_images(group.images, 2)).tolist())
+        seed = set(group.products(range(group.order), range(group.order)).tolist())
         quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
         slot_of, cosets = quotient.slot_of, quotient.rep_indices
 

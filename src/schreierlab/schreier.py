@@ -242,14 +242,13 @@ def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> Symmetri
     group, subgroup = transversal.parent, transversal.subgroup
     _require_group(multiset, group)
     inv = np.array(group.inverse_indices())
-    ts = group.products(np.array(transversal.rep_indices)[:, None], multiset.support())
+    ts = group.products(transversal.rep_indices, multiset.support(), outer=True)
     rewritten = group.products(ts, inv[np.array(transversal.rep_of)[ts]]).ravel()
     counts = np.bincount(rewritten, np.tile([m for _, m in multiset.entries], len(ts))).astype(int)
     found = np.flatnonzero(counts)
     if (np.array(transversal.slot_of)[found] != transversal.slot_of[0]).any():
         raise AssertionError("rewritten element escaped the subgroup")
-    index = subgroup._index()
-    entries = [index[row.tobytes()] for row in group.images[found]]
+    entries = [subgroup._index()[row.tobytes()] for row in group.images[found]]
     return SymmetricMultiset(subgroup, zip(entries, counts[found].tolist()))
 
 

@@ -138,7 +138,7 @@ def test_theta_of_an_empty_interval_fails_its_range(monkeypatch):
     # the stabilizer is in every interval, so only a broken lattice is empty
     from schreierlab import bounds
 
-    monkeypatch.setattr(bounds, "interval_data", lambda *args, **kwargs: [])
+    monkeypatch.setattr(bounds, "interval_data", lambda *args, **kwargs: bounds.IntervalData())
     report = run(ExperimentConfig(command="theta", group_spec="cyclic:6"))
     assert report.results["log_theta"] == -math.inf
     [verdict] = report.verdicts

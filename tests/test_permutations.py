@@ -329,6 +329,9 @@ def test_products_broadcast_like_permutation_products(name, data):
     assert column.tolist() == [product(i, right[0]) for i in left]
     outer = group.products(np.array(left)[:, None], np.array(right))
     assert outer.tolist() == [[product(i, j) for j in right] for i in left]
+    # the explicit outer product takes 1-D arrays or sequences
+    assert group.products(np.array(left), np.array(right), outer=True).tolist() == outer.tolist()
+    assert group.products(tuple(left), right, outer=True).tolist() == outer.tolist()
     # elementwise over arrays of one shape, 1-D and 2-D
     pairs = group.products(np.array(left), np.array(left))
     assert pairs.tolist() == [product(i, i) for i in left]
