@@ -43,11 +43,12 @@ class IntervalEntry:
 
 class IntervalData(list):
     """``interval_data``'s entries; ``best`` is log Θ, their largest
-    log(section) / index, and the first entry attaining it (or None)."""
+    log(section) / index, and the position of the first entry attaining it
+    (or None)."""
 
     def __init__(self, entries=()):
         super().__init__(entries)
-        scored = ((math.log(e.section) / e.index, e) for e in self)
+        scored = ((math.log(e.section) / e.index, i) for i, e in enumerate(self))
         self.best = max(scored, key=lambda pair: pair[0], default=(-math.inf, None))
 
 
@@ -125,12 +126,17 @@ def subgroup_gap_bound(
     its size.
     """
     size = multiset if isinstance(multiset, int) else multiset.size
+    entries = interval_data(group, stabilizer, limit=limit)
+    log_value, position = entries.best
+    assert position is not None
+    return _subgroup_bound(log_value, size), entries[position].subgroup
+
+
+def _subgroup_bound(log_theta_value: float, size: int) -> float:
     if size < 1:
         raise ValueError("multiset size must be positive")
     # min_H [log 5 - 2 log section(H) / (|S| |G:H|)] = log 5 - 2 log Θ / |S|
-    best, best_entry = interval_data(group, stabilizer, limit=limit).best
-    assert best_entry is not None
-    return math.exp(math.log(5.0) - 2.0 * best / size), best_entry.subgroup
+    return math.exp(math.log(5.0) - 2.0 * log_theta_value / size)
 
 
 def abelian_gap_bound(group_order: int, set_size: int) -> float:
@@ -261,17 +267,14 @@ def build_bound_report(
         schreier_graph(group, stabilizer, multiset),
         dim_cap=DEFAULT_DIM_CAP if dim_cap is None else dim_cap,
     )
-    theta_value = theta(group, stabilizer, limit=limit)
-    bound, argmin = subgroup_gap_bound(group, stabilizer, multiset, limit=limit)
     entries = interval_data(group, stabilizer, limit=limit)
-    argmin_index = next(
-        i for i, e in enumerate(entries) if e.subgroup is argmin
-    )
+    log_value, position = entries.best
+    theta_value = math.exp(log_value)
     report = BoundReport(
         theta=theta_value,
-        glwi_bound=bound,
-        glwi_argmin_order=argmin.order,
-        glwi_argmin_index=argmin_index,
+        glwi_bound=_subgroup_bound(log_value, multiset.size),
+        glwi_argmin_order=entries[position].subgroup.order,
+        glwi_argmin_index=position,
         measured_gap=summary.gap,
         measured_lambda=summary.two_sided_lambda,
     )

@@ -268,29 +268,43 @@ def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return group
 
 
-def resolve_group(
-    spec: str, cap: int = DEFAULT_ORDER_CAP, degree: Optional[int] = None
-) -> FiniteGroup:
-    """A catalog name, or a path to a group-spec file of generators.
-
-    ``degree`` is a floor for file parsing, letting subgroup files mention
-    only the points they move.
-    """
+def resolve_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """A catalog name, or a path to a group-spec file of generators."""
     candidate = Path(spec)
-    if candidate.exists() and candidate.is_file():
-        generators = parse_group_text(
-            candidate.read_text(encoding="utf-8"), degree=degree
-        )
+    if candidate.is_file():
+        generators = parse_group_text(candidate.read_text(encoding="utf-8"))
         return group_from_generators(generators, cap=cap)
     return catalog_group(spec, cap=cap)
+
+
+def resolve_subgroup(group: FiniteGroup, spec: str) -> FiniteGroup:
+    """The subgroup of ``group`` generated by a group-spec file or by a
+    catalog name's generators, closed inside ``group``.
+
+    A file is read at the group's degree, so it may mention only the points
+    it moves; the generators must then have exactly the group's degree.
+    """
+    candidate = Path(spec)
+    if candidate.is_file():
+        generators = parse_group_text(
+            candidate.read_text(encoding="utf-8"), degree=group.degree
+        )
+    else:
+        generators = catalog_generators(spec)
+    if generators[0].degree != group.degree:
+        raise ValueError(
+            f"subgroup {spec!r} has degree {generators[0].degree}, "
+            f"not the group's degree {group.degree}"
+        )
+    return group.subgroup_generated(generators)
 
 
 def resolve_action(group: FiniteGroup, action_spec: str) -> FiniteGroup:
     """Turn an action spec into the corresponding point stabilizer.
 
     ``regular`` gives the trivial subgroup, ``natural`` the stabilizer of
-    the first point of a transitive natural action, and ``cosets-of:FILE``
-    the subgroup generated by the permutations in the file.
+    the first point of a transitive natural action, and ``cosets-of:SPEC``
+    the subgroup ``resolve_subgroup`` makes of SPEC.
     """
     spec = action_spec.strip()
     if spec == "regular":
@@ -302,14 +316,5 @@ def resolve_action(group: FiniteGroup, action_spec: str) -> FiniteGroup:
             )
         return group.point_stabilizer(0)
     if spec.startswith("cosets-of:"):
-        path = Path(spec.split(":", 1)[1])
-        perms = parse_group_text(
-            path.read_text(encoding="utf-8"), degree=group.degree
-        )
-        if perms and perms[0].degree != group.degree:
-            raise ValueError(
-                f"subgroup file degree {perms[0].degree} does not match "
-                f"group degree {group.degree}"
-            )
-        return group.subgroup_generated(perms)
+        return resolve_subgroup(group, spec.split(":", 1)[1])
     raise ValueError(f"unknown action spec {action_spec!r}")

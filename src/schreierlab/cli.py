@@ -12,14 +12,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bounds import build_bound_report, derived_index_check, log_theta, nilpotent_gap_bound
-from .catalog import resolve_action, resolve_group
+from .catalog import resolve_action, resolve_group, resolve_subgroup
 from .errors import SchreierLabError
 from .inequalities import (
     ABELIAN_BOUND,
@@ -58,12 +58,16 @@ from .schreier import (
 from .spectral import DEFAULT_DIM_CAP, dump_matrix, spectral_summary
 from .sweeps import run_all
 
-_SUBGROUP_COMMANDS = ("rs-induce", "search-counterexample")
-
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: what to run, on what, with which caps."""
+    """One experiment: what to run, on what, with which caps.
+
+    These fields hold the only defaults.  Each field but ``command`` is set
+    by one flag of ``_FLAGS``, and a command reads only the fields its
+    ``_COMMANDS`` entry lists: ``validate`` refuses any other field that
+    differs from its default.
+    """
 
     command: str
     group_spec: Optional[str] = None
@@ -83,14 +87,18 @@ class ExperimentConfig:
     dump_matrix_path: Optional[str] = None
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        reads = _COMMANDS[self.command].reads
+        for f in fields(self):
+            if f.name in _FLAGS and f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.command} takes no {_FLAGS[f.name][0]}")
         for cap_name in ("cap_order", "cap_dim", "cap_subgroups"):
             if getattr(self, cap_name) < 1:
                 raise ValueError(f"{cap_name} must be positive")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, not {self.format!r}")
-        if self.command != "sweep" and not self.group_spec:
+        if "group_spec" in reads and not self.group_spec:
             raise ValueError(f"command {self.command} needs --group")
         search = self.command == "search-counterexample"
         if self.multiset_spec == "all-symmetric-subsets" and not search:
@@ -101,19 +109,20 @@ class ExperimentConfig:
             raise ValueError(
                 "the search is exhaustive; --set accepts only all-symmetric-subsets"
             )
-        if self.command in _SUBGROUP_COMMANDS and not self.subgroup_spec:
+        if "subgroup_spec" in reads and not self.subgroup_spec:
             raise ValueError(f"{self.command} needs --subgroup")
-        if self.subgroup_spec and self.command not in _SUBGROUP_COMMANDS:
-            raise ValueError(f"{self.command} takes no --subgroup")
-        if self.symmetrize and search:
-            raise ValueError("search-counterexample takes no --symmetrize")
         if self.symmetrize and not self.multiset_spec:
             raise ValueError("--symmetrize needs --set")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"--trials must be at least 1, not {self.trials}")
         self.random_size()  # refuses an m that is not a positive integer
-        if self.randomized() and self.seed is None:
-            raise ValueError(f"command {self.command} draws randomness: --seed is required")
+        if self.randomized():
+            if self.seed is None:
+                raise ValueError(f"command {self.command} draws randomness: --seed is required")
+            return
+        for flag, value in (("--seed", self.seed), ("--trials", self.trials)):
+            if value is not None:
+                raise ValueError(f"{self.command} takes no {flag} without --set random:m")
 
     def random_size(self) -> Optional[int]:
         """The m of ``--set random:m``, None for any other --set."""
@@ -335,7 +344,9 @@ def _cmd_verify_thm1(config, report, group, stabilizer, subgroup) -> None:
     epsilon = 0.25 if config.epsilon is None else config.epsilon
     delta = 0.25 if config.delta is None else config.delta
     trials = 400 if config.trials is None else config.trials
-    stats = run_expansion_trials(group, stabilizer, epsilon, delta, trials, config.seed)
+    stats = run_expansion_trials(
+        group, stabilizer, epsilon, delta, trials, config.seed, config.cap_dim
+    )
     report.results = stats.to_dict()
     report.verdicts += stats.verdicts()
 
@@ -423,18 +434,59 @@ def _cmd_sweep(config, report, group, stabilizer, subgroup) -> None:
             report.verdicts.append(r.budget)
 
 
-_RUNNERS = {
-    "spectrum": _cmd_spectrum,
-    "bounds": _cmd_bounds,
-    "theta": _cmd_theta,
-    "rs-induce": _cmd_rs_induce,
-    "verify-thm1": _cmd_verify_thm1,
-    "verify-nilpotent": _cmd_verify_nilpotent,
-    "search-counterexample": _cmd_search,
-    "sweep": _cmd_sweep,
+# Each flag once, keyed by the ExperimentConfig field it sets (its dest).  A
+# flag that takes a value shows its name as metavar unless its entry names one.
+_FLAGS = {
+    "group_spec": ("--group", {"required": True, "help": "catalog name or group-spec file"}),
+    "action_spec": ("--action", {"help": "regular | natural | cosets-of:SPEC (default regular)"}),
+    "multiset_spec": ("--set", {
+        "metavar": "MULTISET",
+        "help": "multiset file, or random:m (needs --seed; m uniform draws joined with their "
+        "inverses under --symmetrize, otherwise a symmetric sample of total size m)",
+    }),
+    "subgroup_spec": ("--subgroup", {"required": True, "help": "catalog name or file for H"}),
+    "symmetrize": ("--symmetrize", {"action": "store_true",
+                                    "help": "join the multiset with its inverses before use"}),
+    "epsilon": ("--epsilon", {"type": float}),
+    "delta": ("--delta", {"type": float}),
+    "trials": ("--trials", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "output": ("--out", {"help": "report path (default stdout)"}),
+    "format": ("--format", {"choices": ("json", "csv")}),
+    "cap_order": ("--cap-order", {"type": int}),
+    "cap_dim": ("--cap-dim", {"type": int}),
+    "cap_subgroups": ("--cap-subgroups", {"type": int}),
+    "dump_matrix_path": ("--dump-matrix", {"help": "write the walk matrix here"}),
 }
-COMMANDS = tuple(_RUNNERS)
 
+
+class _Command(NamedTuple):
+    runner: Callable
+    help: str
+    reads: tuple  # the ExperimentConfig fields the command reads
+
+
+_REPORT = ("output", "format")
+_GROUP = ("group_spec", "action_spec", "cap_order") + _REPORT
+_SET = _GROUP + ("multiset_spec", "symmetrize", "seed")
+
+_COMMANDS = {
+    "spectrum": _Command(_cmd_spectrum, "eigenvalues and gap of one Schreier graph",
+                         _SET + ("cap_dim", "dump_matrix_path")),
+    "bounds": _Command(_cmd_bounds, "evaluate every applicable bound",
+                       _SET + ("epsilon", "cap_dim", "cap_subgroups")),
+    "theta": _Command(_cmd_theta, "the abelian-section invariant of an action",
+                      _GROUP + ("cap_subgroups",)),
+    "rs-induce": _Command(_cmd_rs_induce, "rewrite a multiset into a subgroup",
+                          _SET + ("subgroup_spec",)),
+    "verify-thm1": _Command(_cmd_verify_thm1, "random multiset expansion trials",
+                            _GROUP + ("epsilon", "delta", "trials", "seed", "cap_dim")),
+    "verify-nilpotent": _Command(_cmd_verify_nilpotent, "nilpotent gap bound trials",
+                                 _SET + ("trials", "cap_dim")),
+    "search-counterexample": _Command(_cmd_search, "exhaustive dedup counterexample search",
+                                      _GROUP + ("multiset_spec", "subgroup_spec")),
+    "sweep": _Command(_cmd_sweep, "run the whole verification matrix", _REPORT),
+}
 
 def run(config: ExperimentConfig) -> Report:
     """Execute one experiment and return its report.
@@ -445,15 +497,12 @@ def run(config: ExperimentConfig) -> Report:
     config.validate()
     report = Report(config=config)
     group = stabilizer = subgroup = None
-    if config.command != "sweep":
+    if config.group_spec:
         group = resolve_group(config.group_spec, cap=config.cap_order)
         stabilizer = resolve_action(group, config.action_spec)
-    if config.command in _SUBGROUP_COMMANDS:
-        generated = resolve_group(
-            config.subgroup_spec, cap=config.cap_order, degree=group.degree
-        )
-        subgroup = group.subgroup_generated(generated.generators)
-    _RUNNERS[config.command](config, report, group, stabilizer, subgroup)
+    if config.subgroup_spec:
+        subgroup = resolve_subgroup(group, config.subgroup_spec)
+    _COMMANDS[config.command].runner(config, report, group, stabilizer, subgroup)
     return report
 
 
@@ -463,90 +512,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Schreier graph spectra and expansion bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, group=True, multiset=False, random=False):
-        if group:
-            p.add_argument("--group", required=True, help="catalog name or group-spec file")
-            p.add_argument(
-                "--action",
-                default="regular",
-                help="regular | natural | cosets-of:FILE (default regular)",
-            )
-        if multiset:
-            p.add_argument(
-                "--set",
-                dest="multiset",
-                help="multiset file, or random:m (needs --seed; m uniform draws "
-                "joined with their inverses under --symmetrize, otherwise a "
-                "symmetric sample of total size m)",
-            )
-            p.add_argument(
-                "--symmetrize",
-                action="store_true",
-                help="join the multiset with its inverses before use",
-            )
-        if random:
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--delta", type=float, default=None)
-            p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument("--cap-dim", type=int, default=DEFAULT_DIM_CAP)
-        p.add_argument("--cap-subgroups", type=int, default=DEFAULT_SUBGROUP_LIMIT)
-
-    p = sub.add_parser("spectrum", help="eigenvalues and gap of one Schreier graph")
-    common(p, multiset=True)
-    p.add_argument("--dump-matrix", default=None, help="write the walk matrix here")
-
-    p = sub.add_parser("bounds", help="evaluate every applicable bound")
-    common(p, multiset=True, random=True)
-
-    p = sub.add_parser("theta", help="the abelian-section invariant of an action")
-    common(p)
-
-    p = sub.add_parser("rs-induce", help="rewrite a multiset into a subgroup")
-    common(p, multiset=True)
-    p.add_argument("--subgroup", required=True, help="catalog name or file for H")
-
-    p = sub.add_parser("verify-thm1", help="random multiset expansion trials")
-    common(p, random=True)
-
-    p = sub.add_parser("verify-nilpotent", help="nilpotent gap bound trials")
-    common(p, multiset=True, random=True)
-
-    p = sub.add_parser(
-        "search-counterexample", help="exhaustive dedup counterexample search"
-    )
-    common(p, multiset=True)
-    p.add_argument("--subgroup", required=True, help="catalog name or file for H")
-
-    p = sub.add_parser("sweep", help="run the whole verification matrix")
-    common(p, group=False)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for dest, (flag, options) in _FLAGS.items():
+            if dest in command.reads:
+                if "action" not in options and "choices" not in options:
+                    options = {"metavar": flag[2:].upper().replace("-", "_"), **options}
+                p.add_argument(flag, dest=dest, **options)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        group_spec=getattr(args, "group", None),
-        action_spec=getattr(args, "action", "regular"),
-        multiset_spec=getattr(args, "multiset", None),
-        subgroup_spec=getattr(args, "subgroup", None),
-        symmetrize=getattr(args, "symmetrize", False),
-        epsilon=getattr(args, "epsilon", None),
-        delta=getattr(args, "delta", None),
-        trials=getattr(args, "trials", None),
-        seed=args.seed,
-        output=args.out,
-        format=args.format,
-        cap_order=args.cap_order,
-        cap_dim=args.cap_dim,
-        cap_subgroups=args.cap_subgroups,
-        dump_matrix_path=getattr(args, "dump_matrix", None),
-    )
+    return ExperimentConfig(**vars(args))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

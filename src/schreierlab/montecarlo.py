@@ -17,7 +17,7 @@ import numpy as np
 from .inequalities import EMPIRICAL_MEAN, EMPIRICAL_TAIL, Verdict
 from .permutations import FiniteGroup
 from .schreier import SymmetricMultiset, schreier_graph, symmetrize
-from .spectral import spectral_summary
+from .spectral import DEFAULT_DIM_CAP, spectral_summary
 
 
 def sample_multiset(group: FiniteGroup, m: int, rng: np.random.Generator) -> list[int]:
@@ -130,6 +130,7 @@ def run_expansion_trials(
     delta: float,
     trials: int,
     seed: int,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TrialStats:
     """Draw, symmetrize, measure: the empirical side of random expansion.
 
@@ -137,7 +138,8 @@ def run_expansion_trials(
     elements, joins them with their inverses (total degree 2m), and records
     the two-sided lambda of the resulting Schreier graph.  The empirical
     tail beyond epsilon is compared against delta, and the empirical mean
-    against epsilon + delta.
+    against epsilon + delta.  ``dim_cap`` bounds |Omega| as in
+    ``spectral_summary``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -148,7 +150,7 @@ def run_expansion_trials(
         rng = np.random.default_rng([seed, t])
         drawn = sample_multiset(group, m, rng)
         graph = schreier_graph(group, stabilizer, symmetrize(group, ((i, 1) for i in drawn)))
-        lambdas.append(spectral_summary(graph).two_sided_lambda)
+        lambdas.append(spectral_summary(graph, dim_cap=dim_cap).two_sided_lambda)
     values = np.array(lambdas)
     return TrialStats(
         trials=trials,

@@ -789,7 +789,8 @@ def lower_central_series(
     """
     cached = group._cache.get("lcs")
     if cached is not None:
-        return cached
+        lower, class_c = cached
+        return [group, *lower], class_c
     gen_idx = sorted(set(group._indices_of_rows(group.generator_images).tolist()))
     terms = [group]
     current, normal_gens = frozenset(range(group.order)), gen_idx
@@ -803,7 +804,8 @@ def lower_central_series(
             result = (terms, len(terms) - 1)
             break
         current = nxt
-    group._cache["lcs"] = result
+    # the cache leaves out G itself, which would tie the group to its own cache
+    group._cache["lcs"] = (terms[1:], result[1])
     return result
 
 

@@ -16,6 +16,7 @@ from schreierlab import (
     interval_data,
     nilpotent_exponents,
     nilpotent_gap_bound,
+    resolve_action,
     sample_symmetric_multiset,
     schreier_graph,
     spectral_summary,
@@ -23,6 +24,7 @@ from schreierlab import (
     theta,
     theta_min_set_size,
 )
+from schreierlab import bounds
 from schreierlab.bounds import log_theta
 from testkit import conjugate_subgroup, indexed, ones, subgroup_bound_by_minimum
 
@@ -257,6 +259,30 @@ def test_bound_report_fields(c4):
     assert data["min_set_size"] == pytest.approx(theta_min_set_size(4.0, 0.5))
     assert data["vacuous"] == []
     assert data["glwi_bound"] <= 5.0
+
+
+@pytest.mark.parametrize(
+    "name, action", [("cyclic:16", "regular"), ("sym:4", "natural"), ("heisenberg:3", "regular")]
+)
+def test_bound_report_reads_its_interval_once(name, action, monkeypatch):
+    group = catalog_group(name)
+    stabilizer = resolve_action(group, action)
+    s = sample_symmetric_multiset(group, 4, np.random.default_rng(5))
+    expected_bound, expected_argmin = subgroup_gap_bound(group, stabilizer, s)
+    entries = interval_data(group, stabilizer)
+    reads = []
+
+    def recorded(*args, **kwargs):
+        reads.append(args)
+        return entries
+
+    monkeypatch.setattr(bounds, "interval_data", recorded)
+    report = build_bound_report(group, stabilizer, s)
+    assert len(reads) == 1
+    assert report.theta == theta(group, stabilizer)
+    assert report.glwi_bound == expected_bound
+    assert entries[report.glwi_argmin_index].subgroup is expected_argmin
+    assert report.glwi_argmin_order == expected_argmin.order
 
 
 def test_bound_report_flags_vacuous_bounds():

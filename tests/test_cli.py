@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import types
 
 import pytest
 
+from schreierlab import cli
 from schreierlab.catalog import CACHE_ENV_VAR
 from schreierlab.cli import ExperimentConfig, main, render_report, run
 
@@ -324,12 +326,19 @@ def test_random_size_below_one_is_refused_naming_the_flag(command, symmetrize, m
 def test_symmetrize_is_refused_by_the_search(tmp_path, capsys):
     sub = tmp_path / "rot.txt"
     sub.write_text("(1 2 3 4)\n", encoding="utf-8")
-    code = main(
-        ["search-counterexample", "--group", "dihedral:8", "--subgroup", str(sub),
-         "--set", "all-symmetric-subsets", "--symmetrize"]
+    with pytest.raises(SystemExit) as exit_:
+        main(
+            ["search-counterexample", "--group", "dihedral:8", "--subgroup", str(sub),
+             "--set", "all-symmetric-subsets", "--symmetrize"]
+        )
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --symmetrize" in capsys.readouterr().err
+    config = ExperimentConfig(
+        command="search-counterexample", group_spec="dihedral:8", subgroup_spec=str(sub),
+        multiset_spec="all-symmetric-subsets", symmetrize=True,
     )
-    assert code == 2
-    assert "error: search-counterexample takes no --symmetrize" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="^search-counterexample takes no --symmetrize$"):
+        run(config)
 
 
 def test_dimension_cap_binds_on_the_block_path(tmp_path, capsys):
@@ -394,7 +403,8 @@ def test_failing_verdict_yields_exit_one(monkeypatch, capsys):
         report.results = {"note": "forced"}
         report.verdicts.append(cli_module.Verdict("forced-failure", False, "injected"))
 
-    monkeypatch.setitem(cli_module._RUNNERS, "theta", fake_runner)
+    theta = cli_module._COMMANDS["theta"]
+    monkeypatch.setitem(cli_module._COMMANDS, "theta", theta._replace(runner=fake_runner))
     code = main(["theta", "--group", "cyclic:4"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -543,3 +553,151 @@ def test_permutations_are_built_only_at_parse_and_print(
         assert main(argv) == 0
         assert len(built_permutations) <= 16, argv
     capsys.readouterr()
+
+
+# A value other than the default for every field a flag sets.
+FLAG_VALUES = {
+    "group_spec": "cyclic:4",
+    "action_spec": "natural",
+    "multiset_spec": "random:2",
+    "subgroup_spec": "cyclic:4",
+    "symmetrize": True,
+    "epsilon": 0.5,
+    "delta": 0.5,
+    "trials": 2,
+    "seed": 1,
+    "output": "report.json",
+    "format": "csv",
+    "cap_order": 10,
+    "cap_dim": 10,
+    "cap_subgroups": 10,
+    "dump_matrix_path": "walk.txt",
+}
+UNREAD = [
+    (name, field)
+    for name, command in cli._COMMANDS.items()
+    for field in cli._FLAGS
+    if field not in command.reads
+]
+
+
+def test_every_flag_has_a_value_in_the_table():
+    assert set(FLAG_VALUES) == set(cli._FLAGS) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)
+    } - {"command"}
+
+
+def _argv(field, value):
+    flag = cli._FLAGS[field][0]
+    return [flag] if value is True else [flag, str(value)]
+
+
+@pytest.mark.parametrize("name, field", UNREAD)
+def test_a_flag_the_command_does_not_read_is_refused(name, field, capsys):
+    required = {f: FLAG_VALUES[f] for f in ("group_spec", "subgroup_spec")
+                if f in cli._COMMANDS[name].reads}
+    extra = _argv(field, FLAG_VALUES[field])
+    with pytest.raises(SystemExit) as exit_:
+        main([name, *(a for f, v in required.items() for a in _argv(f, v)), *extra])
+    assert exit_.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(extra)}\n" in capsys.readouterr().err
+    config = ExperimentConfig(name, **required, **{field: FLAG_VALUES[field]})
+    with pytest.raises(ValueError, match=f"^{name} takes no {extra[0]}$"):
+        run(config)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_help_lists_exactly_the_flags_the_command_reads(name, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)) - {"--help"}
+    assert listed == {cli._FLAGS[f][0] for f in cli._COMMANDS[name].reads}
+
+
+@pytest.mark.parametrize("flag", [["--trials", "3"], ["--seed", "1"]])
+def test_a_file_multiset_draws_nothing(flag, tmp_path, capsys):
+    s = tmp_path / "set.txt"
+    s.write_text("(1 2 3)\n", encoding="utf-8")
+    argv = ["verify-nilpotent", "--group", "cyclic:3", "--set", str(s), *flag]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: verify-nilpotent takes no {flag[0]} without --set random:m\n"
+    )
+
+
+def test_verify_thm1_honours_a_cap_below_the_action(capsys):
+    argv = ["verify-thm1", "--group", "sym:4", "--trials", "1", "--seed", "1", "--cap-dim", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: dimension 24 exceeds the cap of 3\n"
+
+
+def test_verify_thm1_passes_a_cap_above_the_default_to_the_eigensolve(monkeypatch, capsys):
+    from schreierlab import montecarlo
+
+    caps = []
+    summary = montecarlo.spectral_summary
+
+    def recorded(graph, dim_cap):
+        caps.append(dim_cap)
+        return summary(graph, dim_cap=dim_cap)
+
+    monkeypatch.setattr(montecarlo, "spectral_summary", recorded)
+    argv = ["verify-thm1", "--group", "sym:3", "--trials", "2", "--seed", "1", "--cap-dim", "6000"]
+    code, payload = run_json(argv, capsys)
+    assert code == 0
+    assert caps == [6000, 6000]
+    assert payload["config"]["cap_dim"] == 6000
+
+
+@pytest.mark.parametrize("kind", ["file", "catalog name"])
+def test_subgroup_and_cosets_of_resolve_the_same_subgroup(kind, tmp_path, monkeypatch):
+    spec = "dihedral:8"
+    if kind == "file":
+        spec = tmp_path / "sub.txt"
+        spec.write_text("(1 3)\n(1 2 3 4)\n", encoding="utf-8")
+    seen = {}
+
+    def fake_runner(config, report, group, stabilizer, subgroup):
+        seen.update(group=group, stabilizer=stabilizer, subgroup=subgroup)
+
+    rs_induce = cli._COMMANDS["rs-induce"]
+    monkeypatch.setitem(cli._COMMANDS, "rs-induce", rs_induce._replace(runner=fake_runner))
+    run(ExperimentConfig(
+        "rs-induce", group_spec="sym:4", action_spec=f"cosets-of:{spec}", subgroup_spec=str(spec),
+    ))
+    group = seen["group"]
+    assert seen["subgroup"].order == 8
+    assert group.indices_of(seen["subgroup"]) == group.indices_of(seen["stabilizer"])
+
+
+def test_a_subgroup_spec_of_another_degree_is_refused(capsys):
+    argv = ["theta", "--group", "sym:4", "--action", "cosets-of:sym:3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: subgroup 'sym:3' has degree 3, not the group's degree 4\n"
+    )
+
+
+def test_a_subgroup_is_closed_only_inside_its_group(tmp_path, monkeypatch, capsys):
+    from schreierlab import catalog
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    closures = []
+    closure = catalog.group_from_generators
+
+    def recorded(generators, cap):
+        closures.append(generators)
+        return closure(generators, cap=cap)
+
+    monkeypatch.setattr(catalog, "group_from_generators", recorded)
+    sub = tmp_path / "rot.txt"
+    sub.write_text("(1 2 3 4)\n", encoding="utf-8")
+    s = tmp_path / "set.txt"
+    s.write_text("(2 4)\n", encoding="utf-8")
+    code, payload = run_json(
+        ["rs-induce", "--group", "dihedral:8", "--subgroup", str(sub), "--set", str(s)], capsys
+    )
+    assert code == 0
+    assert payload["results"]["subgroup_order"] == 4
+    assert len(closures) == 1 and closures[0] == catalog.catalog_generators("dihedral:8")

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -488,6 +490,21 @@ def test_lcs_terms_descending_and_normal(d8, heis3):
             for g in group.generators:
                 for x in term.elements:
                     assert g.inverse() * x * g in term
+
+
+def test_the_cached_series_does_not_keep_its_group_alive():
+    # without the cycle, a group is freed when its last reference goes,
+    # not at the next full garbage collection
+    gc.disable()
+    try:
+        group = catalog_group("dihedral:16")
+        first = lower_central_series(group)
+        assert first == lower_central_series(group) and first[0][0] is group
+        freed = weakref.ref(group)
+        del group, first
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
