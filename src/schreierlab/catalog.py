@@ -268,12 +268,21 @@ def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return group
 
 
+def _named_generators(spec: str) -> list[Permutation]:
+    """The catalog generators of a spec that names no file."""
+    try:
+        return catalog_generators(spec)
+    except ValueError as exc:
+        raise ValueError(f"{spec!r} is neither a file nor a catalog name: {exc}") from None
+
+
 def resolve_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """A catalog name, or a path to a group-spec file of generators."""
     candidate = Path(spec)
     if candidate.is_file():
         generators = parse_group_text(candidate.read_text(encoding="utf-8"))
         return group_from_generators(generators, cap=cap)
+    _named_generators(spec)  # refuses a spec that is no catalog name either
     return catalog_group(spec, cap=cap)
 
 
@@ -290,7 +299,7 @@ def resolve_subgroup(group: FiniteGroup, spec: str) -> FiniteGroup:
             candidate.read_text(encoding="utf-8"), degree=group.degree
         )
     else:
-        generators = catalog_generators(spec)
+        generators = _named_generators(spec)
     if generators[0].degree != group.degree:
         raise ValueError(
             f"subgroup {spec!r} has degree {generators[0].degree}, "

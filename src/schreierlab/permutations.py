@@ -40,39 +40,32 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
-def _distinguishing_points(images: np.ndarray) -> list[int]:
-    """Points, chosen greedily from point 0 on, whose images tell the rows
-    of ``images`` apart."""
-    n, d = images.shape
-    base, labels, count = [], np.zeros(n, dtype=np.int64), 0
-    for x in range(d):
-        values, refined = np.unique(labels * d + images[:, x], return_inverse=True)
-        if len(values) > count:
-            base.append(x)
-            labels, count = refined, len(values)
-            if count == n:
-                break
-    return base
-
-
 def _row_lookup(images: np.ndarray):
     """Index of each row of an ``m x degree`` array among the rows of
     ``images``, or None when some row is not there.
 
-    Rows are keyed by their images at a few points that tell the rows of
-    ``images`` apart, found by binary search, and the matches are then
-    checked on all points.
+    Per base point, chosen from point 0 on while its images tell more rows
+    apart, a table maps prefix state x degree + image to the next state
+    (the last to the row index): a lookup is one gather per base point and
+    a check on all points, which refuses an unknown prefix sent to state 0.
+    A group's base points each at least double the prefixes (Lagrange).
     """
-    base = np.array(_distinguishing_points(images), dtype=np.intp)
-    key = np.dtype((np.void, images.itemsize * len(base)))
-    keys = np.ascontiguousarray(images[:, base]).view(key).ravel()
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    last = len(images) - 1
+    n, d = images.shape
+    tables, states, count = {}, np.zeros(n, dtype=np.intp), 1  # a table per base point
+    for x in range(d):
+        if count == n:
+            break
+        keys = states * d + images[:, x]
+        values, refined = np.unique(keys, return_inverse=True)
+        if len(values) > count:
+            tables[x] = np.zeros(count * d, dtype=np.intp)
+            states, count = refined, len(values)
+            tables[x][keys] = states if count < n else np.arange(n)
 
     def lookup(rows: np.ndarray) -> Optional[np.ndarray]:
-        wanted = np.take(rows, base, axis=1).astype(images.dtype, copy=False).view(key).ravel()
-        found = by_key[np.minimum(np.searchsorted(sorted_keys, wanted), last)]
+        found = np.zeros(len(rows), dtype=np.intp)
+        for x, table in tables.items():
+            found = table[found * d + rows[:, x]]
         return found if (images[found] == rows).all() else None
 
     return lookup
@@ -484,16 +477,16 @@ class FiniteGroup:
                 gens.append(i)
         return tuple(gens)
 
-    def _cyclic_reps(self) -> tuple[int, ...]:
-        """One generator per nontrivial cyclic subgroup, ascending: the least
-        index among the generators of that subgroup."""
-        reps = self._cache.get("cyclic_reps")
-        if reps is None:
+    def _cyclic_classes(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The least generator of each nontrivial cyclic subgroup, ascending,
+        and ``class_of``: each element's subgroup's position (-1: identity)."""
+        classes = self._cache.get("cyclic_classes")
+        if classes is None:
             row = self._rows()
-            covered = [False] * self.order
+            class_of = [-1] * self.order
             found = []
             for g in range(1, self.order):
-                if covered[g]:
+                if class_of[g] >= 0:
                     continue
                 found.append(g)
                 powers = [g]  # powers[k - 1] is g^k; the last one is the identity
@@ -502,10 +495,9 @@ class FiniteGroup:
                 m = len(powers)
                 for k in range(1, m):
                     if math.gcd(k, m) == 1:
-                        covered[powers[k - 1]] = True
-            reps = tuple(found)
-            self._cache["cyclic_reps"] = reps
-        return reps
+                        class_of[powers[k - 1]] = len(found) - 1
+            classes = self._cache["cyclic_classes"] = (tuple(found), np.array(class_of))
+        return classes
 
     def subgroup_from_indices(
         self, indices: Iterable[int], generator_indices: Optional[Sequence[int]] = None
@@ -818,13 +810,14 @@ def intermediate_subgroups(
 
     Enumerated by cyclic extension (Neubueser): every such H is the floor
     joined with cyclic subgroups of the group, so starting from the floor
-    each subgroup found is extended by one generator of every cyclic
-    subgroup it does not contain, and <H, z> is grown coset by coset from
-    the members of H.  Every cyclic subgroup is tried, not only those that
-    normalise H, so perfect subgroups such as A5 < S5 are found too.
-    Results are sorted canonically by (order, element indices); each
-    carries a small generating set, the floor's chosen greedily.  The
-    enumeration fails explicitly when it exceeds ``limit``.
+    each subgroup found is extended by every cyclic subgroup it does not
+    contain, normalising or not (so A5 < S5 is found), <H, z> grown coset
+    by coset from the members of H.  As <H, h^-1 z h> = <H, z> for h in
+    H, only the least z of each orbit under conjugation by H's generators
+    is tried; a generator fixing every cyclic subgroup (as in an abelian
+    group) costs nothing.  Results are sorted canonically by (order,
+    element indices); each carries a small generating set, the floor's
+    chosen greedily.  Raises SubgroupLimitError past ``limit`` subgroups.
     """
     floor_idx = group.indices_of(floor)
     key = ("interval", floor_idx)
@@ -837,12 +830,36 @@ def intermediate_subgroups(
         return cached
 
     floor_gens = group._greedy_generators(floor_idx)
-    cyclic_reps = group._cyclic_reps()
+    cyclic_reps, class_of = group._cyclic_classes()
+    reps, inv = np.array(cyclic_reps, dtype=np.intp), group.inverse_indices()
+    positions = np.arange(len(reps))
+
+    @functools.cache
+    def moved(h: int) -> tuple[np.ndarray, ...]:
+        """(The class of h^-1 z h for each rep z,), or () if h fixes every class."""
+        image = class_of[group.products(group.products(inv[h], reps), h)]
+        return () if (image == positions).all() else (image,)
+
+    def least_in_orbits(maps: tuple[np.ndarray, ...]) -> Sequence[int]:
+        """The reps least in their orbits under ``maps``: labels stay in their
+        orbits and only fall, so at a fixed point each is its orbit's least."""
+        if not maps:
+            return cyclic_reps
+        least = positions
+        while True:
+            label = least
+            for m in maps:
+                label = np.minimum(label, label[m])
+            label = label[label]
+            if (label == least).all():
+                return reps[least == positions].tolist()
+            least = label
+
     known: dict[frozenset[int], tuple[int, ...]] = {floor_idx: floor_gens}
-    frontier = [(floor_idx, floor_gens)]
+    frontier = [(floor_idx, floor_gens, sum(map(moved, floor_gens), ()))]
     while frontier:
-        members, gens = frontier.pop()
-        for z in cyclic_reps:
+        members, gens, maps = frontier.pop()
+        for z in least_in_orbits(maps):
             if z in members:
                 continue
             grown = group._closure((z,), base=members, base_gens=gens)
@@ -851,9 +868,8 @@ def intermediate_subgroups(
                     raise SubgroupLimitError(
                         f"more than {limit} subgroups between the given groups"
                     )
-                new_gens = gens + (z,)
-                known[grown] = new_gens
-                frontier.append((grown, new_gens))
+                known[grown] = gens + (z,)
+                frontier.append((grown, gens + (z,), maps + moved(z)))
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
     result = [
         group.subgroup_from_indices(members, generator_indices=known[members] or None)

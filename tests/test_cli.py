@@ -679,6 +679,23 @@ def test_a_subgroup_spec_of_another_degree_is_refused(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theta", "--group", "{missing}"],
+        ["theta", "--group", "sym:4", "--action", "cosets-of:{missing}"],
+        ["rs-induce", "--group", "sym:4", "--subgroup", "{missing}",
+         "--set", "random:2", "--seed", "1"],
+    ],
+)
+def test_a_missing_file_is_named_as_neither_file_nor_catalog_name(args, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    argv = [a.format(missing=missing) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing!r} is neither a file nor a catalog name")
+
+
 def test_a_subgroup_is_closed_only_inside_its_group(tmp_path, monkeypatch, capsys):
     from schreierlab import catalog
 

@@ -9,17 +9,20 @@ subgroup closed from the commutators of all pairs of its elements.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
     FiniteGroup,
+    Permutation,
     SubgroupLimitError,
     catalog_group,
     interval_data,
     intermediate_subgroups,
 )
+from testkit import lattice_over_every_cyclic_rep
 
 # every catalog group of order <= 128 in the theta-intervals benchmark
 THETA_GROUPS = ["heisenberg:5", "sym:5", "elem-abelian:2^5", "cyclic:2xsym:4", "dihedral:16"]
@@ -111,6 +114,61 @@ def test_interval_above_random_floor_matches_oracle(name, picks):
     group = catalog_group(name)
     floor = group.subgroup_generated([group.elements[i % group.order] for i in picks])
     assert_matches_oracle(group, floor)
+
+
+def assert_matches_every_cyclic_rep(group, floor, limit=None):
+    """Same members and generator rows, in order, as extending each subgroup
+    by every cyclic subgroup; or the limit error at the same count."""
+    kwargs = {} if limit is None else {"limit": limit}
+    try:
+        expected = lattice_over_every_cyclic_rep(group, floor, **kwargs)
+    except SubgroupLimitError:
+        with pytest.raises(SubgroupLimitError):
+            intermediate_subgroups(group, floor, **kwargs)
+        return
+    subgroups = intermediate_subgroups(group, floor, **kwargs)
+    assert len(subgroups) == len(expected)
+    for sub, (members, gens) in zip(subgroups, expected):
+        assert np.array_equal(sub.images, group.images[list(members)])
+        # only a trivial floor has no generators; it keeps the identity row
+        assert np.array_equal(sub.generator_images, group.images[list(gens) or [0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_GROUPS + THETA_GROUPS),
+    st.lists(st.integers(min_value=0), max_size=2),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+)
+def test_one_extension_per_conjugacy_class_matches_every_cyclic_rep(name, picks, limit):
+    group = catalog_group(name)
+    floor = group.subgroup_generated([group.elements[i % group.order] for i in picks])
+    assert_matches_every_cyclic_rep(group, floor, limit)
+
+
+def test_one_extension_per_conjugacy_class_above_the_table_limit():
+    # sym:6 has no Cayley table: products are gathered image rows
+    group = catalog_group("sym:6")
+    floor = group.subgroup_generated(
+        [Permutation.from_cycles([(0, 1)], 6), Permutation.from_cycles([(0, 1, 2, 3)], 6)]
+    )
+    assert group._table() is None and floor.order == 24
+    assert_matches_every_cyclic_rep(group, floor)
+
+
+def test_full_sym5_lattice_closes_fewer_than_half_of_the_extensions(monkeypatch):
+    # extending by every cyclic subgroup takes 9,561 closures here
+    group = catalog_group("sym:5")
+    calls = []
+    closure = FiniteGroup._closure
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "_closure", counted)
+    assert len(intermediate_subgroups(group, group.trivial_subgroup())) == 156
+    assert len(calls) < 9561 / 2
 
 
 def test_perfect_subgroup_is_found():

@@ -1,4 +1,6 @@
+import functools
 import gc
+import inspect
 import itertools
 import math
 import weakref
@@ -687,6 +689,50 @@ def test_row_tables_need_distinct_rows_and_the_identity_first():
         FiniteGroup([[1, 2, 0], [0, 1, 2]], [[1, 2, 0]])
     with pytest.raises(ValueError, match="bijection"):
         FiniteGroup([[0, 1, 2], [1, 1, 0]], [[1, 1, 0]])
+
+
+# groups on both sides of the 512 table limit
+LOOKUP_GROUPS = ["sym:4", "heisenberg:5", "cyclic:2xsym:4", "sym:6", "alt:7", "cyclic:1024"]
+cached_group = functools.cache(catalog_group)
+
+
+def lookup_tables(group):
+    """The group's row lookup tables, keyed by base point."""
+    group._indices_of_rows(group.images[:1])
+    return inspect.getclosurevars(group._cache["lookup"]).nonlocals["tables"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LOOKUP_GROUPS), st.lists(st.integers(min_value=0), min_size=1, max_size=40))
+def test_row_lookup_agrees_with_the_bytes_index(name, picks):
+    group = cached_group(name)
+    rows = group.images[[i % group.order for i in picks]]
+    index = group._index()
+    assert group._indices_of_rows(rows).tolist() == [index[row.tobytes()] for row in rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LOOKUP_GROUPS), st.integers(min_value=0))
+def test_a_row_that_agrees_only_on_the_base_points_is_refused(name, pick):
+    group = cached_group(name)
+    base = list(lookup_tables(group))
+    row = group.images[pick % group.order].copy()
+    off_base = [x for x in range(group.degree) if x not in base]
+    if len(off_base) > 1:  # a bijection outside the group
+        row[off_base[:2]] = row[off_base[1::-1]]
+    else:
+        row[off_base[0]] = (row[off_base[0]] + 1) % group.degree
+    with pytest.raises(ValueError, match="not closed"):
+        group._indices_of_rows(row[None])
+    with pytest.raises(ValueError, match="not closed"):
+        group._indices_of_rows(np.zeros((1, group.degree), dtype=np.int32))
+
+
+@pytest.mark.parametrize("name", ["sym:7", "cyclic:1024"])
+def test_row_lookup_tables_stay_within_the_stabilizer_chain_bound(name):
+    group = cached_group(name)
+    tables = lookup_tables(group)
+    assert sum(map(len, tables.values())) <= (2 * group.order + len(tables)) * group.degree
 
 
 def test_reading_an_element_builds_one_permutation(built_permutations):

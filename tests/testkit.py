@@ -8,10 +8,11 @@ from schreierlab import (
     CosetAction,
     GroupTooLargeError,
     Permutation,
+    SubgroupLimitError,
     group_from_generators,
     interval_data,
 )
-from schreierlab.permutations import DEFAULT_ORDER_CAP, Transversal
+from schreierlab.permutations import DEFAULT_ORDER_CAP, DEFAULT_SUBGROUP_LIMIT, Transversal
 
 
 def indexed(group, entries):
@@ -119,3 +120,27 @@ def tuple_closure(generators, cap=DEFAULT_ORDER_CAP):
                 seen.add(nxt)
                 elements.append(nxt)
     return elements
+
+
+def lattice_over_every_cyclic_rep(group, floor, limit=DEFAULT_SUBGROUP_LIMIT):
+    """The interval above the floor as (members, generator indices) pairs in
+    canonical order, each subgroup found extended by every cyclic subgroup
+    it does not contain: the oracle for ``intermediate_subgroups``, which
+    tries one cyclic subgroup per orbit under conjugation."""
+    floor_idx = group.indices_of(floor)
+    floor_gens = group._greedy_generators(floor_idx)
+    known = {floor_idx: floor_gens}
+    frontier = [(floor_idx, floor_gens)]
+    while frontier:
+        members, gens = frontier.pop()
+        for z in group._cyclic_classes()[0]:
+            if z in members:
+                continue
+            grown = group._closure((z,), base=members, base_gens=gens)
+            if grown not in known:
+                if len(known) >= limit:
+                    raise SubgroupLimitError(f"more than {limit} subgroups")
+                known[grown] = gens + (z,)
+                frontier.append((grown, gens + (z,)))
+    ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
+    return [(tuple(sorted(s)), known[s]) for s in ordered]
