@@ -100,15 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"format must be json or csv, not {self.format!r}")
         if "group_spec" in reads and not self.group_spec:
             raise ValueError(f"command {self.command} needs --group")
-        search = self.command == "search-counterexample"
-        if self.multiset_spec == "all-symmetric-subsets" and not search:
-            raise ValueError(
-                "all-symmetric-subsets is only meaningful for search-counterexample"
-            )
-        if search and self.multiset_spec not in (None, "all-symmetric-subsets"):
-            raise ValueError(
-                "the search is exhaustive; --set accepts only all-symmetric-subsets"
-            )
         if "subgroup_spec" in reads and not self.subgroup_spec:
             raise ValueError(f"{self.command} needs --subgroup")
         if self.symmetrize and not self.multiset_spec:
@@ -484,7 +475,7 @@ _COMMANDS = {
     "verify-nilpotent": _Command(_cmd_verify_nilpotent, "nilpotent gap bound trials",
                                  _SET + ("trials", "cap_dim")),
     "search-counterexample": _Command(_cmd_search, "exhaustive dedup counterexample search",
-                                      _GROUP + ("multiset_spec", "subgroup_spec")),
+                                      _GROUP + ("subgroup_spec",)),
     "sweep": _Command(_cmd_sweep, "run the whole verification matrix", _REPORT),
 }
 

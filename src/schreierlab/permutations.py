@@ -694,17 +694,20 @@ class CosetAction:
         """
         return self._slot_of[self.group.products(element_index, self._reps)]
 
-    def cyclic_symmetry(self) -> tuple[int, int]:
-        """``(y, k)``: the least element index y of the normaliser N_G(H)
-        whose coset yH has the largest order k in N_G(H)/H.
-
-        Left multiplication by y permutes the cosets freely in cycles of
-        length k, commuting with the right action.  The normaliser is found
-        by conjugating each of H's generators by all remaining candidates
-        in one gather (it is G when H is trivial).  Its elements are then
-        tried in index order, in batches of doubling size, and the search
-        stops as soon as k reaches |N_G(H):H|.  ``(0, 1)`` means H is
-        self-normalising.
+    def block_symmetry(self) -> tuple[int, int, Optional[int]]:
+        """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
+        solve (``_block_cost``).  Left multiplication by y permutes the
+        cosets freely in cycles of length k, the order of yH in N_G(H)/H,
+        commuting with the right action; z is None or the least element of
+        N_G(H) outside <y>H with z^2 and z y z^-1 y (given z^2, (zy)^2) in
+        H, so that <yH, zH> is dihedral.  N_G(H) is found by conjugating H's
+        generators by all candidates in one gather, and the coset orders in
+        index order, in batches of doubling size; one equal to |N_G(H):H|
+        makes N_G(H)/H cyclic, without z, and returns at once.  Otherwise
+        each order, descending, is tried with its least y and the least z
+        of one pass over N_G(H), until the dihedral cost, which grows as the
+        order falls, is no better than the best found.  ``(0, 1, None)``
+        means H is self-normalising.
         """
         images = self.group.images
         in_h = self._slot_of == self.base_point
@@ -718,16 +721,30 @@ class CosetAction:
                 )
                 candidates = candidates[in_h[self.group._indices_of_rows(conjugates)]]
         index = len(candidates) // self.stabilizer.order
-        best, best_k = 0, 1
-        start, size = 1, 1  # candidates[0] is the identity
-        while start < len(candidates) and best_k < index:
-            batch = candidates[start : start + size]
-            orders = self._coset_orders(batch, in_h, index)
-            top = int(np.argmax(orders))
-            if orders[top] > best_k:
-                best, best_k = int(batch[top]), int(orders[top])
+        orders = np.ones(len(candidates), dtype=np.int64)  # candidates[0] is the identity
+        start, size = 1, 1
+        while start < len(candidates) and orders.max() < index:
+            batch = slice(start, start + size)
+            orders[batch] = self._coset_orders(candidates[batch], in_h, index)
             start, size = start + size, 2 * size
-        return best, best_k
+        k = int(orders.max())
+        best = (int(candidates[np.argmax(orders)]), k, None)
+        if k == index:
+            return best
+        cost = _block_cost(self.n_points, k, dihedral=False)
+        for order in sorted(set(orders.tolist()), reverse=True):
+            dihedral = _block_cost(self.n_points, order, dihedral=True)
+            if dihedral >= cost:
+                break
+            y = int(candidates[np.argmax(orders == order)])
+            powers = list(itertools.accumulate([y] * (order - 1), self.group.mult, initial=0))
+            z = candidates[~np.isin(self._slot_of[candidates], self._slot_of[powers])]
+            z = z[in_h[self.group.products(z, z)]]
+            zy = self.group.products(z, y)
+            z = z[in_h[self.group.products(zy, zy)]]
+            if len(z):
+                best, cost = (y, order, int(z[0])), dihedral
+        return best
 
     def _coset_orders(self, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
         """For each element y of N_G(H), the least t >= 1 with y^t in H
@@ -743,6 +760,18 @@ class CosetAction:
             if not len(active):
                 break
         return orders
+
+
+def _block_cost(n_points: int, k: int, dihedral: bool) -> float:
+    """Sum of dim^3 over the blocks ``block_eigenvalues`` solves for a
+    symmetry of order k, a complex block weighted 3 (its measured cost
+    against a real one): modes 0 and k / 2 are real, and a flip halves
+    them and makes every other mode real."""
+    size = n_points / k
+    real, complex_ = 1 + (k % 2 == 0), (k - 1) // 2
+    if dihedral:
+        return (real / 4 + complex_) * size**3
+    return (real + 3 * complex_) * size**3
 
 
 def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:

@@ -4,30 +4,35 @@ The full spectrum is computed rather than extremal eigenvalues only: desk
 scale makes that affordable, and spectrum-containment checks need all of it.
 
 A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
-``eigvalsh``.  From that size on, ``spectral_summary`` first looks for a
-cyclic symmetry: left multiplication by an element y of the normaliser
-N_G(H) permutes the cosets (Hx -> Hyx) freely in cycles of length k and
-commutes with the walk, so the walk is block-circulant over those cycles
-(the cyclic case of the character decomposition of Cayley spectra; Babai,
-J. Combin. Theory B 27, 1979).  Each Fourier mode q of that symmetry is a
-Hermitian block of size n/k, and the spectrum is the union of the blocks'
-spectra (``block_eigenvalues``).  The commutation is checked exactly on
-the graph's slot table first, and the blocks are filled from it, so no
-n x n array is built; the dimension cap binds before either path runs.
-When N_G(H) = H there is no such y and the dense path runs.  Small graphs
-stay dense because there the symmetry search and the block set-up cost
-more than they save: with one BLAS thread on a 2-vCPU Xeon, heisenberg:5
-regular (125 points, k = 5) takes 1.2 ms in blocks against 0.5 ms dense,
-heisenberg:7 (343, k = 7) 7.8 against 6.2 ms, sym:6 (720, k = 6) 13
-against 45 ms.
+``eigvalsh``.  From that size on, ``spectral_summary`` first asks for a
+symmetry (``CosetAction.block_symmetry``): left multiplication by y in the
+normaliser N_G(H) permutes the cosets (Hx -> Hyx) freely in cycles of
+length k and commutes with the walk, which is so block-circulant, one
+Hermitian block of size n/k per Fourier mode (Babai, J. Combin. Theory B
+27, 1979).  A z in N_G(H) inverting y modulo H makes <y, z> dihedral, with
+real irreducible representations (Serre, *Linear Representations of Finite
+Groups*, 5.3): pairing each cycle with its image under z makes every block
+real symmetric and halves modes 0 and k/2 (``block_eigenvalues``).  A
+complex ``eigvalsh`` costs about three real ones of its size, so y and z
+are chosen by the sum of dim^3 over the blocks, a complex block counted 3.
+Each symmetry is checked exactly on the graph's slot table, which fills
+the blocks, so no n x n array is built; the dimension cap binds first.
+When N_G(H) = H the dense path runs.  Small graphs stay dense because the
+set-up costs more than it saves (one BLAS thread, 2-vCPU Xeon): cyclic
+blocks took 1.2 against 0.5 ms on heisenberg:5 (125 points, k = 5) and
+7.8 against 6.2 ms on heisenberg:7 (343, k = 7).  Real blocks take the
+summary of sym:7 on the cosets of (2 7) (2520 points, k = 6) from
+109-119 to 44-46 ms against complex ones, and of alt:7 regular (k = 6,
+as no element of A7 inverts a 7-cycle; complex k = 7) from 84-86 to
+39-40 ms.
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
 ``inequalities.py``, which gives each inequality its tolerance:
 
 * ``ROUNDOFF_TOL`` (1e-12): figures exact up to a few roundings: the
-  symmetry of a walk matrix or of a Hermitian block, theta >= 1, the
-  closed-form exponents.
+  symmetry of a walk matrix or a block, a 1 x 1 block's imaginary part,
+  theta >= 1, the closed-form exponents.
 * ``LOG_TOL`` (1e-9): figures that pass through logarithms: theta <= |Omega|,
   the least expanding-set size, the derived-index inequality, and Rayleigh
   quotients against the extreme eigenvalues.
@@ -44,7 +49,7 @@ is taken block by block; every graph of the sweep lies below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -82,49 +87,93 @@ def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nd
     return np.linalg.eigvalsh(matrix)[::-1].copy()
 
 
-def block_eigenvalues(
-    graph: SchreierGraph, left: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP
-) -> np.ndarray:
-    """The walk spectrum, sorted descending, from a cyclic symmetry.
+def _walk_symmetry(perm, ends: np.ndarray, name: str) -> np.ndarray:
+    """``perm`` as an index array, checked to be a permutation of the points
+    that maps the sorted edge ends of each point onto those of its image."""
+    perm = np.asarray(perm, dtype=np.intp)
+    n = len(ends)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"the {name} is not a permutation of the points")
+    if not np.array_equal(np.sort(perm[ends], axis=1), ends[perm]):
+        raise ValueError(f"the {name} does not commute with the walk")
+    return perm
 
-    ``left`` is a permutation L of the points whose cycles must all have
-    one length k, and which must commute with the walk: checked exactly on
-    the slot table, the sorted edge ends of each point w mapped by L must
-    be those of L(w) (L may swap the columns of s and s^-1).  With the
-    cycles laid out as ``order[i, t] = L^t(o_i)``, the walk entry between
-    L^s(o_i) and L^t(o_j) is ``c[i, j, t - s mod k]``, where ``c[i, j, d]``
-    is the number of edges from o_i to L^d(o_j) over the degree, read off
-    the edge ends of the points o_i: n^2 / k entries.  So the walk is
-    block-circulant, with the spectrum of the k Hermitian blocks
-    ``sum_d c[:, :, d] w^(q d)``, w = exp(2 pi i / k); modes q and k - q
-    are complex conjugates with one spectrum, so only q <= k / 2 is solved,
-    each through ``sym_eigenvalues``.
+
+def block_eigenvalues(
+    graph: SchreierGraph, left: np.ndarray, flip: Optional[np.ndarray] = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> np.ndarray:
+    """The walk spectrum, sorted descending, from a cyclic or dihedral
+    symmetry.
+
+    ``left`` is a permutation L of the points whose cycles all have one
+    length k and which commutes with the walk, checked exactly on the slot
+    table (it may swap the columns of s and s^-1).  With the cycles laid
+    out as ``order[i, t] = L^t(o_i)``, the walk entry between L^s(o_i) and
+    L^t(o_j) is ``c[i, j, t - s mod k]``, where ``c[i, j, d]`` is the
+    number of edges from o_i to L^d(o_j) over the degree, read off the edge
+    ends of the points o_i.  So the walk is block-circulant, with the
+    spectrum of the k Hermitian blocks ``sum_d c[:, :, d] w^(q d)``,
+    w = exp(2 pi i / k); modes q and k - q are complex conjugates with one
+    spectrum, so only q <= k / 2 is solved.
+
+    ``flip`` is None or an involution F that commutes with the walk, with
+    F L = L^-1 F, mapping no cycle to itself.  Cycle i is then paired with
+    the cycle of F(o_i), its base point; with the pairs laid out first, the
+    partners' rows of c are the pairs' reflected in d, so only the pairs'
+    are read, and each mode block is [[A, B], [conj B, conj A]].  For the
+    modes S = A + B and T = A - B, it is unitarily similar to the real
+    symmetric [[Re S, -Im T], [Im S, Re T]] = [[Re A + Re B, Im B - Im A],
+    [Im A + Im B, Re A - Re B]]; a real mode (q = 0, k / 2) splits into S
+    and T.  Blocks above 1 x 1 go through ``sym_eigenvalues``; a 1 x 1
+    block is its eigenvalue, its imaginary part held to ``ROUNDOFF_TOL``.
     """
     n = graph.vertex_count
-    left = np.asarray(left, dtype=np.intp)
     _check_dimension(n, dim_cap)
-    if left.shape != (n,) or not np.array_equal(np.sort(left), np.arange(n)):
-        raise ValueError("the symmetry is not a permutation of the points")
     ends = np.sort(np.repeat(graph.slots, graph.weights, axis=1), axis=1)
-    if not np.array_equal(np.sort(left[ends], axis=1), ends[left]):
-        raise ValueError("the symmetry does not commute with the walk")
+    left = _walk_symmetry(left, ends, "symmetry")
     cycles = Permutation._raw(tuple(left.tolist())).cycles(include_fixed=True)
     k = len(cycles[0])
     if any(len(cycle) != k for cycle in cycles):
         raise ValueError(f"the symmetry has cycles of other lengths than {k}")
     order = np.array(cycles)  # order[i, t] = L^t(o_i), o_i the least point of cycle i
-    m = len(order)
+    m = rows = len(order)
+    if flip is not None:
+        flip = _walk_symmetry(flip, ends, "flip")
+        if not np.array_equal(flip[flip], np.arange(n)):
+            raise ValueError("the flip is not an involution")
+        if not np.array_equal(flip[left], np.argsort(left)[flip]):
+            raise ValueError("the flip does not invert the symmetry")
+        partner = np.argsort(order.ravel())[flip[order[:, 0]]] // k  # the cycle of F(o_i)
+        if np.any(partner == np.arange(m)):
+            raise ValueError("the flip maps a cycle of the symmetry to itself")
+        pairs = order[np.arange(m) < partner]
+        # L^t(F(o_i)) = F(L^-t(o_i))
+        order, rows = np.concatenate([pairs, flip[pairs][:, -np.arange(k) % k]]), m // 2
     place = np.argsort(order.ravel())  # L^t(o_j) sits at j * k + t
-    edges = place[ends[order[:, 0]]] + n * np.arange(m)[:, None]
-    c = np.bincount(edges.ravel(), minlength=m * n).reshape(m, m, k) / graph.degree
-    modes = np.fft.rfft(c, axis=2)
+    edges = place[ends[order[:rows, 0]]] + n * np.arange(rows)[:, None]
+    c = np.bincount(edges.ravel(), minlength=rows * n).reshape(rows, m, k) / graph.degree
+    if flip is not None:  # the rows of A + B above those of A - B
+        c = np.concatenate([c[:, :rows] + c[:, rows:], c[:, :rows] - c[:, rows:]])
+    modes = np.moveaxis(np.fft.rfft(c, axis=2), 2, 0)  # modes[q] holds mode q's rows
+    del c  # as large as the modes: freed before the blocks are built
+    # modes 0 and k / 2 are real (the coefficients w^(q d) are +-1), the rest complex
+    real, complex_ = [0] + [k // 2] * (k % 2 == 0), slice(1, (k + 1) // 2)
+    if flip is None:
+        groups = [(modes.real[real], 1), (modes[complex_], 2)]  # mode k - q counted with q
+    else:
+        s, t = modes[complex_, :rows], modes[complex_, rows:]
+        forms = np.block([[s.real, -t.imag], [s.imag, t.real]])
+        groups = [(modes.real[real].reshape(-1, rows, rows), 1), (forms, 2)]
+        del modes, s, t  # the blocks are copies: free the modes before solving
     spectra = []
-    for q in range(k // 2 + 1):
-        if q == 0 or 2 * q == k:
-            # the coefficients w^(q d) are +-1, so the block is real
-            spectra.append(sym_eigenvalues(modes[:, :, q].real, dim_cap))
-        else:  # mode k - q has the same spectrum
-            spectra += [sym_eigenvalues(modes[:, :, q], dim_cap)] * 2
+    for blocks, times in groups:
+        if blocks.shape[-1] > 1:
+            spectra += [sym_eigenvalues(block, dim_cap) for block in blocks] * times
+        elif np.max(np.abs(blocks.imag), initial=0.0) > ROUNDOFF_TOL:
+            raise ValueError(f"a 1 x 1 block is not real within {ROUNDOFF_TOL:g}")
+        else:
+            spectra += [blocks.real.ravel()] * times
     return np.sort(np.concatenate(spectra))[::-1].copy()
 
 
@@ -149,9 +198,10 @@ class SpectralSummary:
 
 def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralSummary:
     _check_dimension(graph.vertex_count, dim_cap)
-    y, k = graph.action.cyclic_symmetry() if graph.vertex_count >= BLOCK_FLOOR else (0, 1)
+    y, k, z = graph.action.block_symmetry() if graph.vertex_count >= BLOCK_FLOOR else (0, 1, None)
     if k > 1:
-        eigenvalues = block_eigenvalues(graph, graph.action.left_action_of_index(y), dim_cap)
+        left = graph.action.left_action_of_index
+        eigenvalues = block_eigenvalues(graph, left(y), None if z is None else left(z), dim_cap)
     else:
         eigenvalues = sym_eigenvalues(graph.walk, dim_cap=dim_cap)
     leading = eigenvalues[0]

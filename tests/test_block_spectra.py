@@ -1,15 +1,16 @@
 """The block-circulant spectrum against dense eigvalsh and closed forms.
 
-``block_eigenvalues`` solves one Hermitian block per Fourier mode of a
-cyclic symmetry from N_G(H)/H; every test here compares its spectrum with
-an independent one, eigenvalue by eigenvalue.
+``block_eigenvalues`` solves one block per Fourier mode of a cyclic
+symmetry from N_G(H)/H, as a real symmetric block when an inverting flip
+makes the symmetry dihedral; every test here compares its spectrum with an
+independent one, eigenvalue by eigenvalue.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
@@ -53,29 +54,72 @@ def normaliser_coset_orders(group, stabilizer):
     return orders
 
 
-@settings(max_examples=60, deadline=None)
+def least_inverter(group, stabilizer, normaliser, y):
+    """Brute force: the least index z of N_G(H) with z^2 and z y z^-1 y in
+    H and z outside <y>H, by Permutation products; None when there is none."""
+    members = {p.images for p in stabilizer.elements}
+    g = group.elements[y]
+    powers, power = [], Permutation.identity(group.degree)
+    while not powers or power.images not in members:
+        powers.append(power)
+        power = power * g
+    for z in sorted(normaliser):
+        x = group.elements[z]
+        if (
+            (x * x).images in members
+            and (x * g * x.inverse() * g).images in members
+            and all((p.inverse() * x).images not in members for p in powers)
+        ):
+            return z
+    return None
+
+
+def cost(n, k, dihedral):
+    """Sum of dim^3 over the blocks solved, a complex block counted 3 times."""
+    real, complex_ = 1 + (k % 2 == 0), (k - 1) // 2
+    if dihedral:
+        return real * 2 * (n / k / 2) ** 3 + complex_ * (n / k) ** 3
+    return real * (n / k) ** 3 + 3 * complex_ * (n / k) ** 3
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     name=st.sampled_from(
-        ["sym:4", "alt:4", "dihedral:16", "cyclic:2xsym:4", "heisenberg:3", "cyclic:15", "alt:5"]
+        ["sym:4", "alt:4", "dihedral:16", "cyclic:2xsym:4", "heisenberg:3", "cyclic:15", "alt:5",
+         "sym:5"]
     ),
     stabilizer_gens=st.lists(st.integers(min_value=0), max_size=2),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_block_spectrum_matches_dense(name, stabilizer_gens, seed):
+def test_block_spectrum_matches_dense(monkeypatch, name, stabilizer_gens, seed):
     group = catalog_group(name)
     stabilizer = group.subgroup_generated(group.elements[i % group.order] for i in stabilizer_gens)
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(seed), 3))
-    y, k = graph.action.cyclic_symmetry()
+    y, k, z = graph.action.block_symmetry()
     orders = normaliser_coset_orders(group, stabilizer)
-    assert k == max(orders.values())
-    assert y == min(i for i, t in orders.items() if t == k)
-    if k > 1:
-        eigenvalues = block_eigenvalues(graph, graph.action.left_action_of_index(y))
-        assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+    # the choice: the least y of the largest order, unless the least y of
+    # some order has an inverter whose real blocks cost less
+    n, top = graph.vertex_count, max(orders.values())
+    expected = (min(i for i, t in orders.items() if t == top), top, None)
+    if top < len(orders) // stabilizer.order:  # N_G(H)/H is not cyclic
+        best = cost(n, top, dihedral=False)
+        for order in sorted(set(orders.values()), reverse=True):
+            least = min(i for i, t in orders.items() if t == order)
+            flip = least_inverter(group, stabilizer, orders, least)
+            if flip is not None and cost(n, order, dihedral=True) < best:
+                expected, best = (least, order, flip), cost(n, order, dihedral=True)
+    assert (y, k, z) == expected
+    assert orders[y] == k
+    monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
+    eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
 
 # (group, stabilizer generators as cycles, expected k): odd and even k,
-# regular actions and stabilizers with a nontrivial N_G(H)/H
+# regular actions and stabilizers with a nontrivial N_G(H)/H; FLIPPED
+# lists the (group, k) whose symmetry is dihedral
 SYMMETRIES = [
     ("cyclic:9", [], 9),
     ("sym:4", [], 4),
@@ -85,6 +129,7 @@ SYMMETRIES = [
     ("alt:5", [[[0, 1, 2]]], 2),
     ("dihedral:16", [[[0, 4], [1, 3], [5, 7]]], 2),
 ]
+FLIPPED = {("sym:4", 4), ("alt:5", 5), ("cyclic:2xsym:4", 4)}
 
 
 @pytest.mark.parametrize("name,stabilizer_cycles,expected_k", SYMMETRIES)
@@ -94,10 +139,13 @@ def test_block_spectrum_on_chosen_symmetries(name, stabilizer_cycles, expected_k
         Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
     )
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(5), 2))
-    y, k = graph.action.cyclic_symmetry()
-    assert k == expected_k
-    eigenvalues = block_eigenvalues(graph, graph.action.left_action_of_index(y))
+    y, k, z = graph.action.block_symmetry()
+    assert (k, z is not None) == (expected_k, (name, k) in FLIPPED)
+    left = graph.action.left_action_of_index
+    eigenvalues = block_eigenvalues(graph, left(y), None if z is None else left(z))
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+    if z is not None:  # the cyclic blocks alone give the same spectrum
+        assert np.max(np.abs(block_eigenvalues(graph, left(y)) - dense(graph))) < AGREEMENT
 
 
 def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
@@ -106,7 +154,7 @@ def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
     graph = schreier_graph(
         group, group.point_stabilizer(0), symmetrize(group, ones(group, group.generators))
     )
-    assert graph.action.cyclic_symmetry() == (0, 1)
+    assert graph.action.block_symmetry() == (0, 1, None)
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     calls = []
     monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: calls.append(args))
@@ -130,8 +178,11 @@ def test_summary_uses_blocks_from_the_floor_on(monkeypatch):
     monkeypatch.setattr(spectral, "sym_eigenvalues", counted)
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 16)
     summary = spectral_summary(graph)
-    # dihedral:16 has an element of order 8: modes 0..4 of one 2 x 2 block each
-    assert solved == [2] * 5
+    # dihedral:16 has a rotation of order 8 and a reflection inverting it:
+    # modes 1..3 are one real 2 x 2 block each, and the halves of modes 0
+    # and 4 are 1 x 1, read off without a solve
+    assert graph.action.block_symmetry() == (1, 8, 2)
+    assert solved == [2] * 3
     assert np.max(np.abs(np.array(summary.eigenvalues) - dense(graph))) < AGREEMENT
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 17)
     solved.clear()
@@ -165,6 +216,48 @@ def test_symmetry_that_is_not_free_or_not_a_permutation_is_refused():
         block_eigenvalues(graph, -np.arange(6) % 6)
     with pytest.raises(ValueError, match="not a permutation"):
         block_eigenvalues(graph, np.zeros(6, dtype=int))
+
+
+def test_flip_that_breaks_a_dihedral_condition_is_refused():
+    group = catalog_group("dihedral:16")
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
+    y, k, z = graph.action.block_symmetry()
+    left = graph.action.left_action_of_index
+    powers = [0]
+    for _ in range(k - 1):
+        powers.append(group.mult(powers[-1], y))
+    square, central = powers[2], powers[k // 2]
+    swap = np.arange(16)
+    swap[[0, 1]] = [1, 0]
+    for flip, message in [
+        (left(square), "not an involution"),  # y^2 has order 4
+        (left(central), "does not invert"),  # y^(k/2) commutes with y
+        (swap, "does not commute"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            block_eigenvalues(graph, left(y), flip)
+    assert np.max(np.abs(block_eigenvalues(graph, left(y), left(z)) - dense(graph))) < AGREEMENT
+
+
+def test_flip_that_keeps_a_cycle_is_refused():
+    # x -> -x on the 8-cycle is an involution that commutes with the walk and
+    # inverts the rotation, but the rotation has one cycle, which it keeps
+    group = catalog_group("cyclic:8")
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+    )
+    g = group.generators[0]
+    powers = [Permutation.identity(group.degree)]
+    for _ in range(7):
+        powers.append(powers[-1] * g)
+    point = [graph.action.transversal.slot_of[group.index_of(x)] for x in powers]
+    left, flip = np.empty(8, dtype=int), np.empty(8, dtype=int)
+    left[point] = [point[(e + 1) % 8] for e in range(8)]
+    flip[point] = [point[-e % 8] for e in range(8)]
+    with pytest.raises(ValueError, match="maps a cycle of the symmetry to itself"):
+        block_eigenvalues(graph, left, flip)
 
 
 def test_walk_symmetry_that_swaps_columns_is_accepted():
@@ -202,10 +295,17 @@ def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
     assert len(summary.eigenvalues) == graph.vertex_count == 2520
 
 
-# the shapes of the large-actions benchmark workload, above the floor
+# the shapes of the large-actions benchmark workload, above the floor: the
+# stabilizer of sym:7 is a transposition or a triple transposition by seed,
+# and alt:7 has no inverter of a 7-cycle, so it uses an element of order 6
 @pytest.mark.parametrize(
     "name,stabilizer_cycles,expected_k",
-    [("sym:7", [[[1, 6]]], 6), ("alt:7", [], 7), ("cyclic:1024", [], 1024)],
+    [
+        ("sym:7", [[[1, 6]]], 6),
+        ("alt:7", [], 6),
+        ("cyclic:1024", [], 1024),
+        ("sym:7", [[[1, 6], [2, 3], [4, 5]]], 4),
+    ],
 )
 def test_large_action_shapes_match_dense(name, stabilizer_cycles, expected_k):
     group = catalog_group(name)
@@ -214,7 +314,8 @@ def test_large_action_shapes_match_dense(name, stabilizer_cycles, expected_k):
     )
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    assert graph.action.cyclic_symmetry()[1] == expected_k
+    _, k, z = graph.action.block_symmetry()
+    assert (k, z is None) == (expected_k, name == "cyclic:1024")
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
@@ -259,7 +360,7 @@ def test_character_sums_above_the_floor(name, expected_k):
     multiset = drawn_multiset(group, np.random.default_rng(11), 3)
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    assert graph.action.cyclic_symmetry()[1] == expected_k
+    assert graph.action.block_symmetry()[1:] == (expected_k, None)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - character_sums(name, multiset))) < AGREEMENT
 

@@ -329,13 +329,13 @@ def test_symmetrize_is_refused_by_the_search(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(
             ["search-counterexample", "--group", "dihedral:8", "--subgroup", str(sub),
-             "--set", "all-symmetric-subsets", "--symmetrize"]
+             "--symmetrize"]
         )
     assert exit_.value.code == 2
     assert "unrecognized arguments: --symmetrize" in capsys.readouterr().err
     config = ExperimentConfig(
         command="search-counterexample", group_spec="dihedral:8", subgroup_spec=str(sub),
-        multiset_spec="all-symmetric-subsets", symmetrize=True,
+        symmetrize=True,
     )
     with pytest.raises(ValueError, match="^search-counterexample takes no --symmetrize$"):
         run(config)
@@ -454,6 +454,8 @@ def test_a_criterion_over_its_budget_fails_the_sweep_apart_from_its_mathematics(
 
 
 def test_all_symmetric_subsets_only_for_search(tmp_path, capsys):
+    # the search is exhaustive: it reads no --set, so it refuses one, and
+    # to any other command all-symmetric-subsets is a missing multiset file
     code = main(
         ["spectrum", "--group", "cyclic:4", "--set", "all-symmetric-subsets"]
     )
@@ -461,11 +463,18 @@ def test_all_symmetric_subsets_only_for_search(tmp_path, capsys):
     assert "all-symmetric-subsets" in capsys.readouterr().err
     sub = tmp_path / "rot.txt"
     sub.write_text("(1 2 3 4)\n", encoding="utf-8")
-    code, payload = run_json(
-        ["search-counterexample", "--group", "dihedral:8",
-         "--subgroup", str(sub), "--set", "all-symmetric-subsets"],
-        capsys,
+    argv = ["search-counterexample", "--group", "dihedral:8", "--subgroup", str(sub)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--set", "all-symmetric-subsets"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --set all-symmetric-subsets" in capsys.readouterr().err
+    config = ExperimentConfig(
+        command="search-counterexample", group_spec="dihedral:8", subgroup_spec=str(sub),
+        multiset_spec="all-symmetric-subsets",
     )
+    with pytest.raises(ValueError, match="^search-counterexample takes no --set$"):
+        run(config)
+    code, payload = run_json(argv, capsys)
     assert code == 0
     assert payload["results"]["witness_count"] >= 1
 
