@@ -20,11 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupTooLargeError
-from .notation import parse_group_text
+from .notation import parse_group_text, permutation_to_text
 from .permutations import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     Permutation,
+    _least_prime_factor,
     group_from_generators,
     group_from_images,
 )
@@ -33,15 +34,6 @@ CACHE_ENV_VAR = "SCHREIERLAB_CACHE_DIR"
 
 _PRODUCT_SPLIT = re.compile(r"[x×]")
 _ELEM_RE = re.compile(r"^(\d+)\^(\d+)$")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _cyclic_generators(n: int) -> list[Permutation]:
@@ -68,7 +60,7 @@ def _dihedral_generators(order: int) -> list[Permutation]:
 
 
 def _elem_abelian_generators(p: int, k: int) -> list[Permutation]:
-    if not _is_prime(p):
+    if p < 2 or _least_prime_factor(p) != p:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("exponent must be at least 1")
@@ -110,7 +102,7 @@ def _heisenberg_generators(p: int) -> list[Permutation]:
     (a+a', b+b', c+c'+a b'); the two generators below have commutator
     (0, 0, 1), which is central, so the group has class 2 and order p^3.
     """
-    if not _is_prime(p):
+    if p < 2 or _least_prime_factor(p) != p:
         raise ValueError(f"{p} is not prime")
     degree = p**3
 
@@ -197,12 +189,11 @@ def abelian_names_up_to(max_order: int) -> list[str]:
     """
     names = []
     for n in range(2, max_order + 1):
-        m, p, fac = n, 2, {}
+        m, fac = n, {}
         while m > 1:
-            while m % p == 0:
-                fac[p] = fac.get(p, 0) + 1
-                m //= p
-            p += 1
+            p = _least_prime_factor(m)
+            fac[p] = fac.get(p, 0) + 1
+            m //= p
         per_prime = [
             [tuple(q**e for e in part) for part in _partitions(a)]
             for q, a in fac.items()
@@ -305,6 +296,9 @@ def resolve_subgroup(group: FiniteGroup, spec: str) -> FiniteGroup:
             f"subgroup {spec!r} has degree {generators[0].degree}, "
             f"not the group's degree {group.degree}"
         )
+    for g in generators:
+        if g not in group:
+            raise ValueError(f"subgroup generator {permutation_to_text(g)} lies outside the group")
     return group.subgroup_generated(generators)
 
 

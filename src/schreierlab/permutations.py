@@ -594,71 +594,61 @@ def group_from_images(
 
 
 class Transversal:
-    """Right-coset representatives of a subgroup, with the bar map.
+    """Right-coset representatives of a subgroup, with the bar map, held as
+    three read-only intp arrays of parent indices.
 
-    ``rep_indices[k]`` is the parent index of the k-th coset's
-    representative in discovery order; ``rep_of[i]`` gives, for the parent
-    element with index ``i``, the parent index of its coset representative,
-    so ``x * rep_of(x)^-1`` lies in the subgroup.  ``slot_of[i]`` gives the
-    coset position instead.
+    ``rep_indices[k]`` is the representative of the k-th coset, cosets
+    numbered in discovery order; ``slot_of[i]`` is the coset of the parent
+    element with index ``i``, and ``rep_of = rep_indices[slot_of]`` its
+    representative, so ``x * rep_of[x]^-1`` lies in the subgroup.
+    ``with_reps`` keeps the cosets and their numbering and swaps the
+    representatives.
     """
 
     def __init__(self, parent: FiniteGroup, subgroup: FiniteGroup):
         row = parent._rows()
         sub_rows = [row(h) for h in parent.indices_of(subgroup)]
-        self.parent = parent
-        self.subgroup = subgroup
-        rep_of = [-1] * parent.order
         slot_of = [-1] * parent.order
         reps: list[int] = []
         for x in range(parent.order):
-            if rep_of[x] >= 0:
-                continue
-            slot = len(reps)
-            reps.append(x)
-            for h_row in sub_rows:
-                y = h_row[x]
-                rep_of[y] = x
-                slot_of[y] = slot
-        self.rep_indices: tuple[int, ...] = tuple(reps)
-        self.rep_of: tuple[int, ...] = tuple(rep_of)
-        self.slot_of: tuple[int, ...] = tuple(slot_of)
+            if slot_of[x] < 0:
+                for h_row in sub_rows:
+                    slot_of[h_row[x]] = len(reps)
+                reps.append(x)
+        self._hold(parent, subgroup, np.array(reps, np.intp), np.array(slot_of, np.intp))
+
+    def _hold(self, parent, subgroup, rep_indices: np.ndarray, slot_of: np.ndarray) -> "Transversal":
+        """Hold the two arrays and their gather ``rep_of``, all read-only."""
+        self.parent, self.subgroup = parent, subgroup
+        self.rep_indices, self.slot_of, self.rep_of = rep_indices, slot_of, rep_indices[slot_of]
+        for array in (self.rep_indices, self.slot_of, self.rep_of):
+            array.flags.writeable = False
+        return self
 
     @property
     def coset_count(self) -> int:
         return len(self.rep_indices)
 
     def coset_members(self) -> list[list[int]]:
-        """The parent indices of each coset's members, by slot, ascending."""
-        members: list[list[int]] = [[] for _ in range(self.coset_count)]
-        for x, slot in enumerate(self.slot_of):
-            members[slot].append(x)
-        return members
+        """The parent indices of each coset's members, by slot, ascending:
+        a stable sort by slot, split into cosets of |H| members each."""
+        return np.argsort(self.slot_of, kind="stable").reshape(-1, self.subgroup.order).tolist()
 
-    @classmethod
-    def from_reps(
-        cls, parent: FiniteGroup, subgroup: FiniteGroup, reps: Sequence[int]
-    ) -> "Transversal":
-        """Transversal with caller-chosen representatives, given by their
-        parent indices, one per coset."""
-        base = cls(parent, subgroup)
-        if len(reps) != base.coset_count:
-            raise ValueError(
-                f"expected {base.coset_count} representatives, got {len(reps)}"
-            )
-        chosen = [-1] * base.coset_count
-        for x in reps:
-            slot = base.slot_of[x]
-            if chosen[slot] >= 0:
-                raise ValueError("two representatives lie in the same coset")
-            chosen[slot] = x
-        obj = cls.__new__(cls)
-        obj.parent = parent
-        obj.subgroup = subgroup
-        obj.rep_indices = tuple(chosen)
-        obj.rep_of = tuple(chosen[base.slot_of[x]] for x in range(parent.order))
-        obj.slot_of = base.slot_of
-        return obj
+    def with_reps(self, reps: Sequence[int]) -> "Transversal":
+        """The transversal of the same cosets, numbered the same, whose
+        representatives are the given parent indices, one per coset in any
+        order; a wrong count, an index outside ``range(order)`` or two
+        indices in one coset raise ValueError."""
+        reps = np.array(reps, dtype=np.intp)
+        if reps.shape != (self.coset_count,):
+            raise ValueError(f"expected {self.coset_count} representatives, got {reps.size}")
+        if not ((0 <= reps) & (reps < self.parent.order)).all():
+            raise ValueError(f"representatives must lie in range({self.parent.order})")
+        chosen = np.full(self.coset_count, -1, np.intp)
+        chosen[self.slot_of[reps]] = reps
+        if (chosen < 0).any():
+            raise ValueError("two representatives lie in the same coset")
+        return Transversal.__new__(Transversal)._hold(self.parent, self.subgroup, chosen, self.slot_of)
 
 
 class CosetAction:
@@ -674,15 +664,14 @@ class CosetAction:
         self.stabilizer = stabilizer
         self.transversal = Transversal(group, stabilizer)
         self.n_points = self.transversal.coset_count
-        self.base_point = self.transversal.slot_of[0]
-        self._reps = np.array(self.transversal.rep_indices, dtype=np.intp)
-        self._slot_of = np.array(self.transversal.slot_of, dtype=np.intp)
+        self.base_point = int(self.transversal.slot_of[0])
 
     def permutation_of_index(self, element_index) -> np.ndarray:
         """Where the element with that index sends each coset, by slot; for
         m indices, an ``n_points x m`` array, one column per element."""
         outer = np.ndim(element_index) > 0
-        return self._slot_of[self.group.products(self._reps, element_index, outer=outer)]
+        t = self.transversal
+        return t.slot_of[self.group.products(t.rep_indices, element_index, outer=outer)]
 
     def left_action_of_index(self, element_index: int) -> np.ndarray:
         """Where left multiplication by the element sends each coset, by
@@ -692,7 +681,8 @@ class CosetAction:
         map Hx -> Hyx, which commutes with the right action; for any other
         y it depends on the representatives and need not commute.
         """
-        return self._slot_of[self.group.products(element_index, self._reps)]
+        t = self.transversal
+        return t.slot_of[self.group.products(element_index, t.rep_indices)]
 
     def block_symmetry(self) -> tuple[int, int, Optional[int]]:
         """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
@@ -709,8 +699,8 @@ class CosetAction:
         order falls, is no better than the best found.  ``(0, 1, None)``
         means H is self-normalising.
         """
-        images = self.group.images
-        in_h = self._slot_of == self.base_point
+        images, slot_of = self.group.images, self.transversal.slot_of
+        in_h = slot_of == self.base_point
         candidates = np.arange(len(images))
         if self.stabilizer.order > 1:
             inverses = images[np.array(self.group.inverse_indices())]
@@ -738,7 +728,7 @@ class CosetAction:
                 break
             y = int(candidates[np.argmax(orders == order)])
             powers = list(itertools.accumulate([y] * (order - 1), self.group.mult, initial=0))
-            z = candidates[~np.isin(self._slot_of[candidates], self._slot_of[powers])]
+            z = candidates[~np.isin(slot_of[candidates], slot_of[powers])]
             z = z[in_h[self.group.products(z, z)]]
             zy = self.group.products(z, y)
             z = z[in_h[self.group.products(zy, zy)]]
@@ -924,25 +914,23 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
         slot_of, cosets = quotient.slot_of, quotient.rep_indices
 
         # grow an F2 basis for the quotient, labelling each coset with a bitmask
-        vec: dict[int, int] = {slot_of[0]: 0}
+        vec = np.full(len(cosets), -1)
+        vec[slot_of[0]] = 0
         rank = 0
         for slot, rep in enumerate(cosets):
-            if slot in vec:
+            if vec[slot] >= 0:
                 continue
-            bit = 1 << rank
+            labelled = np.flatnonzero(vec >= 0)
+            vec[slot_of[group.products(rep, cosets[labelled])]] = (1 << rank) | vec[labelled]
             rank += 1
-            for other_slot, value in list(vec.items()):
-                product = slot_of[group.mult(rep, cosets[other_slot])]
-                vec[product] = bit | value
-        members_by_slot = quotient.coset_members()
 
-        hyperplanes = []
-        for mask in range(1, 1 << rank):
-            indices: list[int] = []
-            for slot in range(len(cosets)):
-                if bin(vec[slot] & mask).count("1") % 2 == 0:
-                    indices.extend(members_by_slot[slot])
-            hyperplanes.append(frozenset(indices))
+        # a hyperplane is the elements whose label has even overlap with its mask
+        labels = vec[slot_of]
+        parity = np.array([bin(m).count("1") % 2 for m in range(1 << rank)])
+        hyperplanes = [
+            frozenset(np.flatnonzero(parity[labels & mask] == 0).tolist())
+            for mask in range(1, 1 << rank)
+        ]
         group._cache["index2"] = hyperplanes
 
     return [

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, SearchSpaceError
 from .inequalities import INDUCED_GAP, SIZE_LAW, Tally, Verdict
+from .notation import permutation_to_text
 from .permutations import CosetAction, FiniteGroup, Transversal, index2_overgroups
 from .spectral import spectral_summary
 
@@ -46,7 +47,7 @@ class SymmetricMultiset:
         for i, mult in counts.items():
             if counts[inv[i]] != mult:
                 raise ValueError(
-                    f"multiset is not symmetric at {group.elements[i]!r}: "
+                    f"multiset is not symmetric at {permutation_to_text(group.elements[i])}: "
                     f"multiplicity {mult} vs {counts[inv[i]]} for the inverse"
                 )
         self.group = group
@@ -243,10 +244,10 @@ def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> Symmetri
     _require_group(multiset, group)
     inv = np.array(group.inverse_indices())
     ts = group.products(transversal.rep_indices, multiset.support(), outer=True)
-    rewritten = group.products(ts, inv[np.array(transversal.rep_of)[ts]]).ravel()
+    rewritten = group.products(ts, inv[transversal.rep_of[ts]]).ravel()
     counts = np.bincount(rewritten, np.tile([m for _, m in multiset.entries], len(ts))).astype(int)
     found = np.flatnonzero(counts)
-    if (np.array(transversal.slot_of)[found] != transversal.slot_of[0]).any():
+    if (transversal.slot_of[found] != transversal.slot_of[0]).any():
         raise AssertionError("rewritten element escaped the subgroup")
     entries = [subgroup._index()[row.tobytes()] for row in group.images[found]]
     return SymmetricMultiset(subgroup, zip(entries, counts[found].tolist()))
@@ -303,10 +304,8 @@ def symmetric_subsets(group: FiniteGroup) -> Iterable[SymmetricMultiset]:
             yield SymmetricMultiset(group, ((i, 1) for members in combo for i in members))
 
 
-def _all_transversals(
-    group: FiniteGroup, subgroup: FiniteGroup, cap: int
-) -> Iterable[Transversal]:
-    slots = Transversal(group, subgroup).coset_members()
+def _all_transversals(base: Transversal, cap: int) -> Iterable[Transversal]:
+    slots = base.coset_members()
     total = 1
     for members in slots:
         total *= len(members)
@@ -315,7 +314,7 @@ def _all_transversals(
                 f"more than {cap} transversals to enumerate; raise the cap"
             )
     for choice in itertools.product(*slots):
-        yield Transversal.from_reps(group, subgroup, choice)
+        yield base.with_reps(choice)
 
 
 def dedup_counterexample_search(
@@ -373,7 +372,7 @@ def dedup_counterexample_search(
                 witnesses.append(
                     DedupWitness(
                         connection_set=multiset,
-                        transversal_reps=transversal.rep_indices,
+                        transversal_reps=tuple(transversal.rep_indices.tolist()),
                         parent_gap=parent_gap,
                         induced_multiset_gap=gap_multi,
                         induced_set_gap=gap_dedup,
@@ -385,8 +384,8 @@ def dedup_counterexample_search(
     witnesses = scan(default)
     scanned = 1
     if not witnesses:
-        for transversal in _all_transversals(group, subgroup, transversal_cap):
-            if transversal.rep_indices == default.rep_indices:
+        for transversal in _all_transversals(default, transversal_cap):
+            if np.array_equal(transversal.rep_indices, default.rep_indices):
                 continue
             witnesses = scan(transversal)
             scanned += 1

@@ -21,12 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import (
+    _subgroup_bound,
     abelian_gap_bound,
     derived_index_check,
     log_theta,
     nilpotent_exponents,
     nilpotent_gap_bound,
-    subgroup_gap_bound,
     theta_min_set_size,
 )
 from .catalog import abelian_names_up_to, catalog_group
@@ -182,15 +182,10 @@ def _random_size(i: int) -> int:
     return 2 + (i % 7)
 
 
-def _random_transversal(
-    group: FiniteGroup,
-    subgroup: FiniteGroup,
-    members: list[list[int]],
-    rng: np.random.Generator,
-) -> Transversal:
-    """A transversal with one uniform member of each coset as representative."""
-    reps = [slot[int(rng.integers(0, len(slot)))] for slot in members]
-    return Transversal.from_reps(group, subgroup, reps)
+def _random_transversal(base: Transversal, rng: np.random.Generator) -> Transversal:
+    """The base's cosets with one uniform member of each as representative."""
+    reps = [slot[int(rng.integers(0, len(slot)))] for slot in base.coset_members()]
+    return base.with_reps(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +386,13 @@ def check_random_expansion() -> CriterionResult:
 def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
     start = time.perf_counter()
     gaps, sizes = Tally(SUBGROUP_BOUND.name), Tally(SET_SIZE.name)
-    pairs = {(id(inst.group), inst.group.indices_of(inst.stabilizer)) for inst in instances}
+    log_thetas: dict = {}  # one interval_data read per (group, stabilizer) pair
     for inst in instances:
-        ltheta = log_theta(inst.group, inst.stabilizer)
-        bound, _ = subgroup_gap_bound(inst.group, inst.stabilizer, inst.multiset)
-        gaps.add(SUBGROUP_BOUND.check(inst.gap, bound))
+        key = (id(inst.group), inst.group.indices_of(inst.stabilizer))
+        ltheta = log_thetas.get(key)
+        if ltheta is None:
+            ltheta = log_thetas[key] = log_theta(inst.group, inst.stabilizer)
+        gaps.add(SUBGROUP_BOUND.check(inst.gap, _subgroup_bound(ltheta, inst.multiset.size)))
         for epsilon in (0.1, 0.3, 0.5):
             if inst.gap >= epsilon:
                 needed = theta_min_set_size(math.exp(ltheta), epsilon)
@@ -406,7 +403,7 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
         start,
         {
             "instances": len(instances),
-            "pairs_with_theta": len(pairs),
+            "pairs_with_theta": len(log_thetas),
             "bound_violations": gaps.violations,
             "size_checks": sizes.count,
             "size_violations": sizes.violations,
@@ -559,10 +556,7 @@ def check_induction_laws(laws: Tally, dedup: dict) -> CriterionResult:
     subgroup = dedup["subgroup"]
     rng = np.random.default_rng(20250811)
     base = Transversal(group, subgroup)
-    members = base.coset_members()
-    transversals = [base] + [
-        _random_transversal(group, subgroup, members, rng) for _ in range(3)
-    ]
+    transversals = [base] + [_random_transversal(base, rng) for _ in range(3)]
     for multiset in symmetric_subsets(group):
         for transversal in transversals:
             laws.add(induce_with_laws(transversal, multiset).size_law)
@@ -576,8 +570,7 @@ def check_induction_laws(laws: Tally, dedup: dict) -> CriterionResult:
             for j in rng.integers(0, group.order, size=int(rng.integers(0, 3)))
         ]
         subgroup = group.subgroup_generated(picks)
-        members = Transversal(group, subgroup).coset_members()
-        transversal = _random_transversal(group, subgroup, members, rng)
+        transversal = _random_transversal(Transversal(group, subgroup), rng)
         multiset = sample_symmetric_multiset(group, _random_size(i), rng)
         laws.add(induce_with_laws(transversal, multiset).size_law)
 

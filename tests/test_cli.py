@@ -548,6 +548,28 @@ def test_multiset_parse_errors_name_the_input(line, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["spectrum", "--group", "cyclic:4", "--action", "cosets-of:{f}", "--set", "random:2", "--seed", "1"],
+            "(1 2)",
+            "subgroup generator (1 2) lies outside the group",
+        ),
+        (
+            ["spectrum", "--group", "cyclic:4", "--set", "{f}"],
+            "(1 2 3 4) * 2\n(1 4 3 2)",
+            "multiset is not symmetric at (1 2 3 4): multiplicity 2 vs 1 for the inverse",
+        ),
+    ],
+)
+def test_errors_print_elements_in_the_input_notation(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert main([a.format(f=path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_permutations_are_built_only_at_parse_and_print(
     tmp_path, monkeypatch, capsys, built_permutations
 ):

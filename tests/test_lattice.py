@@ -22,11 +22,10 @@ from schreierlab import (
     interval_data,
     intermediate_subgroups,
 )
-from testkit import lattice_over_every_cyclic_rep
+from testkit import SMALL_GROUPS, lattice_over_every_cyclic_rep
 
 # every catalog group of order <= 128 in the theta-intervals benchmark
 THETA_GROUPS = ["heisenberg:5", "sym:5", "elem-abelian:2^5", "cyclic:2xsym:4", "dihedral:16"]
-SMALL_GROUPS = ["sym:4", "dihedral:16", "cyclic:2xsym:4", "elem-abelian:2^4", "heisenberg:3", "alt:4"]
 
 
 def closure_from_scratch(group, seed):

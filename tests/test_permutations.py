@@ -24,6 +24,7 @@ from schreierlab import (
 from schreierlab.permutations import CosetAction, FiniteGroup, Transversal, group_from_images
 from schreierlab.sweeps import _MIDSIZE_POOL, _NILPOTENT_GROUPS, _SMALL_POOL
 from testkit import (
+    SMALL_GROUPS,
     all_members_series,
     coset_permutation,
     faithful_reduction,
@@ -247,6 +248,46 @@ def test_group_from_images_accepts_only_the_enumeration():
     not_bijective[5, 0] = not_bijective[5, 1]
     for bad in (swapped, images[:12], not_bijective, images[1:], images.astype(float)):
         assert group_from_images(group.generators, bad) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_GROUPS),
+    st.lists(st.integers(min_value=0), max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_with_reps_matches_brute_force_cosets(name, picks, random):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_from_indices(group._closure([p % group.order for p in picks]))
+    h = group.indices_of(stabilizer)
+    inv = group.inverse_indices()
+    cosets = {frozenset(group.mult(y, x) for y in h) for x in range(group.order)}
+    base = Transversal(group, stabilizer)
+    reps = [random.choice(sorted(coset)) for coset in cosets]
+    random.shuffle(reps)
+    for t in (base, base.with_reps(reps)):
+        assert {frozenset(np.flatnonzero(t.slot_of == k).tolist()) for k in range(t.coset_count)} == cosets
+        for x in range(group.order):
+            assert group.mult(x, inv[t.rep_of[x]]) in h
+            assert t.rep_indices[t.slot_of[x]] == t.rep_of[x]
+        for array in (t.rep_indices, t.slot_of, t.rep_of):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+    assert sorted(base.with_reps(reps).rep_indices.tolist()) == sorted(reps)
+    assert base.coset_members() == [np.flatnonzero(base.slot_of == k).tolist() for k in range(base.coset_count)]
+
+    with pytest.raises(ValueError, match="expected"):
+        base.with_reps(reps[1:])
+    with pytest.raises(ValueError, match="expected"):
+        base.with_reps(reps + reps[:1])
+    for outside in (-1, group.order):
+        with pytest.raises(ValueError, match="range"):
+            base.with_reps([outside] + reps[1:])
+    if len(reps) > 1:
+        # another member of the first rep's coset in place of the second rep
+        twin = random.choice(sorted(next(c for c in cosets if reps[0] in c)))
+        with pytest.raises(ValueError, match="same coset"):
+            base.with_reps(reps[:1] + [twin] + reps[2:])
 
 
 def test_not_a_subgroup_is_rejected(s3, c4):

@@ -598,7 +598,7 @@ def test_rs_induce_with_custom_transversal(d8):
     h = d8.subgroup_generated([rotation])
     base = Transversal(d8, h)
     other_members = [p for p in d8.elements if p not in h]
-    custom = Transversal.from_reps(d8, h, [d8.index_of(p) for p in [rotation, other_members[-1]]])
+    custom = base.with_reps([d8.index_of(p) for p in [rotation, other_members[-1]]])
     s = sample_symmetric_multiset(d8, 4, np.random.default_rng(8))
     induced = rs_induce(custom, s)
     assert induced.size == 2 * s.size
@@ -654,7 +654,7 @@ def test_dedup_witness_is_reproducible(d8):
     w = result.witnesses[0]
     trivial = d8.trivial_subgroup()
     parent = spectral_summary(schreier_graph(d8, trivial, w.connection_set))
-    t = Transversal.from_reps(d8, h, list(w.transversal_reps))
+    t = Transversal(d8, h).with_reps(w.transversal_reps)
     induced = rs_induce(t, w.connection_set)
     dedup = spectral_summary(schreier_graph(h, trivial, induced.as_set()))
     assert parent.gap == pytest.approx(w.parent_gap, abs=1e-12)

@@ -14,6 +14,9 @@ from schreierlab import (
 )
 from schreierlab.permutations import DEFAULT_ORDER_CAP, DEFAULT_SUBGROUP_LIMIT, Transversal
 
+# small catalog groups, abelian and not, of orders 12 to 48
+SMALL_GROUPS = ["sym:4", "dihedral:16", "cyclic:2xsym:4", "elem-abelian:2^4", "heisenberg:3", "alt:4"]
+
 
 def indexed(group, entries):
     """(permutation, multiplicity) pairs as (element index, multiplicity)
