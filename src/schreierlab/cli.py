@@ -9,6 +9,7 @@ counterexample search reports its witnesses as a success.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -497,6 +498,7 @@ def run(config: ExperimentConfig) -> Report:
     return report
 
 
+@functools.cache  # built on the first main call, then reused: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schreierlab",

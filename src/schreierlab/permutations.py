@@ -477,14 +477,16 @@ class FiniteGroup:
                 gens.append(i)
         return tuple(gens)
 
-    def _cyclic_classes(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """The least generator of each nontrivial cyclic subgroup, ascending,
-        and ``class_of``: each element's subgroup's position (-1: identity)."""
+    def _cyclic_classes(self) -> tuple[tuple[int, ...], np.ndarray, dict[int, int]]:
+        """The least generator of each nontrivial cyclic subgroup, ascending;
+        ``class_of``: each element's subgroup's position (-1: identity); and
+        ``root``: for each such generator g of prime-power order p^k, the
+        index of g^p, and -1 when g's order is not a prime power."""
         classes = self._cache.get("cyclic_classes")
         if classes is None:
             row = self._rows()
             class_of = [-1] * self.order
-            found = []
+            found, root = [], {}
             for g in range(1, self.order):
                 if class_of[g] >= 0:
                     continue
@@ -496,7 +498,9 @@ class FiniteGroup:
                 for k in range(1, m):
                     if math.gcd(k, m) == 1:
                         class_of[powers[k - 1]] = len(found) - 1
-            classes = self._cache["cyclic_classes"] = (tuple(found), np.array(class_of))
+                p = _least_prime_factor(m)
+                root[g] = powers[p - 1] if p ** round(math.log(m, p)) == m else -1
+            classes = self._cache["cyclic_classes"] = (tuple(found), np.array(class_of), root)
         return classes
 
     def subgroup_from_indices(
@@ -738,17 +742,20 @@ class CosetAction:
 
     def _coset_orders(self, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
         """For each element y of N_G(H), the least t >= 1 with y^t in H
-        (``in_h`` marks H's members).  That t divides ``index`` =
-        |N_G(H):H|, so only the divisors are tried, in ascending order."""
+        (``in_h`` marks H's members).  The t with y^t in H are the multiples
+        of that least one, and y^b is in H for b = gcd(``index`` =
+        |N_G(H):H|, y's order as a permutation); so for each y only the
+        proper divisors of its b are tried, in ascending order, and b
+        stands when none is in H."""
         generators = self.group.images[elements]
-        orders = np.zeros(len(elements), dtype=np.int64)
-        active = np.arange(len(elements))
-        for t in (d for d in range(1, index + 1) if index % d == 0):
-            home = in_h[self.group._indices_of_rows(_power_images(generators[active], t))]
-            orders[active[home]] = t
-            active = active[~home]
-            if not len(active):
-                break
+        bound = np.gcd(index, _permutation_orders(generators))
+        orders = bound.copy()
+        steps = {d for b in set(bound.tolist()) for d in range(1, b) if b % d == 0}
+        for t in sorted(steps):
+            test = np.flatnonzero((orders == bound) & (bound % t == 0) & (bound > t))
+            if len(test):
+                home = in_h[self.group._indices_of_rows(_power_images(generators[test], t))]
+                orders[test[home]] = t
         return orders
 
 
@@ -762,6 +769,20 @@ def _block_cost(n_points: int, k: int, dihedral: bool) -> float:
     if dihedral:
         return (real / 4 + complex_) * size**3
     return (real + 3 * complex_) * size**3
+
+
+def _permutation_orders(images: np.ndarray) -> np.ndarray:
+    """Order of each row of an ``m x degree`` image array: the lcm of its
+    cycle lengths.  Pointer doubling labels each point with the least point
+    of its cycle, and a cycle's length is its label's count."""
+    m, n = images.shape
+    rows = np.arange(m)[:, None]
+    label, jump = np.broadcast_to(np.arange(n), images.shape), images
+    for _ in range(max(n - 1, 1).bit_length()):
+        # label[x] is the least of x, y(x), ..., y^(2^j - 1)(x); jump is y^(2^j)
+        label, jump = np.minimum(label, label[rows, jump]), jump[rows, jump]
+    lengths = np.bincount((label + n * rows).ravel(), minlength=m * n).reshape(m, n)
+    return np.lcm.reduce(np.maximum(lengths, 1), axis=1)
 
 
 def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
@@ -827,16 +848,27 @@ def intermediate_subgroups(
 ) -> list[FiniteGroup]:
     """All subgroups H with floor <= H <= group.
 
-    Enumerated by cyclic extension (Neubueser): every such H is the floor
-    joined with cyclic subgroups of the group, so starting from the floor
-    each subgroup found is extended by every cyclic subgroup it does not
-    contain, normalising or not (so A5 < S5 is found), <H, z> grown coset
-    by coset from the members of H.  As <H, h^-1 z h> = <H, z> for h in
-    H, only the least z of each orbit under conjugation by H's generators
-    is tried; a generator fixing every cyclic subgroup (as in an abelian
-    group) costs nothing.  Results are sorted canonically by (order,
-    element indices); each carries a small generating set, the floor's
-    chosen greedily.  Raises SubgroupLimitError past ``limit`` subgroups.
+    Enumerated by cyclic extension (Neubueser): starting from the floor,
+    each subgroup H found is extended by cyclic subgroups <z>, normalising
+    or not (so A5 < S5 is found), <H, z> grown coset by coset from the
+    members of H.  Two rules keep the joins few, both exact:
+
+    - only z of prime-power order p^k with z not in H and z^p in H is
+      tried.  Any K > H is generated by its prime-power elements; one
+      outside H, raised to the p-th power until the next power lies in H,
+      gives such a z with H < <H, z> <= K, so induction on |K : H| reaches
+      K.  The test depends only on <z> and is invariant under conjugation
+      by H.
+    - once <H, z> = K has prime index over H, every later z in K is
+      skipped: by Lagrange, any z'' in K outside H gives <H, z''> = K.
+
+    As <H, h^-1 z h> = <H, z> for h in H, only the least z of each orbit
+    under conjugation by H's generators is tried; a generator fixing every
+    cyclic subgroup (as in an abelian group) costs nothing.  Results are
+    sorted canonically by (order, element indices); each carries a small
+    generating set, the floor's chosen greedily and then one z per join on
+    the first path that reached it.  Raises SubgroupLimitError past
+    ``limit`` subgroups.
     """
     floor_idx = group.indices_of(floor)
     key = ("interval", floor_idx)
@@ -849,7 +881,7 @@ def intermediate_subgroups(
         return cached
 
     floor_gens = group._greedy_generators(floor_idx)
-    cyclic_reps, class_of = group._cyclic_classes()
+    cyclic_reps, class_of, root = group._cyclic_classes()
     reps, inv = np.array(cyclic_reps, dtype=np.intp), group.inverse_indices()
     positions = np.arange(len(reps))
 
@@ -878,10 +910,14 @@ def intermediate_subgroups(
     frontier = [(floor_idx, floor_gens, sum(map(moved, floor_gens), ()))]
     while frontier:
         members, gens, maps = frontier.pop()
+        done = set(members)  # H and each join of prime index over it
         for z in least_in_orbits(maps):
-            if z in members:
+            if z in done or root[z] not in members:
                 continue
             grown = group._closure((z,), base=members, base_gens=gens)
+            step = len(grown) // len(members)
+            if _least_prime_factor(step) == step:
+                done.update(grown)
             if grown not in known:
                 if len(known) >= limit:
                     raise SubgroupLimitError(

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
+    CosetAction,
     Permutation,
     SchreierGraph,
     SymmetricMultiset,
@@ -115,6 +116,45 @@ def test_block_spectrum_matches_dense(monkeypatch, name, stabilizer_gens, seed):
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def assert_coset_orders_match_brute_force(group, stabilizer):
+    action = CosetAction(group, stabilizer)
+    expected = normaliser_coset_orders(group, stabilizer)
+    elements = np.array(sorted(expected))
+    in_h = action.transversal.slot_of == action.base_point
+    got = action._coset_orders(elements, in_h, len(expected) // stabilizer.order)
+    assert dict(zip(elements.tolist(), got.tolist())) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["sym:4", "dihedral:16", "cyclic:2xsym:4", "heisenberg:3", "cyclic:15", "alt:5", "sym:5",
+         "cyclic:4xcyclic:6"]
+    ),
+    stabilizer_gens=st.lists(st.integers(min_value=0), max_size=2),
+)
+def test_coset_orders_are_the_least_power_in_the_stabilizer(name, stabilizer_gens):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(group.elements[i % group.order] for i in stabilizer_gens)
+    assert_coset_orders_match_brute_force(group, stabilizer)
+
+
+@pytest.mark.parametrize(
+    "name, stabilizer_cycles", [("alt:7", []), ("sym:7", [[[1, 6]]]), ("sym:6", [[[0, 1], [2, 3]]])]
+)
+def test_coset_orders_above_the_table_limit(name, stabilizer_cycles):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(
+        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
+    )
+    assert_coset_orders_match_brute_force(group, stabilizer)
+
+
+def test_alt7_regular_symmetry_is_an_element_of_order_six_with_a_flip():
+    group = catalog_group("alt:7")
+    assert CosetAction(group, group.trivial_subgroup()).block_symmetry() == (19, 6, 714)
 
 
 # (group, stabilizer generators as cycles, expected k): odd and even k,

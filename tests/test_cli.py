@@ -637,6 +637,18 @@ def test_a_flag_the_command_does_not_read_is_refused(name, field, capsys):
         run(config)
 
 
+def test_the_parser_is_built_once_and_survives_a_rejected_call(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exit_:
+        main(["theta", "--group", "cyclic:4", "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["theta", "--group", "cyclic:4", "--format", "csv"]) == 0
+    assert f"results.log_theta,{math.log(4.0):.17g}" in capsys.readouterr().out
+    assert main(["theta", "--group", "cyclic:6"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"
+
+
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_help_lists_exactly_the_flags_the_command_reads(name, capsys):
     with pytest.raises(SystemExit) as exit_:

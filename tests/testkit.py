@@ -129,7 +129,8 @@ def lattice_over_every_cyclic_rep(group, floor, limit=DEFAULT_SUBGROUP_LIMIT):
     """The interval above the floor as (members, generator indices) pairs in
     canonical order, each subgroup found extended by every cyclic subgroup
     it does not contain: the oracle for ``intermediate_subgroups``, which
-    tries one cyclic subgroup per orbit under conjugation."""
+    tries one cyclic subgroup per orbit under conjugation, only <z> with
+    z^p in H, and skips what its prime-index joins hold."""
     floor_idx = group.indices_of(floor)
     floor_gens = group._greedy_generators(floor_idx)
     known = {floor_idx: floor_gens}
