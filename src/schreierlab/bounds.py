@@ -69,10 +69,10 @@ def interval_data(
     key = ("interval-data", group.indices_of(stabilizer))
     cached = group._cache.get(key)
     if cached is None:
-        index, entries = group._index(), []
-        stab_gens = [index[row.tobytes()] for row in stabilizer.generator_images]
+        entries = []
+        stab_gens = group._find(stabilizer.generator_images)
         for sub in subgroups:
-            gens = [index[row.tobytes()] for row in sub.generator_images]
+            gens = group._find(sub.generator_images)
             derived, _ = group._commutator_closure(gens, gens)
             join = group._closure(stab_gens, base=derived)
             entries.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))

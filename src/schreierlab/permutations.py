@@ -7,6 +7,12 @@ where input is parsed or output printed.  At desk scale full tables are the
 right trade-off: every downstream computation (transversals, subgroup
 lattices, commutator series, coset actions) needs fast membership tests and
 iteration rather than compact stabilizer-chain machinery.
+
+Two rules keep products cheap.  A product is read at the base: an element
+is fixed by its images on a few base points, so ``p * q`` is named by q's
+images at p's base images, never by a full row.  That is exact only on a
+closed table, so every ``FiniteGroup`` is closed by construction: built by
+closure, sliced on a subgroup's members or checked in ``__init__``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ DEFAULT_ORDER_CAP = 100_000
 DEFAULT_SUBGROUP_LIMIT = 20_000
 
 # Multiplication tables are materialised for groups up to this order; beyond
-# it, a product is one gather of two image rows, looked up by its bytes.
+# it, a product is a gather at the row lookup's base points, looked up there.
 _TABLE_LIMIT = 512
 
 
@@ -41,14 +47,15 @@ def _least_prime_factor(n: int) -> int:
 
 
 def _row_lookup(images: np.ndarray):
-    """Index of each row of an ``m x degree`` array among the rows of
-    ``images``, or None when some row is not there.
+    """The base points of ``images``, and a lookup of elements by their base
+    images, given as one array per base point, in base order.
 
     Per base point, chosen from point 0 on while its images tell more rows
-    apart, a table maps prefix state x degree + image to the next state
-    (the last to the row index): a lookup is one gather per base point and
-    a check on all points, which refuses an unknown prefix sent to state 0.
-    A group's base points each at least double the prefixes (Lagrange).
+    apart (point 0 for one row; repeated rows are refused), a table maps
+    prefix state x degree + image to the next state (the last to the row
+    index): a lookup is one gather per base point, unchecked, so it is
+    exact only for the base images of elements.  A group's base points
+    each at least double the prefixes (Lagrange).
     """
     n, d = images.shape
     tables, states, count = {}, np.zeros(n, dtype=np.intp), 1  # a table per base point
@@ -61,14 +68,17 @@ def _row_lookup(images: np.ndarray):
             tables[x] = np.zeros(count * d, dtype=np.intp)
             states, count = refined, len(values)
             tables[x][keys] = states if count < n else np.arange(n)
+    if count < n:
+        raise ValueError("duplicate elements in table")
+    tables = tables or {0: np.zeros(d, dtype=np.intp)}
 
-    def lookup(rows: np.ndarray) -> Optional[np.ndarray]:
-        found = np.zeros(len(rows), dtype=np.intp)
-        for x, table in tables.items():
-            found = table[found * d + rows[:, x]]
-        return found if (images[found] == rows).all() else None
+    def lookup(columns: Iterable[np.ndarray]) -> np.ndarray:
+        found = 0
+        for table, column in zip(tables.values(), columns):
+            found = table[found * d + column]
+        return found
 
-    return lookup
+    return np.array(list(tables), dtype=np.intp), lookup
 
 
 class _ProductRow:
@@ -216,6 +226,13 @@ class FiniteGroup:
     """
 
     def __init__(self, images, generator_images):
+        self._hold_checked(images, generator_images)
+
+    def _hold_checked(self, images, generator_images) -> list[int]:
+        """Check and hold what ``__init__`` takes: closed, as base lookups
+        assume (each element times each generator is an element, checked on
+        every point, and a breadth-first search from the identity over the
+        generators meets every element); return the order it meets them in."""
         images = np.asarray(images)
         if images.ndim != 2 or not images.size or images.dtype.kind not in "iu":
             raise ValueError("a group needs a 2-D integer array of images, identity first")
@@ -223,10 +240,19 @@ class FiniteGroup:
         if not ((images[0] == points).all() and (np.sort(images) == points).all()):
             raise ValueError("row 0 must be the identity and each row a bijection of range(degree)")
         rows = np.array(images, dtype=np.int32, order="C")  # a copy no caller can write
-        keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("duplicate elements in table")
         self._adopt(rows, np.array(generator_images, np.int32))
+        # row i * len(generators) + j is elements[i] * generators[j]
+        products = self.generator_images[:, rows].transpose(1, 0, 2).reshape(-1, self.degree)
+        after = self._indices_of_rows(products).reshape(self.order, -1).tolist()
+        seen, queue = [True] + [False] * (self.order - 1), [0]
+        for x in queue:
+            for y in after[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        if len(queue) < self.order:
+            raise ValueError("the element table is not the group its generators generate")
+        return queue
 
     def _adopt(self, images: np.ndarray, generator_images: np.ndarray) -> "FiniteGroup":
         """Hold rows that ``__init__`` would accept, in fresh int32 arrays:
@@ -252,34 +278,44 @@ class FiniteGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    def _base_keys(self, rows: np.ndarray) -> list[bytes]:
+        """The bytes of each row's images on the base points."""
+        at = rows.take(self._lookup()[0], axis=1)
+        return at.view(f"V{at.itemsize * at.shape[1]}").ravel().tolist()
+
     def _index(self) -> dict[bytes, int]:
-        """Element index by the bytes of its image row; built on first use."""
-        index = self._cache.get("index")
-        if index is None:
-            index = self._cache["index"] = {row.tobytes(): i for i, row in enumerate(self.images)}
-        return index
+        """Element index by the bytes of its base images; built on first use."""
+        if "index" not in self._cache:
+            self._cache["index"] = dict(zip(self._base_keys(self.images), range(self.order)))
+        return self._cache["index"]
+
+    def _find(self, rows: np.ndarray) -> Optional[list[int]]:
+        """Element index of each row of an ``m x degree`` int32 image array, by
+        its base images, checked on every point; None if some row is not one."""
+        if rows.shape[1:] != (self.degree,):
+            return None
+        index = self._index()
+        found = [index.get(key, 0) for key in self._base_keys(rows)]
+        return found if self.images[found].tobytes() == rows.tobytes() else None
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and np.array(p.images, np.int32).tobytes() in self._index()
+        return isinstance(p, Permutation) and self._find(np.array([p.images], np.int32)) is not None
 
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self._index()[np.array(p.images, np.int32).tobytes()]
-        except KeyError:
-            raise ValueError(f"{p!r} is not an element of this group") from None
+        found = self._find(np.array([p.images], np.int32))
+        if found is None:
+            raise ValueError(f"{p!r} is not an element of this group")
+        return found[0]
 
     def indices_of(self, subgroup: "FiniteGroup") -> frozenset[int]:
         """The indices of the subgroup's members in this group.
 
         Raises NotASubgroupError when some member is not an element here.
         """
-        index = self._index()
-        try:
-            return frozenset(index[row.tobytes()] for row in subgroup.images)
-        except KeyError:
-            raise NotASubgroupError(
-                f"group of order {subgroup.order} is not a subgroup of the parent"
-            ) from None
+        found = self._find(subgroup.images)
+        if found is None:
+            raise NotASubgroupError(f"group of order {subgroup.order} is not a subgroup of the parent")
+        return frozenset(found)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
@@ -287,53 +323,57 @@ class FiniteGroup:
     # -- index arithmetic --------------------------------------------------
 
     def _table(self) -> Optional[np.ndarray]:
-        """Cayley table up to ``_TABLE_LIMIT``, built by ``_gathered_outer``,
+        """Cayley table up to ``_TABLE_LIMIT``, built by ``_gathered``,
         held as int16 (enough for every index up to the limit); its
         ``.tolist()`` rows serve the loops that read single entries."""
         if self.order > _TABLE_LIMIT:
             return None
         table = self._cache.get("table")
         if table is None:
-            table = self._gathered_outer(range(self.order), range(self.order)).astype(np.int16)
+            table = self._gathered(range(self.order), range(self.order), outer=True).astype(np.int16)
             self._cache["table"], self._cache["rows"] = table, table.tolist().__getitem__
         return table
 
     def products(self, left, right, outer: bool = False) -> np.ndarray:
         """Indices of ``elements[l] * elements[r]``, elementwise for arrays that
         broadcast together or, with ``outer``, l in 1-D ``left`` by r in 1-D
-        ``right``: one read of the Cayley table, or image gathers above it."""
+        ``right``: one read of the Cayley table, or base gathers above it."""
         table = self._table()
         if table is not None:
             return table[np.ix_(left, right)] if outer else table[left, right]
-        if outer:
-            return self._gathered_outer(np.asarray(left), right)
-        return self._gathered(*np.broadcast_arrays(left, right))
+        return self._gathered(left, right, outer)
 
-    def _gathered_outer(self, left: np.ndarray, right) -> np.ndarray:
-        """Outer ``products`` by gathers: left's images, then one row per r."""
-        at = self.images[left]
-        return np.stack([self._indices_of_rows(self.images[r][at]) for r in right], axis=1)
+    def _gathered(self, left, right, outer: bool = False) -> np.ndarray:
+        """``products`` read at the base: ``p * q`` sends base point b to
+        q(p(b)), so q's images at p's base images (``at[k]`` for the k-th)
+        are looked up, one base point at a time.  The outer product goes in
+        column blocks of at most ``order x degree`` products, each block's
+        images by point, so no temporary outgrows the image array."""
+        base, lookup = self._lookup()
+        at = np.moveaxis(self.images[np.asarray(left)[..., None], base], -1, 0)
+        right = np.asarray(right)
+        if not outer:
+            return lookup(self.images[right, a] for a in at)
+        width = max(1, self.images.size // max(at.shape[1], 1))
+        blocks = (self.images[right[k : k + width]].T.copy() for k in range(0, len(right), width))
+        return np.concatenate([lookup(by_point[a] for a in at) for by_point in blocks], axis=1)
 
-    def _gathered(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Elementwise ``products`` by gathers (``p * q`` is q's images at p's),
-        a 2-D result one column at a time (at most ``rows x degree`` images);
-        a product outside the group raises ValueError."""
-        if left.ndim == 2:
-            return np.stack([self._gathered(*column) for column in zip(left.T, right.T)], axis=1)
-        rows = np.take(self.images, right[..., None] * self.degree + self.images[left])
-        return self._indices_of_rows(rows.reshape(-1, self.degree)).reshape(left.shape)
-
-    def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Element index of each row of an ``m x degree`` image array.
-
-        Raises ValueError when a row is not an element, which for a row of
-        products means the element table is not closed.  The ``_row_lookup``
-        of the image array is built on first use.
-        """
+    def _lookup(self):
+        """``_row_lookup`` of the image array, built on first use."""
         if "lookup" not in self._cache:
             self._cache["lookup"] = _row_lookup(self.images)
-        found = self._cache["lookup"](rows)
-        if found is None:
+        return self._cache["lookup"]
+
+    def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each row of an ``m x degree`` image array not made
+        by the group's own products: read at the base, checked on every point.
+
+        Raises ValueError when a row is not an element, which for a row of
+        products means the element table is not closed.
+        """
+        base, lookup = self._lookup()
+        found = lookup(rows[:, base].T)
+        if not (self.images[found] == rows).all():
             raise ValueError("the element table is not closed under products")
         return found
 
@@ -343,9 +383,9 @@ class FiniteGroup:
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        if self._table() is None:
-            return self._index()[self.images[j][self.images[i]].tobytes()]
-        return self._cache["rows"](i)[j]
+        if self._table() is not None:
+            return self._cache["rows"](i)[j]
+        return self._index()[self.images[j][self.images[i][self._lookup()[0]]].tobytes()]
 
     def inverse_indices(self) -> tuple[int, ...]:
         """``inverse_indices()[i]`` is the index of elements[i]^-1: each
@@ -506,7 +546,9 @@ class FiniteGroup:
     def subgroup_from_indices(
         self, indices: Iterable[int], generator_indices: Optional[Sequence[int]] = None
     ) -> "FiniteGroup":
-        """Subgroup on the given element indices; order inherited from self."""
+        """Subgroup on the given element indices; order inherited from self.
+        They must be closed under products (a closure's result, say): base
+        lookups assume it, and nothing checks it."""
         idx = sorted(set(indices))
         if not idx or idx[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
@@ -568,33 +610,20 @@ def group_from_images(
     ``order x degree`` integer array of its element images; None when the
     array holds anything else.
 
-    The array is checked, not recomputed: it must make a ``FiniteGroup``;
-    every element times every generator must be an element; and, scanning
-    those products row by row, the elements other than the identity must
-    first turn up in the order 1, 2, ..., n-1, each in a row before its
-    own.  That is the breadth-first discovery order, so a truncated table,
-    a table with extra cosets or one in another order is refused.
+    The array is checked, not recomputed: it must make a ``FiniteGroup``,
+    which checks that it is closed, and the breadth-first search from the
+    identity must meet the elements in the order 0, 1, ..., n-1, the order
+    in which the enumeration discovers them; so a truncated table, a table
+    with extra cosets or one in another order is refused.
     """
     if images.shape[1:] != (generators[0].degree,):
         return None
+    group = FiniteGroup.__new__(FiniteGroup)
     try:
-        group = FiniteGroup(images, [g.images for g in generators])
-        images, gens = group.images, group.generator_images
-        # row i * len(generators) + j is elements[i] * generators[j]
-        products = gens[:, images].transpose(1, 0, 2).reshape(-1, group.degree)
-        products = group._indices_of_rows(products)
-    except ValueError:  # not a group, or not closed under the generators
+        discovered = group._hold_checked(images, [g.images for g in generators])
+    except ValueError:  # not a group, or not closed
         return None
-    # found[0] is the identity (some g^-1 g); the rest must be 1, ..., n-1
-    found, first = np.unique(products, return_index=True)
-    found, first = found[1:], first[1:]
-    if not (
-        np.array_equal(found, np.arange(1, len(images)))
-        and np.all(np.diff(first) > 0)
-        and np.all(first // len(generators) < found)
-    ):
-        return None
-    return group
+    return group if discovered == list(range(group.order)) else None
 
 
 class Transversal:
@@ -611,11 +640,12 @@ class Transversal:
 
     def __init__(self, parent: FiniteGroup, subgroup: FiniteGroup):
         row = parent._rows()
-        sub_rows = [row(h) for h in parent.indices_of(subgroup)]
+        sub_rows = [row(h) for h in parent.indices_of(subgroup) if h]
         slot_of = [-1] * parent.order
         reps: list[int] = []
         for x in range(parent.order):
             if slot_of[x] < 0:
+                slot_of[x] = len(reps)
                 for h_row in sub_rows:
                     slot_of[h_row[x]] = len(reps)
                 reps.append(x)

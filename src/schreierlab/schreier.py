@@ -249,7 +249,7 @@ def rs_induce(transversal: Transversal, multiset: SymmetricMultiset) -> Symmetri
     found = np.flatnonzero(counts)
     if (transversal.slot_of[found] != transversal.slot_of[0]).any():
         raise AssertionError("rewritten element escaped the subgroup")
-    entries = [subgroup._index()[row.tobytes()] for row in group.images[found]]
+    entries = subgroup._find(group.images[found])
     return SymmetricMultiset(subgroup, zip(entries, counts[found].tolist()))
 
 

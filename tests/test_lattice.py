@@ -252,6 +252,5 @@ def test_table_matches_permutation_products(name):
 
 
 def test_table_rejects_elements_that_are_not_closed():
-    group = FiniteGroup([[0, 1, 2], [1, 2, 0]], [[1, 2, 0]])
     with pytest.raises(ValueError, match="not closed"):
-        group._table()
+        FiniteGroup([[0, 1, 2], [1, 2, 0]], [[1, 2, 0]])

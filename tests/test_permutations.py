@@ -739,17 +739,17 @@ cached_group = functools.cache(catalog_group)
 
 def lookup_tables(group):
     """The group's row lookup tables, keyed by base point."""
-    group._indices_of_rows(group.images[:1])
-    return inspect.getclosurevars(group._cache["lookup"]).nonlocals["tables"]
+    _, lookup = group._lookup()
+    return inspect.getclosurevars(lookup).nonlocals["tables"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(LOOKUP_GROUPS), st.lists(st.integers(min_value=0), min_size=1, max_size=40))
 def test_row_lookup_agrees_with_the_bytes_index(name, picks):
     group = cached_group(name)
-    rows = group.images[[i % group.order for i in picks]]
-    index = group._index()
-    assert group._indices_of_rows(rows).tolist() == [index[row.tobytes()] for row in rows]
+    picked = [i % group.order for i in picks]
+    rows = group.images[picked]
+    assert group._indices_of_rows(rows).tolist() == group._find(rows) == picked
 
 
 @settings(max_examples=30, deadline=None)
@@ -767,6 +767,13 @@ def test_a_row_that_agrees_only_on_the_base_points_is_refused(name, pick):
         group._indices_of_rows(row[None])
     with pytest.raises(ValueError, match="not closed"):
         group._indices_of_rows(np.zeros((1, group.degree), dtype=np.int32))
+    # the dict of base images behind index_of, in and indices_of refuses it too
+    assert group._find(row[None]) is None
+    if len(off_base) > 1:
+        outsider = Permutation(row.tolist())
+        assert outsider not in group
+        with pytest.raises(ValueError, match="not an element"):
+            group.index_of(outsider)
 
 
 @pytest.mark.parametrize("name", ["sym:7", "cyclic:1024"])
@@ -774,6 +781,113 @@ def test_row_lookup_tables_stay_within_the_stabilizer_chain_bound(name):
     group = cached_group(name)
     tables = lookup_tables(group)
     assert sum(map(len, tables.values())) <= (2 * group.order + len(tables)) * group.degree
+
+
+# ---------------------------------------------------------------------------
+# products read at the base, on both sides of the table limit: heisenberg:5
+# (125 points) and sym:5 build their Cayley tables through the base path,
+# sym:6, alt:7 and cyclic:1024 (1024 points, a base of one) gather above it
+
+
+@pytest.mark.parametrize("name", ["heisenberg:5", "sym:5", "sym:6", "alt:7", "cyclic:1024"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_products_at_the_base_match_permutation_products(name, data):
+    group = cached_group(name)
+    elements = group.elements
+    index = st.integers(0, group.order - 1)
+    left = np.array(data.draw(st.lists(index, min_size=1, max_size=6)))
+    right = np.array(data.draw(st.lists(index, min_size=len(left), max_size=len(left))))
+    expected = [[group.index_of(elements[int(i)] * elements[int(j)]) for j in right] for i in left]
+
+    assert group.products(left, right, outer=True).tolist() == expected
+    # every row of the group's outer product, gathered in blocks
+    assert group.products(range(group.order), right, outer=True)[left].tolist() == expected
+    assert group.products(left, right).tolist() == np.diag(expected).tolist()
+    lefts, rights = np.broadcast_arrays(left[:, None], right[None, :])
+    assert group.products(lefts, rights).tolist() == expected
+    assert [[group.mult(i, j) for j in right] for i in left] == expected
+    if group.order <= 512:
+        assert group._table()[np.ix_(left, right)].tolist() == expected
+    else:
+        assert group._table() is None
+
+
+# sym:5's whole table and 40 columns of sym:6 need many blocks; all of
+# cyclic:1024's fill the image array exactly
+@pytest.mark.parametrize("name, columns", [("sym:5", 120), ("sym:6", 40), ("cyclic:1024", 1024)])
+def test_outer_products_gather_blocks_no_larger_than_the_image_array(name, columns):
+    group = group_from_generators(list(cached_group(name).generators))
+    base, lookup = group._lookup()
+    sizes = []
+
+    def counted(columns):
+        columns = list(columns)
+        sizes.extend(column.size for column in columns)
+        return lookup(columns)
+
+    group._cache["lookup"] = base, counted
+    outer = group.products(range(group.order), range(columns), outer=True)
+    expected = cached_group(name).products(range(group.order), range(columns), outer=True)
+    assert np.array_equal(outer, expected)
+    assert sum(sizes) == group.order * columns * len(base)  # each product gathered once
+    assert max(sizes) <= group.images.size
+
+
+def test_a_table_closed_under_its_generator_but_not_under_products_is_refused():
+    c = Permutation.from_cycles([[0, 1, 2]], 4)
+    t = Permutation.from_cycles([[0, 3]], 4)
+    cyclic = [Permutation.identity(4), c, c * c]
+    rows = cyclic + [t * x for x in cyclic]  # <c> and the coset t<c>
+    assert {(x * c).images for x in rows} == {x.images for x in rows}
+    assert (t * t * c).images not in {x.images for x in rows[3:]}
+    with pytest.raises(ValueError, match="not the group its generators generate"):
+        FiniteGroup([x.images for x in rows], [c.images])
+    assert FiniteGroup([x.images for x in cyclic], [c.images]).order == 3
+
+
+def brute_force_transversal(group, subgroup):
+    """Representatives and slots from Permutation products: each element
+    not yet placed, in index order, opens its right coset Hx."""
+    members = [group.elements[i] for i in sorted(group.indices_of(subgroup))]
+    slot_of, reps = [-1] * group.order, []
+    for x in range(group.order):
+        if slot_of[x] < 0:
+            for h in members:
+                slot_of[group.index_of(h * group.elements[x])] = len(reps)
+            reps.append(x)
+    return reps, slot_of
+
+
+@pytest.mark.parametrize("name", ["sym:6", "alt:7", "cyclic:1024", "sym:7"])
+def test_a_regular_transversal_above_the_table_limit_computes_no_products(name, monkeypatch):
+    group = cached_group(name)
+    assert group.order > 512
+    calls = []
+    monkeypatch.setattr(FiniteGroup, "mult", lambda self, i, j: calls.append((i, j)))
+    t = Transversal(group, group.trivial_subgroup())
+    assert not calls
+    assert t.rep_indices.tolist() == t.slot_of.tolist() == list(range(group.order))
+
+
+@pytest.mark.parametrize(
+    "name, action",
+    [("sym:7", "regular"), ("sym:7", "natural"), ("sym:7", "involution"),
+     ("sym:5", "natural"), ("sym:5", "involution"), ("alt:7", "natural")],
+)
+def test_transversals_match_the_brute_force_coset_partition(name, action):
+    group = cached_group(name)
+    subgroup = {
+        "regular": group.trivial_subgroup,
+        "natural": lambda: group.point_stabilizer(0),
+        "involution": lambda: group.subgroup_generated(
+            [Permutation.from_cycles([[0, 1], [2, 3]], group.degree)]
+        ),
+    }[action]()
+    t = Transversal(group, subgroup)
+    reps, slot_of = brute_force_transversal(group, subgroup)
+    assert t.rep_indices.tolist() == reps
+    assert t.slot_of.tolist() == slot_of
 
 
 def test_reading_an_element_builds_one_permutation(built_permutations):
