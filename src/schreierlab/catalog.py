@@ -27,7 +27,6 @@ from .permutations import (
     Permutation,
     _least_prime_factor,
     group_from_generators,
-    group_from_images,
 )
 
 CACHE_ENV_VAR = "SCHREIERLAB_CACHE_DIR"
@@ -221,14 +220,14 @@ def _load_cached(
     try:
         with path.open("rb") as fh:
             images = np.lib.format.read_array(fh, allow_pickle=False)
-    except ValueError:  # not a whole .npy file of numbers
+        if images.ndim == 2 and len(images) > cap:
+            raise GroupTooLargeError(
+                f"cached group {name!r} has {len(images)} elements, "
+                f"above the configured cap of {cap}"
+            )
+        return FiniteGroup(images, [g.images for g in generators])
+    except ValueError:  # not a whole .npy file of numbers, or not that group
         return None
-    if images.ndim == 2 and len(images) > cap:
-        raise GroupTooLargeError(
-            f"cached group {name!r} has {len(images)} elements, "
-            f"above the configured cap of {cap}"
-        )
-    return group_from_images(generators, images)
 
 
 def catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

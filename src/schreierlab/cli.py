@@ -64,10 +64,13 @@ from .sweeps import run_all
 class ExperimentConfig:
     """One experiment: what to run, on what, with which caps.
 
-    These fields hold the only defaults.  Each field but ``command`` is set
-    by one flag of ``_FLAGS``, and a command reads only the fields its
-    ``_COMMANDS`` entry lists: ``validate`` refuses any other field that
-    differs from its default.
+    Each field but ``command`` is set by one flag of ``_FLAGS``, and a
+    command reads only the fields its ``_COMMANDS`` entry lists:
+    ``validate`` refuses any other field that differs from its default.
+    ``epsilon``, ``delta`` and ``trials`` default to None, which the command
+    resolves: verify-thm1 to epsilon = delta = 0.25 and 400 trials,
+    verify-nilpotent to 100 trials; bounds without one reports no least
+    multiset size.
     """
 
     command: str

@@ -12,7 +12,12 @@ Two rules keep products cheap.  A product is read at the base: an element
 is fixed by its images on a few base points, so ``p * q`` is named by q's
 images at p's base images, never by a full row.  That is exact only on a
 closed table, so every ``FiniteGroup`` is closed by construction: built by
-closure, sliced on a subgroup's members or checked in ``__init__``.
+closure, sliced on a subgroup's members or checked in ``__init__``, the one
+door for rows from outside: it accepts exactly the enumeration of the given
+generators, in discovery order (an integer table of distinct bijections,
+identity first; one or more integer generator rows, bijections of its
+degree; closed under the generators; elements first met in table order, each
+before its own row).
 """
 
 from __future__ import annotations
@@ -223,42 +228,42 @@ class FiniteGroup:
     holds the generators' rows.  Groups built by closure keep the
     breadth-first discovery order and subgroups their parent's relative
     order, so transversals and induced multisets are reproducible.
+
+    The constructor's one contract: ``images`` is exactly the enumeration
+    of ``generator_images``, in discovery order.  It checks the table (2-D
+    integer, identity first, rows distinct bijections), the generator rows
+    (one or more integer bijections of its degree), closure (each element
+    times each generator is an element) and order (scanning those products
+    row by row, each element is first met after those before it, in a row
+    before its own).
     """
 
     def __init__(self, images, generator_images):
-        self._hold_checked(images, generator_images)
-
-    def _hold_checked(self, images, generator_images) -> list[int]:
-        """Check and hold what ``__init__`` takes: closed, as base lookups
-        assume (each element times each generator is an element, checked on
-        every point, and a breadth-first search from the identity over the
-        generators meets every element); return the order it meets them in."""
         images = np.asarray(images)
         if images.ndim != 2 or not images.size or images.dtype.kind not in "iu":
             raise ValueError("a group needs a 2-D integer array of images, identity first")
         points = np.arange(images.shape[1])
         if not ((images[0] == points).all() and (np.sort(images) == points).all()):
             raise ValueError("row 0 must be the identity and each row a bijection of range(degree)")
-        rows = np.array(images, dtype=np.int32, order="C")  # a copy no caller can write
-        self._adopt(rows, np.array(generator_images, np.int32))
-        # row i * len(generators) + j is elements[i] * generators[j]
-        products = self.generator_images[:, rows].transpose(1, 0, 2).reshape(-1, self.degree)
-        after = self._indices_of_rows(products).reshape(self.order, -1).tolist()
-        seen, queue = [True] + [False] * (self.order - 1), [0]
-        for x in queue:
-            for y in after[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        if len(queue) < self.order:
+        gens = np.asarray(generator_images)
+        if not (gens.size and gens.shape[1:] == images.shape[1:] and gens.dtype.kind in "iu"
+                and (np.sort(gens) == points).all()):
+            raise ValueError(f"generator rows must be integer bijections of range({len(points)})")
+        gens = gens.astype(np.int32)  # like the table's, a copy no caller can write
+        self._adopt(np.array(images, dtype=np.int32, order="C"), gens)
+        # row i * len(gens) + j is elements[i] * generators[j], the order in
+        # which the enumeration scans products; in a closed table each
+        # generator permutes the elements, so every element is met
+        products = gens[:, self.images].transpose(1, 0, 2).reshape(-1, self.degree)
+        first = np.unique(self._indices_of_rows(products), return_index=True)[1][1:]
+        if not ((np.diff(first) > 0).all() and (first // len(gens) < np.arange(1, self.order)).all()):
             raise ValueError("the element table is not the group its generators generate")
-        return queue
 
     def _adopt(self, images: np.ndarray, generator_images: np.ndarray) -> "FiniteGroup":
         """Hold rows that ``__init__`` would accept, in fresh int32 arrays:
         the unchecked path for rows sliced from a group or closed by BFS."""
         self.images, (self.order, self.degree) = images, images.shape
-        self.generator_images = generator_images.reshape(-1, self.degree)
+        self.generator_images = generator_images
         self.images.flags.writeable = self.generator_images.flags.writeable = False
         self._cache: dict = {}
         return self
@@ -601,29 +606,6 @@ def group_from_generators(
                 new.append(k)
         levels.append(products[new])
     return FiniteGroup.__new__(FiniteGroup)._adopt(np.concatenate(levels), gens)
-
-
-def group_from_images(
-    generators: Sequence[Permutation], images: np.ndarray
-) -> Optional[FiniteGroup]:
-    """The group ``group_from_generators(generators)`` builds, read from the
-    ``order x degree`` integer array of its element images; None when the
-    array holds anything else.
-
-    The array is checked, not recomputed: it must make a ``FiniteGroup``,
-    which checks that it is closed, and the breadth-first search from the
-    identity must meet the elements in the order 0, 1, ..., n-1, the order
-    in which the enumeration discovers them; so a truncated table, a table
-    with extra cosets or one in another order is refused.
-    """
-    if images.shape[1:] != (generators[0].degree,):
-        return None
-    group = FiniteGroup.__new__(FiniteGroup)
-    try:
-        discovered = group._hold_checked(images, [g.images for g in generators])
-    except ValueError:  # not a group, or not closed
-        return None
-    return group if discovered == list(range(group.order)) else None
 
 
 class Transversal:

@@ -199,6 +199,11 @@ def _other_generating_set(path, images):
     np.save(path, np.array([p.images for p in reordered.elements]))
 
 
+def _other_degree(path, images):
+    # sym:3's table in sym:6's file: closed, but of another degree
+    np.save(path, group_from_generators(catalog_generators("sym:3")).images)
+
+
 def _text(path, images):
     path.write_text("[[0, 1, 2, 3, 4]]", encoding="utf-8")
 
@@ -237,6 +242,7 @@ def _float_array(path, images):
         ("sym:5", _swap_two_rows),
         ("cyclic:1xcyclic:3", _add_a_coset),
         ("sym:5", _other_generating_set),
+        ("sym:6", _other_degree),
         ("sym:5", _text),
         ("sym:5", _empty),
         ("sym:5", _truncated_bytes),
@@ -246,7 +252,7 @@ def _float_array(path, images):
         ("sym:5", _float_array),
     ],
     ids=[
-        "truncated", "reordered", "extra-coset", "other-generators", "text",
+        "truncated", "reordered", "extra-coset", "other-generators", "other-degree", "text",
         "empty", "truncated-bytes", "npz", "truncated-npz", "zero-dimensional", "float",
     ],
 )

@@ -177,6 +177,14 @@ def test_verify_thm1_small(capsys):
     assert all(v["passed"] for v in payload["verdicts"])
 
 
+def test_verify_thm1_defaults(capsys):
+    code, payload = run_json(["verify-thm1", "--group", "cyclic:8", "--seed", "1"], capsys)
+    assert code == 0
+    results = payload["results"]
+    assert (results["epsilon"], results["delta"], results["trials"]) == (0.25, 0.25, 400)
+    assert len(results["lambdas"]) == 400
+
+
 def test_verify_thm1_csv(capsys):
     code = main(
         ["verify-thm1", "--group", "sym:3", "--action", "natural",

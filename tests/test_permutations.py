@@ -21,7 +21,7 @@ from schreierlab import (
     intermediate_subgroups,
     lower_central_series,
 )
-from schreierlab.permutations import CosetAction, FiniteGroup, Transversal, group_from_images
+from schreierlab.permutations import CosetAction, FiniteGroup, Transversal
 from schreierlab.sweeps import _MIDSIZE_POOL, _NILPOTENT_GROUPS, _SMALL_POOL
 from testkit import (
     SMALL_GROUPS,
@@ -237,17 +237,40 @@ def test_coset_members_partition_the_group_by_slot(s3):
         assert t.rep_indices[slot] in xs
 
 
-def test_group_from_images_accepts_only_the_enumeration():
+def test_the_constructor_accepts_only_the_enumeration():
     group = catalog_group("sym:4")
     images = np.array([p.images for p in group.elements])
-    rebuilt = group_from_images(group.generators, images)
+    rebuilt = FiniteGroup(images, group.generator_images)
     assert [p.images for p in rebuilt.elements] == [p.images for p in group.elements]
     swapped = images.copy()
     swapped[[3, 4]] = swapped[[4, 3]]
     not_bijective = images.copy()
     not_bijective[5, 0] = not_bijective[5, 1]
     for bad in (swapped, images[:12], not_bijective, images[1:], images.astype(float)):
-        assert group_from_images(group.generators, bad) is None
+        with pytest.raises(ValueError):
+            FiniteGroup(bad, group.generator_images)
+
+
+@pytest.mark.parametrize("name", ["cyclic:1", "alt:7"])  # order 1; above the table limit
+def test_a_group_round_trips_through_the_constructor(name):
+    group = catalog_group(name)
+    again = FiniteGroup(group.images, group.generator_images)
+    assert np.array_equal(again.images, group.images)
+    assert np.array_equal(again.generator_images, group.generator_images)
+    if group.order > 2:
+        swapped = group.images[[0, group.order - 1, *range(2, group.order - 1), 1]]
+        with pytest.raises(ValueError, match="not the group its generators generate"):
+            FiniteGroup(swapped, group.generator_images)
+
+
+def test_generator_rows_must_be_bijections_of_the_table_degree(s3):
+    # sym:3's two generators as one row of degree 6, a row of degree 6 whose
+    # second half would index past the table, points past the degree and
+    # past int32, a float row and no generator at all
+    degree_6 = ([np.concatenate(s3.generator_images)], [[1, 0, 2, 3, 4, 5]])
+    for rows in (*degree_6, [[1, 0, 7]], [[2**40, 0, 1]], [[1.0, 0.0, 2.0]], np.empty((0, 3), int)):
+        with pytest.raises(ValueError, match=r"bijections of range\(3\)"):
+            FiniteGroup(s3.images, rows)
 
 
 @settings(max_examples=40, deadline=None)
