@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .inequalities import DERIVED_INDEX, Verdict
+from .inequalities import DERIVED_INDEX, NILPOTENT_BOUND, Verdict
 from .permutations import (
     DEFAULT_SUBGROUP_LIMIT,
     FiniteGroup,
@@ -172,6 +172,19 @@ def nilpotent_gap_bound(omega_size: int, set_size: int, class_c: int) -> float:
     return math.exp(math.log(5.0) - f * math.log(omega_size))
 
 
+def nilpotent_bound(
+    group: FiniteGroup, stabilizer: FiniteGroup, set_size: int
+) -> tuple[Optional[float], Optional[int]]:
+    """The bound 5 |Omega|^(-f(|S|, c)) on the action and the group's class c,
+    or (None, None) where it does not apply.  The one rule: the group is
+    nilpotent of class c >= 1 and |S| >= 2, since f's denominator
+    d^(c+1) - d^2 + d - 1 is 0 at d = 1."""
+    class_c = lower_central_series(group)[1]
+    if class_c is None or class_c < 1 or set_size < 2:
+        return None, None
+    return nilpotent_gap_bound(group.order // stabilizer.order, set_size, class_c), class_c
+
+
 @dataclass(frozen=True)
 class DerivedIndexReport:
     """``verdict`` compares the logarithms of ``lhs`` and ``rhs``."""
@@ -191,31 +204,27 @@ def derived_index_check(
 ) -> DerivedIndexReport:
     """Check |G : G'Y| >= |G : Y|^beta(d, c) when the hypotheses hold.
 
-    Hypotheses, evaluated rather than assumed: the stabilizer together with
-    the multiset generates the group, the multiset size d is at least 2, and
-    some term of the lower central series lands inside the stabilizer.  The
-    least such c >= 1 is used, which gives the strongest form of the check.
+    Hypotheses, evaluated rather than assumed: the multiset size d is at
+    least 2, some term of the lower central series lands inside the
+    stabilizer, and the stabilizer together with the multiset generates the
+    group.  The least such c >= 1 is used, which gives the strongest form of
+    the check.  That c, |G : G'Y| and |G : Y| are computed once per action
+    and cached on the group under Y's index set, as ints alone, which tie no
+    group to its cache; per multiset only d and the generation closure remain.
     """
-    stab_idx = group.indices_of(stabilizer)
-    d = multiset.size
-    if d < 2:
+    members = group.indices_of(stabilizer)
+    key = ("derived-index", members)
+    if key not in group._cache:
+        terms, _ = lower_central_series(group)
+        inside = (i for i in range(1, len(terms)) if group.indices_of(terms[i]) <= members)
+        # G' is normal, so the join G'Y grows from G' without generators for G'
+        join = group._closure(members, base=group.indices_of(derived_subgroup(group)))
+        lhs, index = group.order // len(join), group.order // len(members)
+        group._cache[key] = (next(inside, None), lhs, index)
+    class_c, lhs, index = group._cache[key]
+    d, seed = multiset.size, members.union(multiset.support())
+    if d < 2 or class_c is None or len(group._closure(seed)) < group.order:
         return DerivedIndexReport(hypotheses_hold=False)
-    seed = stab_idx.union(multiset.support())
-    if len(group._closure(seed)) != group.order:
-        return DerivedIndexReport(hypotheses_hold=False)
-    terms, _ = lower_central_series(group)
-    class_c = None
-    for i, term in enumerate(terms[1:], start=1):
-        if group.indices_of(term) <= stab_idx:
-            class_c = i
-            break
-    if class_c is None:
-        return DerivedIndexReport(hypotheses_hold=False)
-
-    # G' is normal, so the join G'Y grows from G' without generators for G'
-    join = group._closure(stab_idx, base=group.indices_of(derived_subgroup(group)))
-    lhs = group.order // len(join)
-    index = group.order // stabilizer.order
     _, beta = nilpotent_exponents(d, class_c)
     rhs = math.exp(beta * math.log(index)) if index > 1 else 1.0
     return DerivedIndexReport(
@@ -226,6 +235,17 @@ def derived_index_check(
         class_c=class_c,
         set_size=d,
     )
+
+
+def nilpotent_verdicts(
+    group: FiniteGroup, stabilizer: FiniteGroup, multiset: SymmetricMultiset, gap: float
+) -> tuple[Optional[Verdict], Optional[Verdict]]:
+    """The nilpotent estimate for one multiset on one action: the verdict of
+    gap <= 5 |Omega|^(-f(|S|, c)) at the measured gap and the derived-index
+    verdict, each None where its hypotheses fail."""
+    bound, _ = nilpotent_bound(group, stabilizer, multiset.size)
+    verdict = None if bound is None else NILPOTENT_BOUND.check(gap, bound)
+    return verdict, derived_index_check(group, stabilizer, multiset).verdict
 
 
 @dataclass
@@ -280,11 +300,9 @@ def build_bound_report(
     )
     if group.is_abelian() and stabilizer.order == 1:
         report.abelian_bound = abelian_gap_bound(group.order, multiset.size)
-    class_c = lower_central_series(group)[1]
-    if class_c is not None and class_c >= 1:
-        omega = group.order // stabilizer.order
-        report.nilpotent_bound = nilpotent_gap_bound(omega, multiset.size, class_c)
-        report.nilpotent_class = class_c
+    report.nilpotent_bound, report.nilpotent_class = nilpotent_bound(
+        group, stabilizer, multiset.size
+    )
     if epsilon is not None:
         report.epsilon_used = epsilon
         report.min_set_size = theta_min_set_size(theta_value, epsilon)

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import build_bound_report, derived_index_check, log_theta, nilpotent_gap_bound
+from .bounds import build_bound_report, log_theta, nilpotent_bound, nilpotent_verdicts
 from .catalog import resolve_action, resolve_group, resolve_subgroup
 from .errors import SchreierLabError
 from .inequalities import (
@@ -33,6 +33,7 @@ from .inequalities import (
     theta_range,
 )
 from .montecarlo import (
+    cycling_size,
     run_expansion_trials,
     sample_multiset,
     sample_symmetric_multiset,
@@ -204,10 +205,11 @@ def render_report(report: Report) -> str:
     return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
 
 
-def _random_multiset(config: ExperimentConfig, group, rng) -> SymmetricMultiset:
+def _random_multiset(config: ExperimentConfig, group, rng, size=None) -> SymmetricMultiset:
     """One draw for --set random:m: m uniform draws joined with their
-    inverses under --symmetrize, otherwise a symmetric sample of total size m."""
-    m = config.random_size()
+    inverses under --symmetrize, otherwise a symmetric sample of total size m;
+    without --set, a symmetric sample of total size ``size``."""
+    m = config.random_size() or size
     if config.symmetrize:
         return symmetrize(group, [(i, 1) for i in sample_multiset(group, m, rng)])
     return sample_symmetric_multiset(group, m, rng)
@@ -351,29 +353,24 @@ def _cmd_verify_nilpotent(config, report, group, stabilizer, subgroup) -> None:
     if class_c is None or class_c < 1:
         raise ValueError("the group is not nilpotent of class >= 1")
     omega = group.order // stabilizer.order
-    spec = config.multiset_spec
-    if spec and not spec.startswith("random:"):
-        multisets = [_resolve_multiset(config, group)]
-    else:
-        trials = 100 if config.trials is None else config.trials
+    if config.randomized():
         rng = np.random.default_rng(config.seed)
-        if spec:
-            multisets = [_random_multiset(config, group, rng) for _ in range(trials)]
-        else:
-            multisets = [
-                sample_symmetric_multiset(group, 2 + (i % 7), rng) for i in range(trials)
-            ]
+        trials = range(100 if config.trials is None else config.trials)
+        multisets = [_random_multiset(config, group, rng, cycling_size(i)) for i in trials]
+    else:
+        multisets = [_resolve_multiset(config, group)]
+    size = min(multiset.size for multiset in multisets)
+    if nilpotent_bound(group, stabilizer, size)[1] is None:
+        raise ValueError(f"the nilpotent bound needs |S| >= 2, and --set gives |S| = {size}")
     gaps, derived = Tally(NILPOTENT_BOUND.name), Tally(DERIVED_INDEX.name)
     for multiset in multisets:
         summary = spectral_summary(
             schreier_graph(group, stabilizer, multiset), dim_cap=config.cap_dim
         )
-        gaps.add(
-            NILPOTENT_BOUND.check(summary.gap, nilpotent_gap_bound(omega, multiset.size, class_c))
-        )
-        check = derived_index_check(group, stabilizer, multiset)
-        if check.hypotheses_hold:
-            derived.add(check.verdict)
+        bound, index = nilpotent_verdicts(group, stabilizer, multiset, summary.gap)
+        gaps.add(bound)
+        if index is not None:
+            derived.add(index)
     report.results = {
         "group_order": group.order,
         "omega": omega,

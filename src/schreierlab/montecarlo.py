@@ -28,6 +28,11 @@ def sample_multiset(group: FiniteGroup, m: int, rng: np.random.Generator) -> lis
     return rng.integers(0, group.order, size=m).tolist()
 
 
+def cycling_size(i: int) -> int:
+    """The size of the i-th multiset in a run whose sizes cycle through 2..8."""
+    return 2 + (i % 7)
+
+
 def sample_symmetric_multiset(
     group: FiniteGroup, size: int, rng: np.random.Generator
 ) -> SymmetricMultiset:

@@ -562,10 +562,15 @@ class FiniteGroup:
             return group._adopt(images, self.images[list(generator_indices)])
         return group._adopt(images, images[1:] if len(idx) > 1 else images)
 
-    def subgroup_generated(self, perms: Iterable[Permutation]) -> "FiniteGroup":
-        """Subgroup of self generated by the given elements."""
-        gen_idx = [self.index_of(p) for p in perms]
+    def subgroup_generated_by(self, indices: Iterable[int]) -> "FiniteGroup":
+        """Subgroup of self generated by the elements with the given indices."""
+        gen_idx = list(indices)
         return self.subgroup_from_indices(self._closure(gen_idx), gen_idx or None)
+
+    def subgroup_generated(self, perms: Iterable[Permutation]) -> "FiniteGroup":
+        """Subgroup of self generated by the given permutations: the parse
+        boundary of ``subgroup_generated_by``."""
+        return self.subgroup_generated_by(self.index_of(p) for p in perms)
 
     def trivial_subgroup(self) -> "FiniteGroup":
         return self.subgroup_from_indices([0])

@@ -3,8 +3,9 @@
 Each check returns a CriterionResult with the pass verdict, a few summary
 figures, and its wall-clock time.  ``run_all`` wires the shared instance
 collections together (the abelian and randomized sweeps feed the set-size
-check, the nilpotent sweep feeds the derived-index check) and is what both
-the ``sweep`` CLI command and the acceptance tests call.
+check, the nilpotent sweep's derived-index verdicts feed the derived-index
+check) and is what both the ``sweep`` CLI command and the acceptance tests
+call.
 
 All randomness is seeded per criterion, so a rerun reproduces the exact
 same instances and figures.
@@ -23,10 +24,9 @@ import numpy as np
 from .bounds import (
     _subgroup_bound,
     abelian_gap_bound,
-    derived_index_check,
     log_theta,
     nilpotent_exponents,
-    nilpotent_gap_bound,
+    nilpotent_verdicts,
     theta_min_set_size,
 )
 from .catalog import abelian_names_up_to, catalog_group
@@ -47,7 +47,7 @@ from .inequalities import (
     Tally,
     Verdict,
 )
-from .montecarlo import run_expansion_trials, sample_symmetric_multiset
+from .montecarlo import cycling_size, run_expansion_trials, sample_symmetric_multiset
 from .permutations import (
     FiniteGroup,
     Transversal,
@@ -123,30 +123,13 @@ def _measure(group, stabilizer, multiset):
 # shared instance pools
 
 
-_MIDSIZE_POOL = [
-    "sym:3",
-    "sym:4",
-    "alt:4",
-    "dihedral:6",
-    "dihedral:8",
-    "dihedral:10",
-    "dihedral:12",
-    "dihedral:16",
-    "cyclic:5",
-    "cyclic:7",
-    "cyclic:8",
-    "cyclic:12",
-    "cyclic:24",
-    "cyclic:48",
-    "elem-abelian:2^3",
-    "elem-abelian:2^4",
-    "elem-abelian:3^2",
-    "heisenberg:3",
-    "cyclic:2xcyclic:4",
-    "cyclic:4xcyclic:4",
-    "cyclic:2xsym:3",
-    "cyclic:3xcyclic:9",
-]
+_MIDSIZE_POOL = (
+    ["sym:3", "sym:4", "alt:4"]
+    + [f"dihedral:{n}" for n in (6, 8, 10, 12, 16)]
+    + [f"cyclic:{n}" for n in (5, 7, 8, 12, 24, 48)]
+    + ["elem-abelian:2^3", "elem-abelian:2^4", "elem-abelian:3^2", "heisenberg:3"]
+    + ["cyclic:2xcyclic:4", "cyclic:4xcyclic:4", "cyclic:2xsym:3", "cyclic:3xcyclic:9"]
+)
 
 _SMALL_POOL = (
     [f"cyclic:{n}" for n in range(2, 17)]
@@ -160,11 +143,6 @@ def _group_pool(names: list[str]) -> list[tuple[str, FiniteGroup]]:
     return [(name, catalog_group(name)) for name in names]
 
 
-def _midsize_pool() -> list[tuple[str, FiniteGroup]]:
-    """The midsize pool's groups of order at most 48."""
-    return [(name, group) for name, group in _group_pool(_MIDSIZE_POOL) if group.order <= 48]
-
-
 def _stabilizer_candidates(
     group: FiniteGroup, rng: np.random.Generator, count: int = 3
 ) -> list[FiniteGroup]:
@@ -172,14 +150,9 @@ def _stabilizer_candidates(
     candidates = {frozenset((0,)): group.trivial_subgroup()}
     for _ in range(count):
         k = int(rng.integers(1, 3))
-        picks = [group.elements[int(i)] for i in rng.integers(0, group.order, size=k)]
-        sub = group.subgroup_generated(picks)
+        sub = group.subgroup_generated_by(rng.integers(0, group.order, size=k).tolist())
         candidates.setdefault(group.indices_of(sub), sub)
     return list(candidates.values())
-
-
-def _random_size(i: int) -> int:
-    return 2 + (i % 7)
 
 
 def _random_transversal(base: Transversal, rng: np.random.Generator) -> Transversal:
@@ -217,7 +190,7 @@ def check_cycle_gap() -> CriterionResult:
 def check_spectrum_containment() -> CriterionResult:
     start = time.perf_counter()
     rng = np.random.default_rng(20250801)
-    pool = _midsize_pool()
+    pool = _group_pool(_MIDSIZE_POOL)
     worst = 0.0
     instances = 60
     for i in range(instances):
@@ -254,7 +227,7 @@ def check_abelian_bound() -> tuple[CriterionResult, list[Instance]]:
         group = catalog_group(name)
         trivial = group.trivial_subgroup()
         for i in range(200):
-            multiset = sample_symmetric_multiset(group, _random_size(i), rng)
+            multiset = sample_symmetric_multiset(group, cycling_size(i), rng)
             summary = _measure(group, trivial, multiset)
             bound = abelian_gap_bound(group.order, multiset.size)
             gaps.add(ABELIAN_BOUND.check(summary.gap, bound))
@@ -282,7 +255,7 @@ def check_abelian_bound() -> tuple[CriterionResult, list[Instance]]:
 def check_induced_monotonicity() -> tuple[CriterionResult, list[Instance], Tally]:
     start = time.perf_counter()
     rng = np.random.default_rng(20250804)
-    pool = _midsize_pool()
+    pool = _group_pool(_MIDSIZE_POOL)
     candidates = {
         name: _stabilizer_candidates(group, rng) for name, group in pool
     }
@@ -293,12 +266,9 @@ def check_induced_monotonicity() -> tuple[CriterionResult, list[Instance], Tally
         name, group = pool[i % len(pool)]
         stabs = candidates[name]
         stabilizer = stabs[int(rng.integers(0, len(stabs)))]
-        extras = [
-            group.elements[int(j)]
-            for j in rng.integers(0, group.order, size=int(rng.integers(0, 3)))
-        ]
-        subgroup = group.subgroup_generated(list(stabilizer.elements) + extras)
-        multiset = sample_symmetric_multiset(group, _random_size(i), rng)
+        extras = rng.integers(0, group.order, size=int(rng.integers(0, 3))).tolist()
+        subgroup = group.subgroup_generated_by(sorted(group.indices_of(stabilizer)) + extras)
+        multiset = sample_symmetric_multiset(group, cycling_size(i), rng)
 
         parent = _measure(group, stabilizer, multiset)
         induction = induce_with_laws(Transversal(group, subgroup), multiset)
@@ -329,8 +299,7 @@ def check_induced_monotonicity() -> tuple[CriterionResult, list[Instance], Tally
 def check_dedup_search() -> tuple[CriterionResult, dict]:
     start = time.perf_counter()
     group = catalog_group("dihedral:8")
-    rotation = group.generators[0]
-    subgroup = group.subgroup_generated([rotation])
+    subgroup = group.subgroup_generated_by([1])  # the rotation, the first generator
     result = dedup_counterexample_search(group, subgroup, group.trivial_subgroup())
     criterion = _result(
         "dedup-counterexample",
@@ -419,27 +388,26 @@ def check_set_size_bounds(instances: list[Instance]) -> CriterionResult:
 _NILPOTENT_GROUPS = ["heisenberg:3", "heisenberg:5", "dihedral:8", "dihedral:16"]
 
 
-def check_nilpotent_bound() -> tuple[CriterionResult, list[Instance]]:
+def check_nilpotent_bound() -> tuple[CriterionResult, Tally]:
+    """Also folds the derived-index verdicts of the same multisets, which
+    it returns for check 9."""
     start = time.perf_counter()
     rng = np.random.default_rng(20250808)
-    gaps = Tally(NILPOTENT_BOUND.name)
-    instances: list[Instance] = []
+    gaps, derived = Tally(NILPOTENT_BOUND.name), Tally(DERIVED_INDEX.name)
     actions = 0
     classes = {}
     for name in _NILPOTENT_GROUPS:
         group = catalog_group(name)
-        class_c = lower_central_series(group)[1]
-        assert class_c is not None and class_c >= 1
-        classes[name] = class_c
+        classes[name] = lower_central_series(group)[1]
         for stabilizer in intermediate_subgroups(group, group.trivial_subgroup()):
             actions += 1
-            omega = group.order // stabilizer.order
             for i in range(100):
-                multiset = sample_symmetric_multiset(group, _random_size(i), rng)
-                summary = _measure(group, stabilizer, multiset)
-                bound = nilpotent_gap_bound(omega, multiset.size, class_c)
-                gaps.add(NILPOTENT_BOUND.check(summary.gap, bound))
-                instances.append(Instance(group, stabilizer, multiset, summary.gap))
+                multiset = sample_symmetric_multiset(group, cycling_size(i), rng)
+                gap = _measure(group, stabilizer, multiset).gap
+                bound, index = nilpotent_verdicts(group, stabilizer, multiset, gap)
+                gaps.add(bound)
+                if index is not None:
+                    derived.add(index)
     result = _result(
         "nilpotent-bound",
         "nilpotent actions obey gap <= 5 |Omega|^(-f(|S|, c))",
@@ -448,27 +416,24 @@ def check_nilpotent_bound() -> tuple[CriterionResult, list[Instance]]:
             "groups": len(_NILPOTENT_GROUPS),
             "classes": classes,
             "actions": actions,
-            "instances": len(instances),
+            "instances": gaps.count,
             "violations": gaps.violations,
         },
         [gaps],
         budget=600.0,
     )
-    return result, instances
+    return result, derived
 
 
 # ---------------------------------------------------------------------------
 # 9. derived-index inequality on the nilpotent instances
 
 
-def check_derived_index(instances: list[Instance]) -> CriterionResult:
+def check_derived_index(derived: Tally, instances: int) -> CriterionResult:
+    """``derived`` holds check 8's derived-index verdicts over its
+    ``instances`` multisets; this check adds the exponents' closed forms and
+    floors, and its seconds cover only those."""
     start = time.perf_counter()
-    derived = Tally(DERIVED_INDEX.name)
-    for inst in instances:
-        report = derived_index_check(inst.group, inst.stabilizer, inst.multiset)
-        if report.hypotheses_hold:
-            derived.add(report.verdict)
-
     (f21, _), (f22, beta22) = nilpotent_exponents(2, 1), nilpotent_exponents(2, 2)
     error = max(abs(f21 - 1.0), abs(f22 - 0.2), abs(beta22 - 0.2))
     closed_form = EXPONENT_CLOSED_FORM.check(error, 0.0)
@@ -479,7 +444,7 @@ def check_derived_index(instances: list[Instance]) -> CriterionResult:
         "|G : G'Y| >= |G : Y|^beta(d, c) whenever Y and S generate",
         start,
         {
-            "instances": len(instances),
+            "instances": instances,
             "applicable": derived.count,
             "violations": derived.violations,
             "closed_form_ok": closed_form.passed,
@@ -505,8 +470,6 @@ def check_bipartite_equivalence() -> CriterionResult:
     short_groups = []
     quota = 100
     for name, group in _group_pool(_SMALL_POOL):
-        if group.order > 16:
-            continue
         stabilizer = group.trivial_subgroup()
         classes = group.inverse_classes()
         found = 0
@@ -562,16 +525,13 @@ def check_induction_laws(laws: Tally, dedup: dict) -> CriterionResult:
             laws.add(induce_with_laws(transversal, multiset).size_law)
 
     # randomized pairs across the pool, with random transversals
-    pool = _midsize_pool()
+    pool = _group_pool(_MIDSIZE_POOL)
     for i in range(100):
         name, group = pool[i % len(pool)]
-        picks = [
-            group.elements[int(j)]
-            for j in rng.integers(0, group.order, size=int(rng.integers(0, 3)))
-        ]
-        subgroup = group.subgroup_generated(picks)
+        picks = rng.integers(0, group.order, size=int(rng.integers(0, 3))).tolist()
+        subgroup = group.subgroup_generated_by(picks)
         transversal = _random_transversal(Transversal(group, subgroup), rng)
-        multiset = sample_symmetric_multiset(group, _random_size(i), rng)
+        multiset = sample_symmetric_multiset(group, cycling_size(i), rng)
         laws.add(induce_with_laws(transversal, multiset).size_law)
 
     return _result(
@@ -595,9 +555,7 @@ def check_rayleigh() -> CriterionResult:
     c6 = catalog_group("cyclic:6")
     matrices.append(schreier_graph(c6, c6.trivial_subgroup(), symmetrize(c6, [(1, 1)])).walk)
     s3 = catalog_group("sym:3")
-    transpositions = [
-        (i, 1) for i, p in enumerate(s3.elements) if sorted(len(c) for c in p.cycles()) == [2]
-    ]
+    transpositions = [(i, 1) for i in s3.self_inverse_indices()[1:]]
     matrices.append(
         schreier_graph(s3, s3.trivial_subgroup(), SymmetricMultiset(s3, transpositions)).walk
     )
@@ -654,9 +612,9 @@ def run_all(progress: Optional[Callable[[CriterionResult], None]] = None) -> lis
     record(dedup_result)
     record(check_random_expansion())
     record(check_set_size_bounds(abelian_instances + mono_instances))
-    nilpotent_result, nilpotent_instances = check_nilpotent_bound()
+    nilpotent_result, derived = check_nilpotent_bound()
     record(nilpotent_result)
-    record(check_derived_index(nilpotent_instances))
+    record(check_derived_index(derived, nilpotent_result.details["instances"]))
     record(check_bipartite_equivalence())
     record(check_induction_laws(laws, dedup_carry))
     record(check_rayleigh())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierlab import (
+    FiniteGroup,
     Permutation,
     SubgroupLimitError,
     SymmetricMultiset,
@@ -13,6 +14,7 @@ from schreierlab import (
     build_bound_report,
     catalog_group,
     derived_index_check,
+    intermediate_subgroups,
     interval_data,
     nilpotent_exponents,
     nilpotent_gap_bound,
@@ -25,8 +27,14 @@ from schreierlab import (
     theta_min_set_size,
 )
 from schreierlab import bounds
-from schreierlab.bounds import log_theta
-from testkit import conjugate_subgroup, indexed, ones, subgroup_bound_by_minimum
+from schreierlab.bounds import log_theta, nilpotent_verdicts
+from testkit import (
+    conjugate_subgroup,
+    derived_index_by_series,
+    indexed,
+    ones,
+    subgroup_bound_by_minimum,
+)
 
 
 def test_theta_c4_regular(c4):
@@ -243,6 +251,61 @@ def test_derived_index_hypotheses_checked(s3, heis3):
                   Permutation.from_cycles([[0, 2, 1]], 3)]),
     )
     assert not derived_index_check(s3, s3.trivial_subgroup(), s).hypotheses_hold
+
+
+_DERIVED_GROUPS = {
+    name: catalog_group(name)
+    for name in ("heisenberg:3", "heisenberg:5", "dihedral:8", "dihedral:16", "sym:3", "alt:4")
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(_DERIVED_GROUPS)),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_derived_index_check_matches_the_per_multiset_oracle(name, pick, size, seed):
+    # the groups are shared across examples, so the per-action figures are
+    # computed on an action's first example and read from the cache after
+    group = _DERIVED_GROUPS[name]
+    lattice = intermediate_subgroups(group, group.trivial_subgroup())
+    stabilizer = lattice[pick % len(lattice)]
+    multiset = sample_symmetric_multiset(group, size, np.random.default_rng(seed))
+    assert derived_index_check(group, stabilizer, multiset) == derived_index_by_series(
+        group, stabilizer, multiset
+    )
+
+
+def test_a_repeated_derived_index_check_makes_one_lookup(monkeypatch):
+    group = catalog_group("dihedral:16")
+    stabilizer = group.subgroup_generated([group.elements[3]])
+    multiset = sample_symmetric_multiset(group, 6, np.random.default_rng(4))
+    first = derived_index_check(group, stabilizer, multiset)
+    lookups = []
+    indices_of = FiniteGroup.indices_of
+
+    def counted(self, subgroup):
+        lookups.append(subgroup)
+        return indices_of(self, subgroup)
+
+    monkeypatch.setattr(FiniteGroup, "indices_of", counted)
+    assert derived_index_check(group, stabilizer, multiset) == first
+    assert len(lookups) == 1
+
+
+def test_the_nilpotent_bound_needs_class_and_two_elements(heis3, s3):
+    # f(d, c) has the denominator d^(c+1) - d^2 + d - 1, which is 0 at d = 1
+    one = SymmetricMultiset(heis3, [(0, 1)])
+    assert nilpotent_verdicts(heis3, heis3.trivial_subgroup(), one, 0.0) == (None, None)
+    report = build_bound_report(heis3, heis3.trivial_subgroup(), one)
+    assert report.nilpotent_bound is None and report.nilpotent_class is None
+    s = sample_symmetric_multiset(s3, 4, np.random.default_rng(1))
+    assert nilpotent_verdicts(s3, s3.trivial_subgroup(), s, 0.5)[0] is None
+    two = SymmetricMultiset(heis3, [(0, 2)])
+    bound, _ = nilpotent_verdicts(heis3, heis3.trivial_subgroup(), two, 0.0)
+    assert bound.passed and bound.rhs == nilpotent_gap_bound(27, 2, 2)
 
 
 def test_bound_report_fields(c4):

@@ -235,6 +235,27 @@ def test_verify_nilpotent_rejects_nonnilpotent(capsys):
     assert "nilpotent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["cyclic:4", "heisenberg:3"])
+def test_bounds_of_one_element_report_no_nilpotent_bound(name, capsys):
+    # f(|S|, c) is undefined at |S| = 1; the other bounds still apply
+    argv = ["bounds", "--group", name, "--set", "random:1", "--seed", "1"]
+    code, payload = run_json(argv, capsys)
+    assert code == 0
+    results = payload["results"]
+    assert results["nilpotent_bound"] is None and results["nilpotent_class"] is None
+    assert results["theta"] > 1 and results["glwi_bound"] > 0
+    assert (results["abelian_bound"] is not None) == (name == "cyclic:4")
+    names = [v["name"] for v in payload["verdicts"]]
+    assert "gap-under-nilpotent-bound" not in names and "gap-under-subgroup-bound" in names
+
+
+def test_verify_nilpotent_refuses_one_element(capsys):
+    code = main(["verify-nilpotent", "--group", "heisenberg:3", "--set", "random:1", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the nilpotent bound needs |S| >= 2, and --set gives |S| = 1\n"
+
+
 def test_search_counterexample_command(tmp_path, capsys):
     sub = tmp_path / "rot.txt"
     sub.write_text("(1 2 3 4)\n", encoding="utf-8")

@@ -9,9 +9,14 @@ from schreierlab import (
     GroupTooLargeError,
     Permutation,
     SubgroupLimitError,
+    derived_subgroup,
     group_from_generators,
     interval_data,
+    lower_central_series,
+    nilpotent_exponents,
 )
+from schreierlab.bounds import DerivedIndexReport
+from schreierlab.inequalities import DERIVED_INDEX
 from schreierlab.permutations import DEFAULT_ORDER_CAP, DEFAULT_SUBGROUP_LIMIT, Transversal
 
 # small catalog groups, abelian and not, of orders 12 to 48
@@ -106,6 +111,39 @@ def subgroup_bound_by_minimum(group, stabilizer, size):
         if value < best_log:
             best_log, best_entry = value, entry
     return math.exp(best_log), best_entry.subgroup
+
+
+def derived_index_by_series(group, stabilizer, multiset):
+    """The derived-index report with every figure found again for this one
+    multiset: the oracle for ``derived_index_check``, which reads its
+    per-action figures from a cache."""
+    stab_idx = group.indices_of(stabilizer)
+    d = multiset.size
+    if d < 2:
+        return DerivedIndexReport(hypotheses_hold=False)
+    if len(group._closure(stab_idx.union(multiset.support()))) != group.order:
+        return DerivedIndexReport(hypotheses_hold=False)
+    terms, _ = lower_central_series(group)
+    class_c = None
+    for i, term in enumerate(terms[1:], start=1):
+        if group.indices_of(term) <= stab_idx:
+            class_c = i
+            break
+    if class_c is None:
+        return DerivedIndexReport(hypotheses_hold=False)
+    join = group._closure(stab_idx, base=group.indices_of(derived_subgroup(group)))
+    lhs = group.order // len(join)
+    index = group.order // stabilizer.order
+    _, beta = nilpotent_exponents(d, class_c)
+    rhs = math.exp(beta * math.log(index)) if index > 1 else 1.0
+    return DerivedIndexReport(
+        hypotheses_hold=True,
+        lhs=lhs,
+        rhs=rhs,
+        verdict=DERIVED_INDEX.check(math.log(lhs), beta * math.log(index)),
+        class_c=class_c,
+        set_size=d,
+    )
 
 
 def tuple_closure(generators, cap=DEFAULT_ORDER_CAP):
