@@ -62,21 +62,27 @@ def interval_data(
     Computed in the group's index space on its table: H' is the
     commutator closure of H's small generating set with itself, and H'Y is
     grown from H' by the stabilizer's generators, which normalise H'
-    because Y <= H.  The interval is read through ``intermediate_subgroups``
-    on every call, so a cached interval is still checked against ``limit``.
+    because Y <= H.  G, the last subgroup, goes first: when G' <= Y (as in
+    every abelian group), each H'Y is Y and each other section |H : Y|.  The
+    interval is read through ``intermediate_subgroups`` on every call, so a
+    cached interval is still checked against ``limit``.
     """
     subgroups = intermediate_subgroups(group, stabilizer, limit=limit)
-    key = ("interval-data", group.indices_of(stabilizer))
+    stab_idx = group.indices_of(stabilizer)
+    key = ("interval-data", stab_idx)
     cached = group._cache.get(key)
     if cached is None:
-        entries = []
+        entries, inside = [], False  # inside: whether G' <= Y
         stab_gens = group._find(stabilizer.generator_images)
-        for sub in subgroups:
-            gens = group._find(sub.generator_images)
-            derived, _ = group._commutator_closure(gens, gens)
-            join = group._closure(stab_gens, base=derived)
+        for sub in reversed(subgroups):  # G first
+            join = stab_idx
+            if not inside:
+                gens = group._find(sub.generator_images)
+                derived, _ = group._commutator_closure(gens, gens)
+                join = group._closure(stab_gens, base=derived)
+                inside = sub.order == group.order and join == stab_idx
             entries.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))
-        cached = group._cache[key] = IntervalData(entries)
+        cached = group._cache[key] = IntervalData(reversed(entries))
     return cached
 
 

@@ -511,14 +511,17 @@ class FiniteGroup:
             queue.extend(row(inverse_row[x])[g] for inverse_row, g in conjugators)
         return members, gens
 
-    def _greedy_generators(self, members: Iterable[int]) -> tuple[int, ...]:
-        """Generators of the subgroup on ``members``: each least member that
-        the ones before it do not generate."""
+    def _greedy_generators(
+        self, members: Iterable[int], base: frozenset[int] = frozenset((0,)), base_gens: Sequence[int] = ()
+    ) -> tuple[int, ...]:
+        """Generators of the subgroup on ``members`` over its subgroup on
+        ``base``, which ``base_gens`` generate: each least member that the
+        ones before it and the base do not generate."""
         gens: list[int] = []
-        generated = frozenset((0,))
+        generated = base
         for i in sorted(members):
             if i not in generated:
-                generated = self._closure((i,), base=generated, base_gens=gens)
+                generated = self._closure((i,), base=generated, base_gens=[*base_gens, *gens])
                 gens.append(i)
         return tuple(gens)
 
@@ -865,36 +868,43 @@ def intermediate_subgroups(
 ) -> list[FiniteGroup]:
     """All subgroups H with floor <= H <= group.
 
-    Enumerated by cyclic extension (Neubueser): starting from the floor,
-    each subgroup H found is extended by cyclic subgroups <z>, normalising
-    or not (so A5 < S5 is found), <H, z> grown coset by coset from the
-    members of H.  Two rules keep the joins few, both exact:
+    Enumerated by cyclic extension (Neubueser), one join per conjugacy
+    class: starting from the floor Y, each class representative H is
+    joined with cyclic subgroups <z>, normalising or not (so A5 < S5 is
+    found), <H, z> grown coset by coset from the members of H.  Four rules
+    keep the joins few, all exact:
 
+    - conjugation by N_G(Y) permutes the interval and <H^g, z^g> =
+      <H, z>^g, so a new join registers its whole class, walking the
+      conjugation maps of generators of N_G(Y) that move some cyclic
+      subgroup (none in an abelian group), and only it is extended.  K^g
+      carries the floor's generators and K's adjoined ones conjugated by
+      g, as <Y, z^g> = <Y, z>^g for g normalising Y.  The tests below are
+      invariant under conjugation, so each conjugate is extended as K is.
     - only z of prime-power order p^k with z not in H and z^p in H is
       tried.  Any K > H is generated by its prime-power elements; one
       outside H, raised to the p-th power until the next power lies in H,
       gives such a z with H < <H, z> <= K, so induction on |K : H| reaches
-      K.  The test depends only on <z> and is invariant under conjugation
-      by H.
-    - once <H, z> = K has prime index over H, every later z in K is
-      skipped: by Lagrange, any z'' in K outside H gives <H, z''> = K.
+      K.
+    - z inside a known K > H of prime index, found from H or on another
+      branch, is skipped: by Lagrange <H, z> = K.
+    - as <H, h^-1 z h> = <H, z> for h in H, only the least z of each
+      orbit under conjugation by H's generators is tried; a generator
+      fixing every cyclic subgroup costs nothing.
 
-    As <H, h^-1 z h> = <H, z> for h in H, only the least z of each orbit
-    under conjugation by H's generators is tried; a generator fixing every
-    cyclic subgroup (as in an abelian group) costs nothing.  Results are
-    sorted canonically by (order, element indices); each carries a small
-    generating set, the floor's chosen greedily and then one z per join on
-    the first path that reached it.  Raises SubgroupLimitError past
-    ``limit`` subgroups.
+    Results are sorted canonically by (order, element indices); each
+    carries a small generating set, the floor's chosen greedily and then
+    one z per join on the first path that reached its class.  Raises
+    SubgroupLimitError once more than ``limit`` subgroups are registered,
+    the floor and every conjugate included.
     """
     floor_idx = group.indices_of(floor)
     key = ("interval", floor_idx)
+    too_many = f"more than {limit} subgroups between the given groups"
     cached = group._cache.get(key)
     if cached is not None:
         if len(cached) > limit:
-            raise SubgroupLimitError(
-                f"more than {limit} subgroups between the given groups"
-            )
+            raise SubgroupLimitError(too_many)
         return cached
 
     floor_gens = group._greedy_generators(floor_idx)
@@ -923,11 +933,48 @@ def intermediate_subgroups(
                 return reps[least == positions].tolist()
             least = label
 
+    @functools.cache
+    def conjugations() -> list[list[int]]:
+        """The maps x -> g^-1 x g, as index lists, for generators g of N_G(Y)
+        over Y that move some cyclic subgroup: N_G(Y) holds the g with
+        g^-1 y g in Y for each floor generator y, and is generated by G's
+        generators when it is G and greedily otherwise."""
+        every = np.arange(group.order)
+        normaliser, inverse, in_floor = every, np.array(inv), np.isin(every, list(floor_idx))
+        for y in floor_gens:
+            conjugates = group.products(group.products(inverse[normaliser], y), normaliser)
+            normaliser = normaliser[in_floor[conjugates]]
+        if len(normaliser) == group.order and len(group.generator_images) < group.order.bit_length():
+            gens = group._indices_of_rows(group.generator_images).tolist()
+        else:
+            gens = group._greedy_generators(normaliser.tolist(), floor_idx, floor_gens)
+        return [group.products(group.products(inv[g], every), g).tolist() for g in gens if moved(g)]
+
     known: dict[frozenset[int], tuple[int, ...]] = {floor_idx: floor_gens}
+    by_order: dict[int, list[frozenset[int]]] = {}  # the joins, by order
+
+    def register(members: frozenset[int], adjoined: tuple[int, ...]) -> None:
+        """Register a new join and every conjugate of it under N_G(Y)."""
+        walk, found = [(members, adjoined)], {members}  # known holds whole classes
+        for members, adjoined in walk:
+            if len(known) >= limit:
+                raise SubgroupLimitError(too_many)
+            known[members] = floor_gens + adjoined
+            for m in conjugations() if len(members) < group.order else ():
+                image = frozenset([m[x] for x in members])
+                if image not in found:
+                    found.add(image)
+                    walk.append((image, tuple(m[x] for x in adjoined)))
+        by_order.setdefault(len(members), []).extend(found)
+
     frontier = [(floor_idx, floor_gens, sum(map(moved, floor_gens), ()))]
     while frontier:
         members, gens, maps = frontier.pop()
-        done = set(members)  # H and each join of prime index over it
+        done = set(members)  # H and each known join of prime index over it
+        for order, joins in by_order.items():
+            step, rest = divmod(order, len(members))
+            if not rest and step > 1 and _least_prime_factor(step) == step:
+                done.update(*filter(members.issubset, joins))
         for z in least_in_orbits(maps):
             if z in done or root[z] not in members:
                 continue
@@ -936,11 +983,7 @@ def intermediate_subgroups(
             if _least_prime_factor(step) == step:
                 done.update(grown)
             if grown not in known:
-                if len(known) >= limit:
-                    raise SubgroupLimitError(
-                        f"more than {limit} subgroups between the given groups"
-                    )
-                known[grown] = gens + (z,)
+                register(grown, gens[len(floor_gens):] + (z,))
                 frontier.append((grown, gens + (z,), maps + moved(z)))
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
     result = [

@@ -19,6 +19,7 @@ from schreierlab import (
     Permutation,
     SubgroupLimitError,
     catalog_group,
+    derived_subgroup,
     interval_data,
     intermediate_subgroups,
 )
@@ -173,18 +174,44 @@ def full_lattice_and_closures(monkeypatch, name):
 
 
 def test_full_sym5_lattice_closes_fewer_than_half_of_the_extensions(monkeypatch):
-    # extending by every cyclic subgroup takes 9,561 closures here
+    # extending by every cyclic subgroup takes 9,561 closures here; one join
+    # per conjugacy class, its conjugates registered without a closure,
+    # takes 166 for 156 subgroups, far fewer than half
     subgroups, closures = full_lattice_and_closures(monkeypatch, "sym:5")
     assert len(subgroups) == 156
-    assert closures < 9561 / 2
+    assert closures < 9561 / 40
 
 
-@pytest.mark.parametrize("name, ceiling", [("sym:5", 1700), ("elem-abelian:2^5", 2100)])
+@pytest.mark.parametrize("name, ceiling", [("sym:5", 200), ("elem-abelian:2^5", 400)])
 def test_full_lattice_closes_only_prime_power_joins(monkeypatch, name, ceiling):
     # every cyclic subgroup of each orbit took 3,195 and 9,517 closures here;
     # adjoining only z with z^p in H, each prime-index join closed once,
-    # takes 1,612 and 2,077
+    # took 1,612 and 2,077.  Joining one subgroup per class under N_G(Y)
+    # (sym:5 has 19 classes; elem-abelian:2^5, abelian, one per subgroup),
+    # and skipping z inside any known join of prime index, takes 166 and 373
     assert full_lattice_and_closures(monkeypatch, name)[1] <= ceiling
+
+
+def test_full_sym6_lattice_closes_one_join_per_class(monkeypatch):
+    # 44,622 closures before conjugates were registered by index maps
+    subgroups, closures = full_lattice_and_closures(monkeypatch, "sym:6")
+    assert len(subgroups) == 1455
+    assert closures <= 1600
+    group = catalog_group("sym:6")
+    for sub in subgroups:
+        gens = group._indices_of_rows(sub.generator_images).tolist()
+        assert group._closure(gens) == group.indices_of(sub)
+
+
+def test_interval_above_a_floor_normalised_by_neither_floor_nor_group():
+    # N(<(0 1)>) in sym:5 is <(0 1)> x sym({2, 3, 4}), of order 12, so the
+    # conjugation maps come from greedy generators over the floor
+    group = catalog_group("sym:5")
+    floor = group.subgroup_generated([Permutation.from_cycles([(0, 1)], 5)])
+    inv, t = group.inverse_indices(), group.index_of(floor.generators[0])
+    normaliser = [g for g in range(group.order) if group.mult(group.mult(inv[g], t), g) == t]
+    assert len(normaliser) == 12
+    assert_matches_oracle(group, floor)
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,13 +257,28 @@ def _trivial(name):
 # interval data
 
 
-@pytest.mark.parametrize("name", THETA_GROUPS)
+@pytest.mark.parametrize("name", THETA_GROUPS + ["elem-abelian:2^4", "sym:4", "heisenberg:3"])
 def test_sections_match_own_commutators(name):
+    # the derived subgroup is a floor that contains G', where each H'Y is Y
     group = catalog_group(name)
-    floors = [group.trivial_subgroup(), group.point_stabilizer(0)]
+    floors = [group.trivial_subgroup(), group.point_stabilizer(0), derived_subgroup(group)]
     for floor in floors:
         got = [(e.index, e.section) for e in interval_data(group, floor)]
         assert got == sections_by_own_commutators(group, floor)
+
+
+def test_sections_above_a_stabilizer_that_contains_the_derived_subgroup():
+    # cyclic:2xsym:4 has G' = alt:4 (on points 2-5), inside the floor
+    # <alt:4, (0 1)> of index 2, so each section is |H : Y|
+    group = catalog_group("cyclic:2xsym:4")
+    derived = group.indices_of(derived_subgroup(group))
+    floor = group.subgroup_from_indices(group._closure(derived | {1}))
+    assert derived < group.indices_of(floor) < frozenset(range(group.order))
+    got = [(e.index, e.section) for e in interval_data(group, floor)]
+    assert got == sections_by_own_commutators(group, floor)
+    assert [e.section for e in interval_data(group, floor)] == [
+        e.subgroup.order // floor.order for e in interval_data(group, floor)
+    ]
 
 
 # ---------------------------------------------------------------------------
