@@ -31,12 +31,15 @@ VACUOUS_THRESHOLD = 2.0
 class IntervalEntry:
     """One subgroup H between the stabilizer and the group.
 
+    ``members`` and ``generators`` are H's element indices in the group and
+    the generator indices ``intermediate_subgroups`` recorded for it.
     ``section`` is the order of H modulo the join of its commutator subgroup
     with the stabilizer, the abelian section size that drives both the
     invariant and the subgroup bound.  ``index`` is |G : H|.
     """
 
-    subgroup: FiniteGroup
+    members: frozenset[int]
+    generators: tuple[int, ...]
     index: int
     section: int
 
@@ -57,31 +60,31 @@ def interval_data(
     stabilizer: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
 ) -> IntervalData:
-    """Abelian section data for every subgroup between stabilizer and group.
+    """Abelian section data for every subgroup between stabilizer and group,
+    in the canonical order of ``intermediate_subgroups``.
 
-    Computed in the group's index space on its table: H' is the
-    commutator closure of H's small generating set with itself, and H'Y is
-    grown from H' by the stabilizer's generators, which normalise H'
-    because Y <= H.  G, the last subgroup, goes first: when G' <= Y (as in
-    every abelian group), each H'Y is Y and each other section |H : Y|.  The
-    interval is read through ``intermediate_subgroups`` on every call, so a
-    cached interval is still checked against ``limit``.
+    Computed in the group's index space on the interval's (members,
+    generators) pairs: H' is the commutator closure of H's generators with
+    themselves, and H'Y is grown from H' by the floor's greedy generators,
+    the first pair's, which normalise H' because Y <= H.  G, the last
+    subgroup, goes first: when G' <= Y (as in every abelian group), each
+    H'Y is Y and each other section |H : Y|.  The interval is read through
+    ``intermediate_subgroups`` on every call, so a cached interval is still
+    checked against ``limit``.
     """
     subgroups = intermediate_subgroups(group, stabilizer, limit=limit)
-    stab_idx = group.indices_of(stabilizer)
+    stab_idx, stab_gens = subgroups[0]
     key = ("interval-data", stab_idx)
     cached = group._cache.get(key)
     if cached is None:
         entries, inside = [], False  # inside: whether G' <= Y
-        stab_gens = group._find(stabilizer.generator_images)
-        for sub in reversed(subgroups):  # G first
-            join = stab_idx
+        for members, gens in reversed(subgroups):  # G first
+            join, order = stab_idx, len(members)
             if not inside:
-                gens = group._find(sub.generator_images)
                 derived, _ = group._commutator_closure(gens, gens)
                 join = group._closure(stab_gens, base=derived)
-                inside = sub.order == group.order and join == stab_idx
-            entries.append(IntervalEntry(sub, group.order // sub.order, sub.order // len(join)))
+                inside = order == group.order and join == stab_idx
+            entries.append(IntervalEntry(members, gens, group.order // order, order // len(join)))
         cached = group._cache[key] = IntervalData(reversed(entries))
     return cached
 
@@ -128,14 +131,15 @@ def subgroup_gap_bound(
     """Tightest value of 5 * section(H)^(-2 / (|S| |G:H|)) over the interval.
 
     Returns the minimum together with the subgroup attaining it (ties go to
-    the canonically first subgroup).  Accepts the multiset itself or just
-    its size.
+    the canonically first subgroup), built from that entry's members and
+    generators.  Accepts the multiset itself or just its size.
     """
     size = multiset if isinstance(multiset, int) else multiset.size
     entries = interval_data(group, stabilizer, limit=limit)
     log_value, position = entries.best
     assert position is not None
-    return _subgroup_bound(log_value, size), entries[position].subgroup
+    best = entries[position]
+    return _subgroup_bound(log_value, size), group.subgroup_from_indices(best.members, best.generators)
 
 
 def _subgroup_bound(log_theta_value: float, size: int) -> float:
@@ -299,7 +303,7 @@ def build_bound_report(
     report = BoundReport(
         theta=theta_value,
         glwi_bound=_subgroup_bound(log_value, multiset.size),
-        glwi_argmin_order=entries[position].subgroup.order,
+        glwi_argmin_order=len(entries[position].members),
         glwi_argmin_index=position,
         measured_gap=summary.gap,
         measured_lambda=summary.two_sided_lambda,

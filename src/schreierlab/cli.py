@@ -141,10 +141,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**data)
-
 
 @dataclass
 class Report:

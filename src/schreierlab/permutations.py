@@ -172,9 +172,6 @@ class Permutation:
             raise ValueError(f"point {point} out of range for degree {len(self.images)}")
         return self.images[point]
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle led by its least point."""
         out = []
@@ -865,8 +862,9 @@ def intermediate_subgroups(
     group: FiniteGroup,
     floor: FiniteGroup,
     limit: int = DEFAULT_SUBGROUP_LIMIT,
-) -> list[FiniteGroup]:
-    """All subgroups H with floor <= H <= group.
+) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """All subgroups H with floor <= H <= group, as (members, generators)
+    pairs of the group's element indices; no ``FiniteGroup`` is built.
 
     Enumerated by cyclic extension (Neubueser), one join per conjugacy
     class: starting from the floor Y, each class representative H is
@@ -892,11 +890,13 @@ def intermediate_subgroups(
       orbit under conjugation by H's generators is tried; a generator
       fixing every cyclic subgroup costs nothing.
 
-    Results are sorted canonically by (order, element indices); each
-    carries a small generating set, the floor's chosen greedily and then
-    one z per join on the first path that reached its class.  Raises
-    SubgroupLimitError once more than ``limit`` subgroups are registered,
-    the floor and every conjugate included.
+    Pairs are sorted canonically by (order, element indices), so the
+    first is the floor; each carries a small generating set, the floor's
+    chosen greedily (none for the trivial floor) and then one z per join
+    on the first path that reached its class.  Callers that hand a
+    subgroup out build it with ``group.subgroup_from_indices(members,
+    generators)``.  Raises SubgroupLimitError once more than ``limit``
+    subgroups are registered, the floor and every conjugate included.
     """
     floor_idx = group.indices_of(floor)
     key = ("interval", floor_idx)
@@ -986,16 +986,13 @@ def intermediate_subgroups(
                 register(grown, gens[len(floor_gens):] + (z,))
                 frontier.append((grown, gens + (z,), maps + moved(z)))
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
-    result = [
-        group.subgroup_from_indices(members, generator_indices=known[members] or None)
-        for members in ordered
-    ]
-    group._cache[key] = result
+    result = group._cache[key] = [(members, known[members]) for members in ordered]
     return result
 
 
-def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGroup]:
-    """All index-2 subgroups of the group that contain the floor.
+def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[frozenset[int]]:
+    """The member index sets of all index-2 subgroups of the group that
+    contain the floor; no ``FiniteGroup`` is built.
 
     Index-2 subgroups are exactly the preimages of hyperplanes in the
     elementary abelian quotient by K = <g^2 : g in G>, which contains G'
@@ -1006,22 +1003,18 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
     hyperplanes = group._cache.get("index2")
     if hyperplanes is None:
         seed = set(group.products(range(group.order), range(group.order)).tolist())
-        quotient = Transversal(group, group.subgroup_from_indices(group._closure(seed)))
-        slot_of, cosets = quotient.slot_of, quotient.rep_indices
-
-        # grow an F2 basis for the quotient, labelling each coset with a bitmask
-        vec = np.full(len(cosets), -1)
-        vec[slot_of[0]] = 0
+        # grow an F2 basis for G/K, labelling each element with a bitmask: the
+        # least unlabelled x labels its coset x L of the labelled subgroup L
+        labels = np.full(group.order, -1)
+        labels[list(group._closure(seed))] = 0
         rank = 0
-        for slot, rep in enumerate(cosets):
-            if vec[slot] >= 0:
-                continue
-            labelled = np.flatnonzero(vec >= 0)
-            vec[slot_of[group.products(rep, cosets[labelled])]] = (1 << rank) | vec[labelled]
-            rank += 1
+        for x in range(group.order):
+            if labels[x] < 0:
+                labelled = np.flatnonzero(labels >= 0)
+                labels[group.products(x, labelled)] = (1 << rank) | labels[labelled]
+                rank += 1
 
         # a hyperplane is the elements whose label has even overlap with its mask
-        labels = vec[slot_of]
         parity = np.array([bin(m).count("1") % 2 for m in range(1 << rank)])
         hyperplanes = [
             frozenset(np.flatnonzero(parity[labels & mask] == 0).tolist())
@@ -1029,8 +1022,4 @@ def index2_overgroups(group: FiniteGroup, floor: FiniteGroup) -> list[FiniteGrou
         ]
         group._cache["index2"] = hyperplanes
 
-    return [
-        group.subgroup_from_indices(h)
-        for h in hyperplanes
-        if floor_idx <= h
-    ]
+    return [h for h in hyperplanes if floor_idx <= h]

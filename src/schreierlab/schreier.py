@@ -217,7 +217,9 @@ def bipartite_criterion(graph: SchreierGraph) -> BipartiteCriterion:
     (trivial stabilizer); with a nontrivial stabilizer a connected coset
     graph can be bipartite without any avoiding index-2 subgroup (smallest
     example: the degree-4 alternating group on cosets of a point stabilizer
-    with two double transpositions, a 4-cycle).
+    with two double transpositions, a 4-cycle).  The candidates are member
+    index sets; a ``FiniteGroup`` is built only for the witness, the first
+    avoiding one.
     """
     if not connectivity_and_bipartiteness(graph).connected:
         raise DisconnectedGraphError(
@@ -225,8 +227,8 @@ def bipartite_criterion(graph: SchreierGraph) -> BipartiteCriterion:
         )
     group, support = graph.group, graph.multiset.support()
     for candidate in index2_overgroups(group, graph.stabilizer):
-        if group.indices_of(candidate).isdisjoint(support):
-            return BipartiteCriterion(criterion_holds=True, witness=candidate)
+        if candidate.isdisjoint(support):
+            return BipartiteCriterion(criterion_holds=True, witness=group.subgroup_from_indices(candidate))
     return BipartiteCriterion(criterion_holds=False, witness=None)
 
 

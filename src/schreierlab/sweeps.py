@@ -399,7 +399,8 @@ def check_nilpotent_bound() -> tuple[CriterionResult, Tally]:
     for name in _NILPOTENT_GROUPS:
         group = catalog_group(name)
         classes[name] = lower_central_series(group)[1]
-        for stabilizer in intermediate_subgroups(group, group.trivial_subgroup()):
+        for members, gens in intermediate_subgroups(group, group.trivial_subgroup()):
+            stabilizer = group.subgroup_from_indices(members, gens)
             actions += 1
             for i in range(100):
                 multiset = sample_symmetric_multiset(group, cycling_size(i), rng)

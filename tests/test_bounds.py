@@ -11,6 +11,7 @@ from schreierlab import (
     SubgroupLimitError,
     SymmetricMultiset,
     abelian_gap_bound,
+    bipartite_criterion,
     build_bound_report,
     catalog_group,
     derived_index_check,
@@ -144,9 +145,9 @@ def test_subgroup_bound_matches_the_minimum_over_the_interval(name, picks, size)
     group = catalog_group(name)
     stabilizer = group.subgroup_generated([group.elements[i % group.order] for i in picks])
     value, argmin = subgroup_gap_bound(group, stabilizer, size)
-    expected, expected_argmin = subgroup_bound_by_minimum(group, stabilizer, size)
+    expected, expected_entry = subgroup_bound_by_minimum(group, stabilizer, size)
     assert value == expected
-    assert group.indices_of(argmin) == group.indices_of(expected_argmin)
+    assert group.indices_of(argmin) == expected_entry.members
     assert log_theta(group, stabilizer) == max(
         math.log(e.section) / e.index for e in interval_data(group, stabilizer)
     )
@@ -168,6 +169,37 @@ def test_a_cached_interval_honours_a_smaller_limit(read):
     with pytest.raises(SubgroupLimitError, match="more than 5 subgroups"):
         read(group, floor, limit=5)
     read(group, floor, limit=30)
+
+
+@pytest.mark.parametrize(
+    "name, cycles",
+    [("sym:5", [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]), ("elem-abelian:2^5", None)],
+)
+def test_a_subgroup_is_built_only_where_one_is_handed_out(monkeypatch, name, cycles):
+    # the lattice and the index-2 overgroups are member sets; a FiniteGroup
+    # is built for subgroup_gap_bound's maximiser and a criterion's witness
+    group = catalog_group(name)  # a fresh group, with nothing cached
+    trivial = group.trivial_subgroup()
+    # odd permutations and the hypercube's generators: both graphs are
+    # bipartite, each avoiding an index-2 subgroup
+    perms = group.generators if cycles is None else [Permutation.from_cycles(c, 5) for c in cycles]
+    graph = schreier_graph(group, trivial, SymmetricMultiset(group, ones(group, perms)))
+    built = []
+    from_indices = FiniteGroup.subgroup_from_indices
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        return from_indices(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_from_indices", counted)
+    entries = interval_data(group, trivial)
+    assert built == []
+    assert bipartite_criterion(graph).criterion_holds
+    assert len(built) == 1
+    _, argmin = subgroup_gap_bound(group, trivial, 4)
+    best = entries[entries.best[1]]
+    assert group.indices_of(argmin) == best.members and best.generators
+    assert np.array_equal(argmin.generator_images, group.images[list(best.generators)])
 
 
 def test_abelian_bound_values():
@@ -271,7 +303,7 @@ def test_derived_index_check_matches_the_per_multiset_oracle(name, pick, size, s
     # computed on an action's first example and read from the cache after
     group = _DERIVED_GROUPS[name]
     lattice = intermediate_subgroups(group, group.trivial_subgroup())
-    stabilizer = lattice[pick % len(lattice)]
+    stabilizer = group.subgroup_from_indices(*lattice[pick % len(lattice)])
     multiset = sample_symmetric_multiset(group, size, np.random.default_rng(seed))
     assert derived_index_check(group, stabilizer, multiset) == derived_index_by_series(
         group, stabilizer, multiset
@@ -344,7 +376,7 @@ def test_bound_report_reads_its_interval_once(name, action, monkeypatch):
     assert len(reads) == 1
     assert report.theta == theta(group, stabilizer)
     assert report.glwi_bound == expected_bound
-    assert entries[report.glwi_argmin_index].subgroup is expected_argmin
+    assert entries[report.glwi_argmin_index].members == group.indices_of(expected_argmin)
     assert report.glwi_argmin_order == expected_argmin.order
 
 

@@ -81,9 +81,9 @@ def test_abelian_enumeration_counts():
     for name in names:
         group = catalog_group(name)
         if group.order == 16:
-            squares = sum(1 for p in group.elements if (p * p).is_identity())
+            squares = sum(1 for p in group.elements if (p * p) == group.identity)
             fourths = sum(
-                1 for p in group.elements if (p * p * p * p).is_identity()
+                1 for p in group.elements if (p * p * p * p) == group.identity
             )
             profiles.add((squares, fourths))
     assert len(profiles) == 5

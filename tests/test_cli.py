@@ -30,7 +30,7 @@ def test_config_round_trip():
         epsilon=0.25,
         cap_order=5000,
     )
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig(**config.to_dict()) == config
 
 
 def test_report_round_trip_through_json(capsys):
@@ -40,7 +40,7 @@ def test_report_round_trip_through_json(capsys):
         capsys,
     )
     assert code == 0
-    assert ExperimentConfig.from_dict(payload["config"]).to_dict() == payload["config"]
+    assert ExperimentConfig(**payload["config"]).to_dict() == payload["config"]
 
 
 def test_validation_rejects_missing_seed():

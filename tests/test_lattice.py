@@ -9,7 +9,6 @@ subgroup closed from the commutators of all pairs of its elements.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,15 +61,17 @@ def lattice_by_adjoining_every_element(group, floor):
     return [tuple(sorted(s)) for s in sorted(known, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
-def member_indices(group, subgroups):
-    return [tuple(sorted(group.index_of(p) for p in s.elements)) for s in subgroups]
+def member_indices(subgroups):
+    """The members of each (members, generators) pair as a sorted tuple."""
+    return [tuple(sorted(members)) for members, _ in subgroups]
 
 
 def sections_by_own_commutators(group, stabilizer):
     """(index, section) per interval member, from each member's own table."""
     stab_idx = [group.index_of(p) for p in stabilizer.elements]
     out = []
-    for sub in intermediate_subgroups(group, stabilizer):
+    for members, gens in intermediate_subgroups(group, stabilizer):
+        sub = group.subgroup_from_indices(members, gens)
         pairs = range(sub.order)
         derived = closure_from_scratch(sub, {sub.commutator(a, b) for a in pairs for b in pairs})
         seed = set(derived)
@@ -81,12 +82,11 @@ def sections_by_own_commutators(group, stabilizer):
 
 def assert_matches_oracle(group, floor):
     subgroups = intermediate_subgroups(group, floor)
-    assert member_indices(group, subgroups) == lattice_by_adjoining_every_element(group, floor)
-    for sub in subgroups:
-        gens = [group.index_of(p) for p in sub.generators]
-        assert closure_from_scratch(group, gens) == frozenset(group.index_of(p) for p in sub.elements)
+    assert member_indices(subgroups) == lattice_by_adjoining_every_element(group, floor)
+    for members, gens in subgroups:
+        assert closure_from_scratch(group, gens) == members
         # each generator at least doubles the subgroup generated so far
-        assert len(gens) <= max(1, math.log2(sub.order))
+        assert len(gens) <= max(1, math.log2(len(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,10 @@ def assert_matches_every_cyclic_rep(group, floor, limit=None):
             intermediate_subgroups(group, floor, **kwargs)
         return
     subgroups = intermediate_subgroups(group, floor, **kwargs)
-    assert [tuple(sorted(group.indices_of(sub))) for sub in subgroups] == [m for m, _ in expected]
-    floor_gens = list(group._greedy_generators(group.indices_of(floor)))
-    for sub, (members, _) in zip(subgroups, expected):
-        assert np.array_equal(sub.images, group.images[list(members)])
-        gens = group._indices_of_rows(sub.generator_images).tolist()
-        assert group._closure(gens) == frozenset(members)
+    assert member_indices(subgroups) == [m for m, _ in expected]
+    floor_gens = group._greedy_generators(group.indices_of(floor))
+    for members, gens in subgroups:
+        assert group._closure(gens) == members
         assert gens[: len(floor_gens)] == floor_gens
 
 
@@ -198,9 +196,8 @@ def test_full_sym6_lattice_closes_one_join_per_class(monkeypatch):
     assert len(subgroups) == 1455
     assert closures <= 1600
     group = catalog_group("sym:6")
-    for sub in subgroups:
-        gens = group._indices_of_rows(sub.generator_images).tolist()
-        assert group._closure(gens) == group.indices_of(sub)
+    for members, gens in subgroups:
+        assert group._closure(gens) == members
 
 
 def test_interval_above_a_floor_normalised_by_neither_floor_nor_group():
@@ -222,7 +219,7 @@ def test_interval_above_any_subgroup_matches_oracle(name, pick):
     group = catalog_group(name)
     lattice = lattice_by_adjoining_every_element(group, group.trivial_subgroup())
     floor = group.subgroup_from_indices(lattice[pick % len(lattice)])
-    assert member_indices(group, intermediate_subgroups(group, floor)) == (
+    assert member_indices(intermediate_subgroups(group, floor)) == (
         lattice_by_adjoining_every_element(group, floor)
     )
 
@@ -232,8 +229,9 @@ def test_perfect_subgroup_is_found():
     # the current subgroup; the complete cyclic extension finds it
     sym5 = catalog_group("sym:5")
     alt5 = {p.images for p in catalog_group("alt:5").elements}
-    of_order_60 = [s for s in intermediate_subgroups(sym5, sym5.trivial_subgroup()) if s.order == 60]
-    assert [{p.images for p in s.elements} for s in of_order_60] == [alt5]
+    lattice = intermediate_subgroups(sym5, sym5.trivial_subgroup())
+    of_order_60 = [members for members, _ in lattice if len(members) == 60]
+    assert [{sym5.elements[i].images for i in members} for members in of_order_60] == [alt5]
 
 
 @pytest.mark.parametrize("name", ["sym:4", "dihedral:16", "elem-abelian:2^5"])
@@ -277,7 +275,7 @@ def test_sections_above_a_stabilizer_that_contains_the_derived_subgroup():
     got = [(e.index, e.section) for e in interval_data(group, floor)]
     assert got == sections_by_own_commutators(group, floor)
     assert [e.section for e in interval_data(group, floor)] == [
-        e.subgroup.order // floor.order for e in interval_data(group, floor)
+        len(e.members) // floor.order for e in interval_data(group, floor)
     ]
 
 

@@ -19,7 +19,7 @@ def test_sample_from_trivial_group():
     trivial = catalog_group("cyclic:1")
     drawn = sample_multiset(trivial, 5, np.random.default_rng(0))
     assert len(drawn) == 5
-    assert all(trivial.elements[i].is_identity() for i in drawn)
+    assert all(trivial.elements[i] == trivial.identity for i in drawn)
 
 
 def test_sampling_is_seed_deterministic():

@@ -21,7 +21,7 @@ def test_parse_disjoint_cycles():
 
 
 def test_parse_identity():
-    assert permutation_from_text("()", degree=4).is_identity()
+    assert permutation_from_text("()", degree=4) == Permutation.identity(4)
 
 
 def test_parse_with_commas_and_degree():

@@ -104,13 +104,13 @@ def all_members_series(group):
 
 def subgroup_bound_by_minimum(group, stabilizer, size):
     """The subgroup bound as the minimum of log 5 - 2 log(section) /
-    (|S| |G:H|) over the interval, with the first subgroup attaining it."""
+    (|S| |G:H|) over the interval, with the first entry attaining it."""
     best_log, best_entry = math.inf, None
     for entry in interval_data(group, stabilizer):
         value = math.log(5.0) - 2.0 * math.log(entry.section) / (size * entry.index)
         if value < best_log:
             best_log, best_entry = value, entry
-    return math.exp(best_log), best_entry.subgroup
+    return math.exp(best_log), best_entry
 
 
 def derived_index_by_series(group, stabilizer, multiset):
