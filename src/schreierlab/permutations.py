@@ -349,14 +349,17 @@ class FiniteGroup:
         """``products`` read at the base: ``p * q`` sends base point b to
         q(p(b)), so q's images at p's base images (``at[k]`` for the k-th)
         are looked up, one base point at a time.  The outer product goes in
-        column blocks of at most ``order x degree`` products, each block's
-        images by point, so no temporary outgrows the image array."""
+        column blocks of at most max(``order x degree``, 2^16) products,
+        each block's images by point: no temporary outgrows the larger of
+        the image array and 2^16 entries, and the floor keeps a small
+        group's blocks wide enough that their number costs less than their
+        gathers."""
         base, lookup = self._lookup()
         at = np.moveaxis(self.images[np.asarray(left)[..., None], base], -1, 0)
         right = np.asarray(right)
         if not outer:
             return lookup(self.images[right, a] for a in at)
-        width = max(1, self.images.size // max(at.shape[1], 1))
+        width = max(1, max(self.images.size, 1 << 16) // max(at.shape[1], 1))
         blocks = (self.images[right[k : k + width]].T.copy() for k in range(0, len(right), width))
         return np.concatenate([lookup(by_point[a] for a in at) for by_point in blocks], axis=1)
 
@@ -390,14 +393,14 @@ class FiniteGroup:
         return self._index()[self.images[j][self.images[i][self._lookup()[0]]].tobytes()]
 
     def inverse_indices(self) -> tuple[int, ...]:
-        """``inverse_indices()[i]`` is the index of elements[i]^-1: each
-        row of the image array scattered into its inverse, looked up once."""
+        """``inverse_indices()[i]`` is the index of elements[i]^-1, looked
+        up by its base images: x^-1 sends base point b to where b sits in
+        x's row.  Unchecked, so exact on a closed table, as every group is."""
         inv = self._cache.get("inverse")
         if inv is None:
-            images = self.images
-            inverses = np.empty_like(images)
-            np.put_along_axis(inverses, images, np.arange(images.shape[1], dtype=images.dtype), axis=1)
-            inv = self._cache["inverse"] = tuple(self._indices_of_rows(inverses).tolist())
+            base, lookup = self._lookup()
+            found = lookup((self.images == b).argmax(axis=1) for b in base.tolist())
+            inv = self._cache["inverse"] = tuple(found.tolist())
         return inv
 
     def inverse_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -576,7 +579,21 @@ class FiniteGroup:
         return self.subgroup_from_indices([0])
 
     def point_stabilizer(self, point: int) -> "FiniteGroup":
-        return self.subgroup_from_indices(np.flatnonzero(self.images[:, point] == point).tolist())
+        """The elements fixing ``point``, generated by its Schreier
+        generators u_w s u_(w^s)^-1 (Schreier's lemma; Holt, Eick, O'Brien,
+        *Handbook of Computational Group Theory*, 2005), for s a generator of
+        the group and u_w the first element sending ``point`` to w, w in its
+        orbit: at most orbit size x |generators| of them, distinct, without
+        the identity."""
+        column = self.images[:, point]
+        orbit, least = np.unique(column, return_index=True)
+        first = np.zeros(self.degree, np.intp)
+        first[orbit] = least  # u_w, by w
+        moved = self.products(least[:, None], self._indices_of_rows(self.generator_images))  # u_w s
+        schreier = self.products(moved, np.array(self.inverse_indices())[first[self.images[moved, point]]])
+        return self.subgroup_from_indices(
+            np.flatnonzero(column == point).tolist(), sorted(set(schreier.ravel().tolist()) - {0})
+        )
 
 
 def group_from_generators(
@@ -623,20 +640,40 @@ class Transversal:
     representative, so ``x * rep_of[x]^-1`` lies in the subgroup.
     ``with_reps`` keeps the cosets and their numbering and swaps the
     representatives.
+
+    Each coset is numbered by its least element, so that element is its
+    representative.  Up to the table limit one pass over the elements reads
+    each new coset off the table rows of H's members, which is fastest
+    there.  Above it the slots come from min-label propagation: the
+    left-multiplication maps x -> h x of H's generators, one broadcast
+    ``products`` read, carry each element's label to its least coset mate
+    (``_orbit_minima``), so |generators| x |G| products are read and no
+    ``mult`` is called.
     """
 
     def __init__(self, parent: FiniteGroup, subgroup: FiniteGroup):
-        row = parent._rows()
-        sub_rows = [row(h) for h in parent.indices_of(subgroup) if h]
-        slot_of = [-1] * parent.order
-        reps: list[int] = []
-        for x in range(parent.order):
-            if slot_of[x] < 0:
-                slot_of[x] = len(reps)
-                for h_row in sub_rows:
-                    slot_of[h_row[x]] = len(reps)
-                reps.append(x)
-        self._hold(parent, subgroup, np.array(reps, np.intp), np.array(slot_of, np.intp))
+        if parent._table() is not None:
+            row = parent._rows()
+            sub_rows = [row(h) for h in parent.indices_of(subgroup) if h]
+            slots = [-1] * parent.order
+            reps: list[int] = []
+            for x in range(parent.order):
+                if slots[x] < 0:
+                    slots[x] = len(reps)
+                    for h_row in sub_rows:
+                        slots[h_row[x]] = len(reps)
+                    reps.append(x)
+            rep_indices, slot_of = np.array(reps, np.intp), np.array(slots, np.intp)
+        else:
+            gens = parent._find(subgroup.generator_images)
+            if gens is None:
+                raise NotASubgroupError(f"group of order {subgroup.order} is not a subgroup of the parent")
+            # the coset Hx is the orbit of x under x -> h x, h a generator of H
+            every = np.arange(parent.order)
+            label = _orbit_minima(parent.products(np.array(gens)[:, None], every), parent.order)
+            opens = label == every
+            rep_indices, slot_of = np.flatnonzero(opens), (np.cumsum(opens) - 1)[label]
+        self._hold(parent, subgroup, rep_indices, slot_of)
 
     def _hold(self, parent, subgroup, rep_indices: np.ndarray, slot_of: np.ndarray) -> "Transversal":
         """Hold the two arrays and their gather ``rep_of``, all read-only."""
@@ -763,9 +800,13 @@ class CosetAction:
         of that least one, and y^b is in H for b = gcd(``index`` =
         |N_G(H):H|, y's order as a permutation); so for each y only the
         proper divisors of its b are tried, in ascending order, and b
-        stands when none is in H."""
+        stands when none is in H.  When H is trivial, y^t is in H only for
+        t a multiple of y's order, so the b are the orders, returned at
+        once."""
         generators = self.group.images[elements]
         bound = np.gcd(index, _permutation_orders(generators))
+        if self.stabilizer.order == 1:
+            return bound
         orders = bound.copy()
         steps = {d for b in set(bound.tolist()) for d in range(1, b) if b % d == 0}
         for t in sorted(steps):
@@ -774,6 +815,21 @@ class CosetAction:
                 home = in_h[self.group._indices_of_rows(_power_images(generators[test], t))]
                 orders[test[home]] = t
         return orders
+
+
+def _orbit_minima(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Each point of range(n) labelled with the least point of its orbit
+    under the index maps ``maps``: labels stay in their orbits and only
+    fall, so at a fixed point each is its orbit's least."""
+    label = np.arange(n)
+    while True:
+        least = label
+        for m in maps:
+            least = np.minimum(least, least[m])
+        least = least[least]
+        if (least == label).all():
+            return label
+        label = least
 
 
 def _block_cost(n_points: int, k: int, dihedral: bool) -> float:
@@ -919,19 +975,10 @@ def intermediate_subgroups(
         return () if (image == positions).all() else (image,)
 
     def least_in_orbits(maps: tuple[np.ndarray, ...]) -> Sequence[int]:
-        """The reps least in their orbits under ``maps``: labels stay in their
-        orbits and only fall, so at a fixed point each is its orbit's least."""
+        """The reps least in their orbits under ``maps``."""
         if not maps:
             return cyclic_reps
-        least = positions
-        while True:
-            label = least
-            for m in maps:
-                label = np.minimum(label, label[m])
-            label = label[label]
-            if (label == least).all():
-                return reps[least == positions].tolist()
-            least = label
+        return reps[_orbit_minima(maps, len(reps)) == positions].tolist()
 
     @functools.cache
     def conjugations() -> list[list[int]]:

@@ -15,16 +15,19 @@ Groups*, 5.3): pairing each cycle with its image under z makes every block
 real symmetric and halves modes 0 and k/2 (``block_eigenvalues``).  A
 complex ``eigvalsh`` costs about three real ones of its size, so y and z
 are chosen by the sum of dim^3 over the blocks, a complex block counted 3.
-Each symmetry is checked exactly on the graph's slot table, which fills
-the blocks, so no n x n array is built; the dimension cap binds first.
-When N_G(H) = H the dense path runs.  Small graphs stay dense because the
-set-up costs more than it saves (one BLAS thread, 2-vCPU Xeon): cyclic
-blocks took 1.2 against 0.5 ms on heisenberg:5 (125 points, k = 5) and
-7.8 against 6.2 ms on heisenberg:7 (343, k = 7).  Real blocks take the
-summary of sym:7 on the cosets of (2 7) (2520 points, k = 6) from
-109-119 to 44-46 ms against complex ones, and of alt:7 regular (k = 6,
-as no element of A7 inverts a 7-cycle; complex k = 7) from 84-86 to
-39-40 ms.
+Each symmetry is checked exactly on the graph's slot table, column by
+column, and the slot rows of one point per cycle fill the blocks, each
+real part of every mode one weighted bincount, so no n x n array, and no
+array of n entries per block row, is built; the dimension cap binds
+first.  When N_G(H) = H the dense path runs.  Small graphs stay dense
+because the set-up costs more than it saves (best of 5, three runs, one
+BLAS thread, 2-vCPU Xeon): the symmetry search and cyclic blocks took
+2.0-3.3 against 0.56-0.87 ms on heisenberg:5 (125 points, k = 5) and
+13-18 against 5.9-7.0 ms on heisenberg:7 (343, k = 7).  Real blocks
+take the eigenvalues of sym:7 on the cosets of (2 7) (2520 points,
+k = 6) from 74-89 to 25-33 ms against complex ones, and of alt:7
+regular (k = 6, as no element of A7 inverts a 7-cycle; complex k = 7)
+from 54-58 to 23-32 ms.
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -87,13 +90,20 @@ def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nd
     return np.linalg.eigvalsh(matrix)[::-1].copy()
 
 
-def _walk_symmetry(perm, ends: np.ndarray, name: str) -> np.ndarray:
+def _walk_symmetry(perm, graph: SchreierGraph, name: str) -> np.ndarray:
     """``perm`` as an index array, checked to be a permutation of the points
-    that maps the sorted edge ends of each point onto those of its image."""
+    that commutes with the walk.  One that commutes with every column of
+    the slot table (``perm[slots] == slots[perm]``), as left multiplication
+    by N_G(H) does, is accepted at once; otherwise the sorted edge ends of
+    each point, with multiplicity, must map onto those of its image, which
+    also accepts a symmetry that swaps the columns of s and s^-1."""
     perm = np.asarray(perm, dtype=np.intp)
-    n = len(ends)
+    n, slots = graph.vertex_count, graph.slots
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"the {name} is not a permutation of the points")
+    if np.array_equal(perm[slots], slots[perm]):
+        return perm
+    ends = np.sort(np.repeat(slots, graph.weights, axis=1), axis=1)
     if not np.array_equal(np.sort(perm[ends], axis=1), ends[perm]):
         raise ValueError(f"the {name} does not commute with the walk")
     return perm
@@ -110,12 +120,15 @@ def block_eigenvalues(
     length k and which commutes with the walk, checked exactly on the slot
     table (it may swap the columns of s and s^-1).  With the cycles laid
     out as ``order[i, t] = L^t(o_i)``, the walk entry between L^s(o_i) and
-    L^t(o_j) is ``c[i, j, t - s mod k]``, where ``c[i, j, d]`` is the
-    number of edges from o_i to L^d(o_j) over the degree, read off the edge
-    ends of the points o_i.  So the walk is block-circulant, with the
-    spectrum of the k Hermitian blocks ``sum_d c[:, :, d] w^(q d)``,
-    w = exp(2 pi i / k); modes q and k - q are complex conjugates with one
-    spectrum, so only q <= k / 2 is solved.
+    L^t(o_j) is c[i, j, t - s mod k], where c[i, j, d] is the weight of
+    the edges from o_i to L^d(o_j) over the degree.  So the walk is
+    block-circulant, with the spectrum of the k Hermitian blocks
+    sum_d c[:, :, d] w^(-q d), w = exp(2 pi i / k); modes q and k - q are
+    complex conjugates with one spectrum, so only q <= k / 2 is solved.
+    No c is built: the slot rows of the points o_i hold every edge that
+    counts, so each real part of every mode is one weighted ``bincount``
+    of the edge phases, w cos(2 pi q d / k) and -w sin(2 pi q d / k) for
+    an edge of weight w, into the cells (i, j).
 
     ``flip`` is None or an involution F that commutes with the walk, with
     F L = L^-1 F, mapping no cycle to itself.  Cycle i is then paired with
@@ -125,13 +138,14 @@ def block_eigenvalues(
     modes S = A + B and T = A - B, it is unitarily similar to the real
     symmetric [[Re S, -Im T], [Im S, Re T]] = [[Re A + Re B, Im B - Im A],
     [Im A + Im B, Re A - Re B]]; a real mode (q = 0, k / 2) splits into S
-    and T.  Blocks above 1 x 1 go through ``sym_eigenvalues``; a 1 x 1
-    block is its eigenvalue, its imaginary part held to ``ROUNDOFF_TOL``.
+    and T.  An edge into the partner of pair j counts in cell (i, j) of S
+    with its sign and of T with the opposite one.  Blocks above 1 x 1 go
+    through ``sym_eigenvalues``; a 1 x 1 block is its eigenvalue, its
+    imaginary part held to ``ROUNDOFF_TOL``.
     """
     n = graph.vertex_count
     _check_dimension(n, dim_cap)
-    ends = np.sort(np.repeat(graph.slots, graph.weights, axis=1), axis=1)
-    left = _walk_symmetry(left, ends, "symmetry")
+    left = _walk_symmetry(left, graph, "symmetry")
     cycles = Permutation._raw(tuple(left.tolist())).cycles(include_fixed=True)
     k = len(cycles[0])
     if any(len(cycle) != k for cycle in cycles):
@@ -139,7 +153,7 @@ def block_eigenvalues(
     order = np.array(cycles)  # order[i, t] = L^t(o_i), o_i the least point of cycle i
     m = rows = len(order)
     if flip is not None:
-        flip = _walk_symmetry(flip, ends, "flip")
+        flip = _walk_symmetry(flip, graph, "flip")
         if not np.array_equal(flip[flip], np.arange(n)):
             raise ValueError("the flip is not an involution")
         if not np.array_equal(flip[left], np.argsort(left)[flip]):
@@ -150,22 +164,34 @@ def block_eigenvalues(
         pairs = order[np.arange(m) < partner]
         # L^t(F(o_i)) = F(L^-t(o_i))
         order, rows = np.concatenate([pairs, flip[pairs][:, -np.arange(k) % k]]), m // 2
-    place = np.argsort(order.ravel())  # L^t(o_j) sits at j * k + t
-    edges = place[ends[order[:rows, 0]]] + n * np.arange(rows)[:, None]
-    c = np.bincount(edges.ravel(), minlength=rows * n).reshape(rows, m, k) / graph.degree
-    if flip is not None:  # the rows of A + B above those of A - B
-        c = np.concatenate([c[:, :rows] + c[:, rows:], c[:, :rows] - c[:, rows:]])
-    modes = np.moveaxis(np.fft.rfft(c, axis=2), 2, 0)  # modes[q] holds mode q's rows
-    del c  # as large as the modes: freed before the blocks are built
+    # the edge from o_i along column c ends at L^d(o_j), which sits at j * k + d
+    cycle, d = np.divmod(np.argsort(order.ravel())[graph.slots[order[:rows, 0]]], k)
+    weight = np.broadcast_to(graph.weights / graph.degree, cycle.shape)
+    cells = np.arange(rows)[:, None] * rows + cycle
+    if flip is None:
+        shape = (rows, rows)
+    else:  # the rows of S above those of T, an edge into a partner folded onto its pair
+        cells, sign = cells - rows * (cycle >= rows), np.where(cycle < rows, 1, -1)
+        cells, weight = np.concatenate([cells, cells + rows * rows]), np.concatenate([weight, weight * sign])
+        d, shape = np.concatenate([d, d]), (2 * rows, rows)
+    q = np.arange(k // 2 + 1)[:, None, None]
+    phase = 2 * np.pi / k * (q * d % k)
+    cells = (cells + q * shape[0] * shape[1]).ravel()  # mode q's block after those before it
+
+    def part(values: np.ndarray) -> np.ndarray:
+        """One real part of every mode's block, by mode."""
+        return np.bincount(cells, values.ravel(), minlength=len(q) * shape[0] * shape[1]).reshape(-1, *shape)
+
+    re, im = part(weight * np.cos(phase)), part(-weight * np.sin(phase))
     # modes 0 and k / 2 are real (the coefficients w^(q d) are +-1), the rest complex
     real, complex_ = [0] + [k // 2] * (k % 2 == 0), slice(1, (k + 1) // 2)
     if flip is None:
-        groups = [(modes.real[real], 1), (modes[complex_], 2)]  # mode k - q counted with q
+        groups = [(re[real], 1), (re[complex_] + 1j * im[complex_], 2)]  # mode k - q counted with q
     else:
-        s, t = modes[complex_, :rows], modes[complex_, rows:]
-        forms = np.block([[s.real, -t.imag], [s.imag, t.real]])
-        groups = [(modes.real[real].reshape(-1, rows, rows), 1), (forms, 2)]
-        del modes, s, t  # the blocks are copies: free the modes before solving
+        s, t = slice(None, rows), slice(rows, None)
+        forms = np.block([[re[complex_, s], -im[complex_, t]], [im[complex_, s], re[complex_, t]]])
+        groups = [(re[real].reshape(-1, rows, rows), 1), (forms, 2)]
+    del re, im  # the blocks are copies: free the parts before solving
     spectra = []
     for blocks, times in groups:
         if blocks.shape[-1] > 1:

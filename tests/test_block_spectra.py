@@ -337,7 +337,17 @@ def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
 
 # the shapes of the large-actions benchmark workload, above the floor: the
 # stabilizer of sym:7 is a transposition or a triple transposition by seed,
-# and alt:7 has no inverter of a 7-cycle, so it uses an element of order 6
+# and alt:7 has no inverter of a 7-cycle, so it uses an element of order 6.
+# Each shape's (y, k, z), by group and number of stabilizer cycles, is
+# pinned: a faster search must choose the same y and z, not only the same k
+LARGE_SYMMETRIES = {
+    ("sym:7", 1): (543, 6, 131),
+    ("alt:7", 0): (19, 6, 714),
+    ("cyclic:1024", 0): (1, 1024, None),
+    ("sym:7", 3): (2866, 4, 131),
+}
+
+
 @pytest.mark.parametrize(
     "name,stabilizer_cycles,expected_k",
     [
@@ -354,9 +364,36 @@ def test_large_action_shapes_match_dense(name, stabilizer_cycles, expected_k):
     )
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    _, k, z = graph.action.block_symmetry()
+    y, k, z = graph.action.block_symmetry()
     assert (k, z is None) == (expected_k, name == "cyclic:1024")
+    assert (y, k, z) == LARGE_SYMMETRIES[name, sum(map(len, stabilizer_cycles))]
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def test_many_draws_with_repeats_match_dense():
+    # the verify-thm1 shape: 150 draws symmetrized to degree 300, repeated
+    # draws and involutions giving multiplicities, k = 6 with a flip
+    group = catalog_group("sym:6")
+    multiset = drawn_multiset(group, np.random.default_rng(3), 150)
+    assert multiset.size == 300 and max(m for _, m in multiset.entries) > 1
+    graph = schreier_graph(group, group.trivial_subgroup(), multiset)
+    _, k, z = graph.action.block_symmetry()
+    assert (k, z is not None) == (6, True)
+    eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def test_odd_cyclic_blocks_without_a_flip_match_dense():
+    # heisenberg:5 has exponent 5: a generator's left map has 25 cycles of
+    # length 5, so modes 1 and 2 are complex 25 x 25 blocks and mode 0 real
+    group = catalog_group("heisenberg:5")
+    graph = schreier_graph(
+        group, group.trivial_subgroup(), drawn_multiset(group, np.random.default_rng(9), 3)
+    )
+    left = graph.action.left_action_of_index(group.index_of(group.generators[0]))
+    eigenvalues = block_eigenvalues(graph, left)
+    assert len(eigenvalues) == 125
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
 

@@ -836,12 +836,17 @@ def test_products_at_the_base_match_permutation_products(name, data):
         assert group._table() is None
 
 
-# sym:5's whole table and 40 columns of sym:6 need many blocks; all of
-# cyclic:1024's fill the image array exactly
-@pytest.mark.parametrize("name, columns", [("sym:5", 120), ("sym:6", 40), ("cyclic:1024", 1024)])
+# a block holds up to max(image array, 2^16) products: sym:5's whole table
+# and 40 columns of sym:6 fit in one, all of cyclic:1024's fill the image
+# array exactly, and 100 columns of sym:7 and 400 of sym:6 need several
+@pytest.mark.parametrize(
+    "name, columns",
+    [("sym:5", 120), ("sym:6", 40), ("cyclic:1024", 1024), ("sym:7", 100), ("sym:6", 400)],
+)
 def test_outer_products_gather_blocks_no_larger_than_the_image_array(name, columns):
     group = group_from_generators(list(cached_group(name).generators))
     base, lookup = group._lookup()
+    bound = max(group.images.size, 2**16)
     sizes = []
 
     def counted(columns):
@@ -854,7 +859,11 @@ def test_outer_products_gather_blocks_no_larger_than_the_image_array(name, colum
     expected = cached_group(name).products(range(group.order), range(columns), outer=True)
     assert np.array_equal(outer, expected)
     assert sum(sizes) == group.order * columns * len(base)  # each product gathered once
-    assert max(sizes) <= group.images.size
+    assert max(sizes) <= bound
+    # every block but the last is as wide as the bound allows
+    blocks = len(sizes) // len(base)
+    assert blocks == (1 if group.order * columns <= bound else math.ceil(columns / (bound // group.order)))
+    assert min(sizes[: -len(base)], default=bound) > bound - group.order
 
 
 def test_a_table_closed_under_its_generator_but_not_under_products_is_refused():
@@ -891,6 +900,55 @@ def test_a_regular_transversal_above_the_table_limit_computes_no_products(name, 
     t = Transversal(group, group.trivial_subgroup())
     assert not calls
     assert t.rep_indices.tolist() == t.slot_of.tolist() == list(range(group.order))
+
+
+def assert_slots_are_the_least_coset_members(group, subgroup):
+    """Brute force with ``products(members, x)``: the reps are the least
+    member of each right coset Hx, ascending, and each slot is its coset's."""
+    members = np.array(sorted(group.indices_of(subgroup)))
+    least = np.full(group.order, -1)
+    for x in range(group.order):
+        if least[x] < 0:
+            least[group.products(members, x)] = x
+    reps = np.unique(least)
+    t = Transversal(group, subgroup)
+    assert t.rep_indices.tolist() == reps.tolist()
+    assert t.slot_of.tolist() == np.searchsorted(reps, least).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["sym:7", "alt:7", "cyclic:1024"]), data=st.data())
+def test_transversal_slots_above_the_table_limit_match_coset_minima(name, data):
+    group = cached_group(name)
+    gens = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3))
+    assert_slots_are_the_least_coset_members(group, group.subgroup_generated_by(gens))
+
+
+@pytest.mark.parametrize("name", ["sym:6", "sym:7", "alt:7"])
+def test_transversal_slots_of_the_natural_stabilizer_match_coset_minima(name):
+    group = cached_group(name)
+    assert_slots_are_the_least_coset_members(group, group.point_stabilizer(0))
+
+
+@pytest.mark.parametrize(
+    "name", ["sym:5", "alt:5", "dihedral:16", "heisenberg:5", "sym:6", "sym:7", "alt:7", "cyclic:1024"]
+)
+def test_point_stabilizer_generators_close_to_its_members(name):
+    group = cached_group(name)
+    for point in (0, group.degree - 1):
+        stabilizer = group.point_stabilizer(point)
+        members = {row.tobytes() for row in group.images[group.images[:, point] == point]}
+        assert {row.tobytes() for row in stabilizer.images} == members
+        closed = group_from_generators(list(stabilizer.generators))
+        assert {row.tobytes() for row in closed.images} == members
+        assert len(stabilizer.generator_images) <= group.degree * len(group.generator_images)
+
+
+@pytest.mark.parametrize("name", ["sym:6", "sym:7", "alt:7", "cyclic:1024"])
+def test_inverse_indices_match_each_rows_argsort(name):
+    group = group_from_generators(list(cached_group(name).generators))
+    inverses = np.argsort(group.images, axis=1).astype(np.int32)
+    assert list(group.inverse_indices()) == group._find(inverses)
 
 
 @pytest.mark.parametrize(
