@@ -26,6 +26,7 @@ from .permutations import (
     FiniteGroup,
     Permutation,
     _least_prime_factor,
+    _partitions,
     group_from_generators,
 )
 
@@ -166,17 +167,6 @@ def catalog_generators(name: str) -> list[Permutation]:
     if len(factor_gens) == 1:
         return factor_gens[0]
     return _product_generators(factor_gens)
-
-
-def _partitions(n: int, cap: Optional[int] = None):
-    if cap is None:
-        cap = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 def abelian_names_up_to(max_order: int) -> list[str]:

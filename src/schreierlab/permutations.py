@@ -51,6 +51,18 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
+def _partitions(n: int, cap: Optional[int] = None):
+    """The partitions of n with parts at most ``cap``, largest part first."""
+    if cap is None:
+        cap = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
 def _row_lookup(images: np.ndarray):
     """The base points of ``images``, and a lookup of elements by their base
     images, given as one array per base point, in base order.
@@ -240,7 +252,11 @@ class FiniteGroup:
         if images.ndim != 2 or not images.size or images.dtype.kind not in "iu":
             raise ValueError("a group needs a 2-D integer array of images, identity first")
         points = np.arange(images.shape[1])
-        if not ((images[0] == points).all() and (np.sort(images) == points).all()):
+        # the table is checked in blocks of about 2^16 entries, as _gathered
+        # bounds its temporaries
+        step = max(1, (1 << 16) // len(points))
+        if not ((images[0] == points).all()
+                and all((np.sort(images[k : k + step]) == points).all() for k in range(0, len(images), step))):
             raise ValueError("row 0 must be the identity and each row a bijection of range(degree)")
         gens = np.asarray(generator_images)
         if not (gens.size and gens.shape[1:] == images.shape[1:] and gens.dtype.kind in "iu"
@@ -251,8 +267,12 @@ class FiniteGroup:
         # row i * len(gens) + j is elements[i] * generators[j], the order in
         # which the enumeration scans products; in a closed table each
         # generator permutes the elements, so every element is met
-        products = gens[:, self.images].transpose(1, 0, 2).reshape(-1, self.degree)
-        first = np.unique(self._indices_of_rows(products), return_index=True)[1][1:]
+        step = max(1, step // len(gens))
+        found = [
+            self._indices_of_rows(gens[:, self.images[k : k + step]].transpose(1, 0, 2).reshape(-1, self.degree))
+            for k in range(0, self.order, step)
+        ]
+        first = np.unique(np.concatenate(found), return_index=True)[1][1:]
         if not ((np.diff(first) > 0).all() and (first // len(gens) < np.arange(1, self.order)).all()):
             raise ValueError("the element table is not the group its generators generate")
 
@@ -793,6 +813,28 @@ class CosetAction:
             if len(z):
                 best, cost = (y, order, int(z[0])), dihedral
         return best
+
+    def symmetric_group(self) -> Optional[tuple[list[int], list[int]]]:
+        """``(generators, points)``: the indices of t = (f_1 f_2) and c =
+        (f_r ... f_1) = t_1 ... t_(r-1), t_i = (f_i f_i+1), which generate
+        Sym(F), F the points fixed by H's generators, when G holds them;
+        else of t and c times (a b)^sign, a and b the last two points of F,
+        a copy of S_r in the even permutations; or None.  This K
+        centralises H, so its left maps permute the cosets freely and
+        commute with the walk: r >= 2 and r! divides the coset count."""
+        degree = self.group.degree
+        fixed = np.flatnonzero((self.stabilizer.generator_images == np.arange(degree)).all(axis=0))
+        for points, tail in ((fixed, fixed[:0]), (fixed[:-2], fixed[-2:])):
+            r = len(points)
+            if r < 2 or self.n_points % math.factorial(r):
+                continue
+            rows = np.tile(np.arange(degree, dtype=np.int32), (2, 1))
+            rows[0, points[:2]], rows[1, points] = points[1::-1], np.roll(points, 1)
+            rows[0, tail] = rows[1 - r % 2, tail] = tail[::-1]  # t's; and c's for even r
+            found = self.group._find(rows)
+            if found is not None:
+                return found, points.tolist()
+        return None
 
     def _coset_orders(self, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
         """For each element y of N_G(H), the least t >= 1 with y^t in H

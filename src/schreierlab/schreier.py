@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, SearchSpaceError
 from .inequalities import INDUCED_GAP, SIZE_LAW, Tally, Verdict
 from .notation import permutation_to_text
-from .permutations import CosetAction, FiniteGroup, Transversal, index2_overgroups
+from .permutations import CosetAction, FiniteGroup, Transversal, _orbit_minima, index2_overgroups
 from .spectral import spectral_summary
 
 
@@ -175,28 +175,21 @@ class ConnectivityReport:
 
 
 def connectivity_and_bipartiteness(graph: SchreierGraph) -> ConnectivityReport:
-    """BFS components and 2-colorability over the slot table: each
-    component's least point gets color 0 and every point found the other
-    color than its finder.  The graph is bipartite when every edge then
-    joins two colors, which a loop, an odd closed walk, never does."""
-    neighbours = graph.slots.tolist()
-    color = [-1] * graph.vertex_count
-    components = 0
-    for start in range(graph.vertex_count):
-        if color[start] >= 0:
-            continue
-        components += 1
-        color[start] = 0
-        queue = [start]
-        for v in queue:
-            for w in neighbours[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-    color = np.array(color)
+    """Components and 2-colorability in array passes, by min-label
+    propagation (``_orbit_minima``) over the bipartite double cover: point
+    v with bit b is b n + v, and each edge v -> w joins (v, b) to (w, 1 -
+    b).  The least point c of v's component labels (v, 0) or (v, 1), and v
+    gets color 0 when (v, 0) carries it: on a bipartite component, the
+    2-coloring that gives c color 0.  The graph is bipartite when every
+    edge then joins two colors, which a loop, an odd closed walk, never
+    does."""
+    n = graph.vertex_count
+    cover = _orbit_minima(np.concatenate([graph.slots.T + n, graph.slots.T], axis=1), 2 * n)
+    least = np.minimum(cover[:n], cover[n:])
+    color = (cover[:n] != least).astype(np.int64)
     bipartite = bool(np.all(color[graph.slots] != color[:, None]))
     return ConnectivityReport(
-        connected=(components == 1),
+        connected=bool((least == 0).all()),
         bipartite=bipartite,
         classes=tuple(color.tolist()) if bipartite else None,
     )

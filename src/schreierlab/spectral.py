@@ -4,30 +4,33 @@ The full spectrum is computed rather than extremal eigenvalues only: desk
 scale makes that affordable, and spectrum-containment checks need all of it.
 
 A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
-``eigvalsh``.  From that size on, ``spectral_summary`` first asks for a
-symmetry (``CosetAction.block_symmetry``): left multiplication by y in the
-normaliser N_G(H) permutes the cosets (Hx -> Hyx) freely in cycles of
-length k and commutes with the walk, which is so block-circulant, one
-Hermitian block of size n/k per Fourier mode (Babai, J. Combin. Theory B
-27, 1979).  A z in N_G(H) inverting y modulo H makes <y, z> dihedral, with
-real irreducible representations (Serre, *Linear Representations of Finite
-Groups*, 5.3): pairing each cycle with its image under z makes every block
-real symmetric and halves modes 0 and k/2 (``block_eigenvalues``).  A
-complex ``eigvalsh`` costs about three real ones of its size, so y and z
-are chosen by the sum of dim^3 over the blocks, a complex block counted 3.
-Each symmetry is checked exactly on the graph's slot table, column by
-column, and the slot rows of one point per cycle fill the blocks, each
-real part of every mode one weighted bincount, so no n x n array, and no
-array of n entries per block row, is built; the dimension cap binds
-first.  When N_G(H) = H the dense path runs.  Small graphs stay dense
-because the set-up costs more than it saves (best of 5, three runs, one
-BLAS thread, 2-vCPU Xeon): the symmetry search and cyclic blocks took
-2.0-3.3 against 0.56-0.87 ms on heisenberg:5 (125 points, k = 5) and
-13-18 against 5.9-7.0 ms on heisenberg:7 (343, k = 7).  Real blocks
-take the eigenvalues of sym:7 on the cosets of (2 7) (2520 points,
-k = 6) from 74-89 to 25-33 ms against complex ones, and of alt:7
-regular (k = 6, as no element of A7 inverts a 7-cycle; complex k = 7)
-from 54-58 to 23-32 ms.
+``eigvalsh``.  From that size on, ``spectral_summary`` splits the walk by
+a group of symmetries that permute the cosets freely and commute with the
+walk, one block per irreducible representation (Babai, J. Combin. Theory
+B 27, 1979).  Left multiplication by y in the normaliser N_G(H) (Hx ->
+Hyx), of order k modulo H (``CosetAction.block_symmetry``), makes the walk
+block-circulant, one Hermitian block of size n/k per Fourier mode; a z in
+N_G(H) inverting y modulo H makes <y, z> dihedral, with real irreducible
+representations (Serre, *Linear Representations of Finite Groups*, 5.3),
+so every block is real and modes 0 and k/2 halve (``block_eigenvalues``).
+The symmetric group S_r on the r points that H fixes (twisted by a
+transposition of two more of them in an alternating group) centralises H
+(``CosetAction.symmetric_group``): one real block of m d rows for each
+irreducible representation of S_r, of dimension d, m = n / r!, from
+Young's orthogonal form (``symmetric_block_eigenvalues``).  The path is
+the one whose blocks cost least by the sum of dim^3, a complex block
+counted 3 (about three real ``eigvalsh`` of its size); the N_G(H) search
+(2-3 ms on sym:7 and alt:7) is skipped when no order that divides n and
+that a permutation of the degree can have could beat S_r, and the dense
+path runs when N_G(H) = H and r < 2.  Each symmetry is
+checked exactly on the slot table and the slot rows of one point per
+orbit fill the blocks by weighted bincounts, so no n x n array is built;
+the dimension cap still bounds the number of points.  Small graphs stay
+dense as the set-up costs more than it saves (heisenberg:7, 343 points,
+k = 7: 13-18 against 5.9-7.0 ms).  The 2520 cosets of (2 7) in sym:7 and
+alt:7 regular, m = 21, take 5.0-6.4 and 4.1-5.9 ms against 36-44 and
+34-43 ms by dihedral blocks of order 6 (best of 5, three alternating
+runs, one BLAS thread, 2-vCPU Xeon).
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -51,13 +54,16 @@ is taken block by block; every graph of the sweep lies below it.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import MatrixTooLargeError
-from .permutations import Permutation
+from .permutations import Permutation, _block_cost, _least_prime_factor, _orbit_minima, _partitions
 
 if TYPE_CHECKING:
     from .schreier import SchreierGraph
@@ -203,6 +209,103 @@ def block_eigenvalues(
     return np.sort(np.concatenate(spectra))[::-1].copy()
 
 
+@functools.lru_cache(maxsize=None)
+def young_forms(r: int) -> tuple[np.ndarray, ...]:
+    """Young's orthogonal form of each irreducible representation of S_r,
+    by partition: the ``(r - 1) x d x d`` matrices of s_i = (i i+1) on the
+    standard tableaux (each the row of 0, ..., r - 1).  With a the content
+    of i + 1 less that of i in T, s_i sends T to T / a plus sqrt(1 - 1 /
+    a^2) times T with i and i + 1 swapped (James and Kerber, *The
+    Representation Theory of the Symmetric Group*, 1981, 3.3)."""
+    forms = []
+    for shape in _partitions(r):
+        tableaux = [()]
+        for _ in range(r):
+            tableaux = [t + (row,) for t in tableaux for row in range(len(shape))
+                        if t.count(row) < shape[row] and (row == 0 or t.count(row - 1) > t.count(row))]
+        place = {t: b for b, t in enumerate(tableaux)}
+        content = np.array([[t[:v].count(row) - row for v, row in enumerate(t)] for t in tableaux])
+        form = np.zeros((r - 1, len(tableaux), len(tableaux)))
+        for i in range(r - 1):
+            axial = content[:, i + 1] - content[:, i]
+            np.fill_diagonal(form[i], 1 / axial)
+            for b, t in enumerate(tableaux):
+                if abs(axial[b]) > 1:
+                    form[i, b, place[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]]] = math.sqrt(1 - axial[b] ** -2.0)
+        form.flags.writeable = False  # shared by every caller through the cache
+        forms.append(form)
+    return tuple(forms)
+
+
+def reduced_words(perms: np.ndarray) -> np.ndarray:
+    """Reduced words of the rows of a ``u x r`` array of permutations
+    (``(p * q)[x] = q[p[x]]``), as the ``u x (r - 1)`` counts v_j of values
+    above j before it: moving each j to place j by swaps of neighbours
+    factors a row as A_0 * ... * A_(r-2), A_j = s_(j+v_j-1) * ... * s_j."""
+    r = perms.shape[1]
+    where = np.argsort(perms, axis=1)  # the place of each value
+    larger_before = (perms[:, None, :] > np.arange(r)[:, None]) & (np.arange(r) < where[:, :, None])
+    return larger_before.sum(axis=2)[:, :-1]
+
+
+def young_matrices(form: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The matrices of Young's orthogonal ``form`` at the permutations of
+    ``reduced_words`` ``words``, all at once: rho(p) is the product of the
+    rho(A_j), each looked up among the r - j of its j."""
+    d, out = form.shape[-1], np.eye(form.shape[-1])
+    for j, v in enumerate(words.T):
+        factors = itertools.accumulate(form[j:], lambda acc, s: s @ acc, initial=np.eye(d))
+        out = out @ np.array(list(factors))[v]
+    return np.broadcast_to(out, (len(words), d, d))
+
+
+def symmetric_block_eigenvalues(
+    graph: SchreierGraph, generators: list[int], points: list[int], dim_cap: int = DEFAULT_DIM_CAP
+) -> np.ndarray:
+    """The walk spectrum, sorted descending, from a symmetric group K
+    acting freely on the cosets (``CosetAction.symmetric_group``): t and c
+    of ``generators`` act on the fixed ``points`` f_i as (f_1 f_2) and (f_r
+    ... f_1).  Their left maps must commute with the walk
+    (``_walk_symmetry``) and make orbits of r! points.  The members of a
+    coset Hx agree on the f_i, so with o_j the least point of its orbit,
+    the point k o_j is named by the p with x(f_i) = o_j(f_p(i)); t and c
+    must act on the names as s_0 * p and c * p.  The walk entry between k
+    o_i and l o_j is c_ij(k^-1 l), so the walk is similar to the sum over
+    the irreducible representations rho of S_r of d_rho copies of sum_h
+    c(h) (x) rho(h) (Diaconis, *Group Representations in Probability and
+    Statistics*, 1988, ch. 3): per rho, a real symmetric block of m d_rho
+    rows for m orbits, one weighted ``bincount`` of Young's orthogonal form
+    at the edges of the o_i (``young_matrices``)."""
+    n, r = graph.vertex_count, len(points)
+    _check_dimension(n, dim_cap)
+    maps = [_walk_symmetry(graph.action.left_action_of_index(g), graph, "symmetry") for g in generators]
+    label = _orbit_minima(maps, n)
+    reps, orbit = np.unique(label, return_inverse=True)
+    if (np.bincount(orbit) != math.factorial(r)).any():
+        raise ValueError(f"the symmetric group does not act freely: an orbit has other than {r}! points")
+    on_points = graph.group.images[graph.action.transversal.rep_indices][:, points]
+    name = (on_points[:, :, None] == on_points[label][:, None, :]).argmax(axis=2)
+    t, c = maps
+    if not (np.array_equal(name[t], name[:, np.r_[1, 0, 2:r]]) and np.array_equal(name[c], np.roll(name, 1, axis=1))):
+        raise ValueError("the generators do not act on the fixed points as (f_1 f_2) and (f_r ... f_1)")
+    m, ends = len(reps), graph.slots[reps]
+    codes, inverse = np.unique(name[ends] @ r ** np.arange(r), return_inverse=True)
+    words = reduced_words(codes[:, None] // r ** np.arange(r) % r)
+    weight = (graph.weights / graph.degree)[None, :, None, None]
+    spectra = []
+    for form in young_forms(r):
+        d = form.shape[-1]
+        values = weight * young_matrices(form, words)[inverse.reshape(ends.shape)]
+        # cell (i d + a, j d + b) of the block, for the edge from o_i into orbit j
+        cells = ((np.arange(m)[:, None] * m * d + orbit[ends]) * d)[..., None, None]
+        cells = cells + np.arange(d)[:, None] * m * d + np.arange(d)
+        block = np.bincount(cells.ravel(), values.ravel(), minlength=(m * d) ** 2).reshape(m * d, m * d)
+        spectra += [sym_eigenvalues(block, dim_cap)] * d
+    if sum(map(len, spectra)) != n:
+        raise ValueError("the representations' dimensions do not add up to the number of points")
+    return np.sort(np.concatenate(spectra))[::-1].copy()
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalues in descending order plus the derived expansion figures.
@@ -222,13 +325,46 @@ class SpectralSummary:
     two_sided_lambda: float
 
 
+def _least_degree(k: int) -> int:
+    """The least degree of a permutation whose order k divides: the sum of
+    the prime powers in k, one cycle of length p^a for each."""
+    total = 0
+    while k > 1:
+        p, power = _least_prime_factor(k), 1
+        while k % p == 0:
+            k, power = k // p, power * p
+        total += power
+    return total
+
+
+def _block_spectrum(graph: SchreierGraph, dim_cap: int) -> Optional[np.ndarray]:
+    """The walk spectrum by the symmetry whose blocks cost least (the sum
+    of dim^3, ``_block_cost``), or None for the dense path.  The search of
+    N_G(H) is skipped when no order k that could beat the symmetric group
+    is possible: left multiplication by y moves the n cosets in cycles of
+    length k, so k divides n, and k divides the order of y, a permutation
+    of the degree."""
+    n, action = graph.vertex_count, graph.action
+    found, cost, least = action.symmetric_group(), math.inf, 0.0
+    if found is not None:
+        r = len(found[1])
+        cost = sum((n // math.factorial(r) * form.shape[-1]) ** 3 for form in young_forms(r))
+        divisors = ((i, n // i) for i in range(1, math.isqrt(n) + 1) if n % i == 0)
+        orders = (k for pair in divisors for k in pair if k > 1 and _least_degree(k) <= graph.group.degree)
+        least = min((_block_cost(n, k, dihedral=True) for k in orders), default=math.inf)
+    y, k, z = action.block_symmetry() if least < cost else (0, 1, None)
+    if cost <= _block_cost(n, k, dihedral=z is not None):
+        return symmetric_block_eigenvalues(graph, *found, dim_cap)
+    if k > 1:
+        left = action.left_action_of_index
+        return block_eigenvalues(graph, left(y), None if z is None else left(z), dim_cap)
+    return None
+
+
 def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralSummary:
     _check_dimension(graph.vertex_count, dim_cap)
-    y, k, z = graph.action.block_symmetry() if graph.vertex_count >= BLOCK_FLOOR else (0, 1, None)
-    if k > 1:
-        left = graph.action.left_action_of_index
-        eigenvalues = block_eigenvalues(graph, left(y), None if z is None else left(z), dim_cap)
-    else:
+    eigenvalues = _block_spectrum(graph, dim_cap) if graph.vertex_count >= BLOCK_FLOOR else None
+    if eigenvalues is None:
         eigenvalues = sym_eigenvalues(graph.walk, dim_cap=dim_cap)
     leading = eigenvalues[0]
     if abs(leading - 1.0) > GAP_TOL:

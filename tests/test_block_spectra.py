@@ -1,12 +1,15 @@
-"""The block-circulant spectrum against dense eigvalsh and closed forms.
+"""The block spectra against dense eigvalsh and closed forms.
 
 ``block_eigenvalues`` solves one block per Fourier mode of a cyclic
 symmetry from N_G(H)/H, as a real symmetric block when an inverting flip
-makes the symmetry dihedral; every test here compares its spectrum with an
-independent one, eigenvalue by eigenvalue.
+makes the symmetry dihedral; ``symmetric_block_eigenvalues`` solves one
+block per irreducible representation of a symmetric group on the points
+H fixes, by Young's orthogonal form.  Every test here compares a spectrum
+with an independent one, eigenvalue by eigenvalue.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +30,15 @@ from schreierlab import (
 )
 from schreierlab import spectral
 from schreierlab.catalog import abelian_names_up_to
-from schreierlab.spectral import block_eigenvalues
+from schreierlab.notation import permutation_to_text
+from schreierlab.permutations import _partitions
+from schreierlab.spectral import (
+    block_eigenvalues,
+    reduced_words,
+    symmetric_block_eigenvalues,
+    young_forms,
+    young_matrices,
+)
 from testkit import indexed, ones, permutation_entries
 
 AGREEMENT = 1e-12
@@ -451,3 +462,201 @@ def test_character_sums_with_multiplicities():
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - character_sums("cyclic:4xcyclic:8", multiset))) < AGREEMENT
+
+
+# -- symmetric-group blocks ------------------------------------------------------
+
+
+def hook_dimension(shape):
+    """The hook-length formula: r! over the product of the hook lengths."""
+    columns = [sum(1 for part in shape if part > c) for c in range(shape[0])]
+    hooks = [shape[i] - j + columns[j] - i - 1 for i in range(len(shape)) for j in range(shape[i])]
+    return math.factorial(sum(shape)) // math.prod(hooks)
+
+
+def all_matrices(form, r):
+    """Young's form at every permutation of range(r), in lexicographic order."""
+    perms = np.array(list(itertools.permutations(range(r))))
+    return perms, young_matrices(form, reduced_words(perms))
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_young_forms_are_the_irreducible_representations(r):
+    forms = young_forms(r)
+    shapes = list(_partitions(r))
+    assert [form.shape[-1] for form in forms] == [hook_dimension(shape) for shape in shapes]
+    assert sum(form.shape[-1] ** 2 for form in forms) == math.factorial(r)
+    characters = []
+    for form in forms:
+        eye = np.eye(form.shape[-1])
+        for i, s in enumerate(form):  # the Coxeter relations; s symmetric, so orthogonal
+            assert np.allclose(s, s.T) and np.allclose(s @ s, eye)
+            if i + 1 < r - 1:
+                assert np.allclose(np.linalg.matrix_power(s @ form[i + 1], 3), eye)
+            for far in form[i + 2 :]:
+                assert np.allclose(s @ far, far @ s)
+        perms, matrices = all_matrices(form, r)
+        characters.append(np.trace(matrices, axis1=1, axis2=2))
+    gram = np.array(characters) @ np.array(characters).T / math.factorial(r)
+    assert np.allclose(gram, np.eye(len(forms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(min_value=2, max_value=6), data=st.data())
+def test_young_matrices_multiply_like_the_permutations(r, data):
+    # rho(p * q) = rho(p) rho(q), with (p * q)[x] = q[p[x]], and rho(s_i) is the form's s_i
+    picks = st.permutations(range(r)).map(list)
+    p, q = np.array(data.draw(picks)), np.array(data.draw(picks))
+    for form in young_forms(r):
+        rho = young_matrices(form, reduced_words(np.array([p, q, q[p]])))
+        assert np.allclose(rho[0] @ rho[1], rho[2])
+        assert np.allclose(rho[0].T @ rho[0], np.eye(form.shape[-1]))
+        swaps = np.array([np.r_[: i, i + 1, i, i + 2 : r] for i in range(r - 1)])
+        assert np.allclose(young_matrices(form, reduced_words(swaps)), form)
+
+
+# (group, stabilizer cycles, r): S5 on sym:5 regular (m = 1); the twisted
+# S4 of alt:6 regular, (f_i f_i+1)(4 5); S4 on the points 2-5 of sym:6 over
+# <(0 1)> (m = 15); S2 on the points 3, 4 of sym:5 over <(0 1 2)>
+SYMMETRIC_CASES = [
+    ("sym:5", [], 5),
+    ("alt:6", [], 4),
+    ("sym:6", [[[0, 1]]], 4),
+    ("sym:5", [[[0, 1, 2]]], 2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(SYMMETRIC_CASES),
+    picks=st.lists(st.integers(min_value=0), min_size=1, max_size=6),
+)
+def test_symmetric_blocks_match_dense(case, picks):
+    name, stabilizer_cycles, r = case
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(
+        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
+    )
+    # repeats and the identity give multiplicities and loops
+    graph = schreier_graph(group, stabilizer, symmetrize(group, [(i % group.order, 1) for i in picks]))
+    generators, points = graph.action.symmetric_group()
+    assert len(points) == r
+    eigenvalues = symmetric_block_eigenvalues(graph, generators, points)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def test_symmetric_group_that_does_not_commute_is_refused(monkeypatch):
+    # c's left map composed with a shift of the slots: still a permutation
+    # of the cosets, no longer one that commutes with the walk
+    group = catalog_group("sym:6")
+    stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1]], 6)])
+    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(2), 3))
+    (t, c), points = graph.action.symmetric_group()
+    left = graph.action.left_action_of_index
+    monkeypatch.setattr(
+        graph.action, "left_action_of_index", lambda y: np.roll(left(y), 1) if y == c else left(y)
+    )
+    with pytest.raises(ValueError, match="does not commute"):
+        symmetric_block_eigenvalues(graph, [t, c], points)
+
+
+def test_symmetric_group_that_is_not_free_or_misnamed_is_refused():
+    # (0 1) lies in the stabilizer: its left map fixes every coset
+    group = catalog_group("sym:5")
+    stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1]], 5)])
+    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(2), 3))
+    swap = group.index_of(Permutation.from_cycles([[0, 1]], 5))
+    with pytest.raises(ValueError, match="does not act freely"):
+        symmetric_block_eigenvalues(graph, [swap, swap], [0, 1])
+    # t and c exchanged: a free S5 of sym:5 regular, but not named by the points
+    graph = schreier_graph(group, group.trivial_subgroup(), drawn_multiset(group, np.random.default_rng(2), 3))
+    (t, c), points = graph.action.symmetric_group()
+    with pytest.raises(ValueError, match="do not act on the fixed points"):
+        symmetric_block_eigenvalues(graph, [c, t], points)
+
+
+def test_no_symmetric_group_without_its_generators_in_the_group():
+    # cyclic:1024 holds no transposition and 1024! does not divide 1024;
+    # the point stabilizer of sym:5 fixes one point only
+    group = catalog_group("cyclic:1024")
+    assert CosetAction(group, group.trivial_subgroup()).symmetric_group() is None
+    group = catalog_group("sym:5")
+    assert CosetAction(group, group.point_stabilizer(0)).symmetric_group() is None
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_least_degree_admits_the_divisors_of_permutation_orders(degree):
+    # brute force: the orders of the permutations of degree points are the
+    # lcms of the partitions of the degree, and k is possible when it
+    # divides one of them
+    orders = {math.lcm(*shape) for shape in _partitions(degree)}
+    for k in range(1, 200):
+        assert (spectral._least_degree(k) <= degree) == any(order % k == 0 for order in orders)
+
+
+def test_large_degree_with_a_symmetric_group_takes_the_cheapest_path(monkeypatch):
+    # sym:4 x cyclic:96 over <c^48>, c^48 fixed-point-free on the 96 cyclic
+    # points: S4 on the points 0-3, 24 divides n = 1152, and a degree of
+    # 100 allows orders of every divisor of n up to 576, so N_G(H) is
+    # searched; cyclic blocks of order 48 cost less than S4 with m = 48
+    group = catalog_group("sym:4xcyclic:96")
+    half_turn = Permutation.from_cycles([[4 + i, 52 + i] for i in range(48)], group.degree)
+    graph = schreier_graph(
+        group, group.subgroup_generated([half_turn]), drawn_multiset(group, np.random.default_rng(4), 3)
+    )
+    generators, points = graph.action.symmetric_group()
+    assert (points, graph.vertex_count) == ([0, 1, 2, 3], 1152)
+    taken = []
+    monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: taken.append(args) or block_eigenvalues(*args))
+    expected = dense(graph)
+    assert np.max(np.abs(np.array(spectral_summary(graph).eigenvalues) - expected)) < AGREEMENT
+    assert len(taken) == 1 and taken[0][2] is None  # cyclic, no flip
+    assert np.max(np.abs(symmetric_block_eigenvalues(graph, generators, points) - expected)) < AGREEMENT
+
+
+# the path spectral_summary takes on each large-actions shape and on sym:6
+# regular: (symmetric group: its t in 1-based cycles, twisted by (6 7) on
+# alt:7, and the number m of orbits) or (cyclic or dihedral: k and whether
+# there is a flip)
+LARGE_PATHS = [
+    ("sym:7", [[[1, 6]]], ("symmetric", "(1 3)", 21)),
+    ("alt:7", [], ("symmetric", "(1 2)(6 7)", 21)),
+    ("sym:7", [[[1, 6], [2, 3], [4, 5]]], ("blocks", 4, True)),
+    ("cyclic:1024", [], ("blocks", 1024, False)),
+    ("sym:6", [], ("symmetric", "(1 2)", 1)),
+]
+
+
+@pytest.mark.parametrize("name,stabilizer_cycles,path", LARGE_PATHS)
+def test_large_action_paths_are_pinned(monkeypatch, name, stabilizer_cycles, path):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(
+        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
+    )
+    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
+    taken, solved = [], []
+    symmetric, blocks, solve = spectral.symmetric_block_eigenvalues, block_eigenvalues, spectral.sym_eigenvalues
+
+    def by_symmetric(graph, generators, points, dim_cap):
+        r = len(points)
+        taken.append(("symmetric", permutation_to_text(group.elements[generators[0]]), graph.vertex_count // math.factorial(r)))
+        return symmetric(graph, generators, points, dim_cap)
+
+    def by_blocks(graph, left, flip, dim_cap):
+        k = graph.vertex_count // len(Permutation(left.tolist()).cycles(include_fixed=True))
+        taken.append(("blocks", k, flip is not None))
+        return blocks(graph, left, flip, dim_cap)
+
+    def counted(matrix, dim_cap=spectral.DEFAULT_DIM_CAP):
+        solved.append(len(matrix))
+        return solve(matrix, dim_cap)
+
+    monkeypatch.setattr(spectral, "symmetric_block_eigenvalues", by_symmetric)
+    monkeypatch.setattr(spectral, "block_eigenvalues", by_blocks)
+    monkeypatch.setattr(spectral, "sym_eigenvalues", counted)
+    eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert taken == [path]
+    if path[0] == "symmetric":  # one block of m d rows per irreducible representation
+        r = {1: 6, 21: 5}[path[2]]
+        assert solved == [path[2] * form.shape[-1] for form in young_forms(r)]
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT

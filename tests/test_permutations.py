@@ -755,6 +755,23 @@ def test_row_tables_need_distinct_rows_and_the_identity_first():
         FiniteGroup([[0, 1, 2], [1, 1, 0]], [[1, 1, 0]])
 
 
+def test_checked_constructor_finds_a_bad_row_in_a_later_block():
+    # cyclic:1024 has 2^20 entries, checked in blocks of 64 rows: row 900
+    # lies in the fifteenth, and the product of row 899 with the generator
+    # is row 900
+    group = catalog_group("cyclic:1024")
+    images, gens = np.array(group.images), np.array(group.generator_images)
+    assert FiniteGroup(images, gens).order == 1024
+    broken = images.copy()
+    broken[900, :2] = broken[900, 0]
+    with pytest.raises(ValueError, match="bijection"):
+        FiniteGroup(broken, gens)
+    broken = images.copy()
+    broken[900, :2] = broken[900, 1::-1]  # a bijection outside the group
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup(broken, gens)
+
+
 # groups on both sides of the 512 table limit
 LOOKUP_GROUPS = ["sym:4", "heisenberg:5", "cyclic:2xsym:4", "sym:6", "alt:7", "cyclic:1024"]
 cached_group = functools.cache(catalog_group)

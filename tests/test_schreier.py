@@ -29,7 +29,7 @@ from schreierlab.cli import main
 from schreierlab.inequalities import INDUCED_GAP
 from schreierlab.permutations import CosetAction, FiniteGroup, Transversal
 from schreierlab.schreier import induce_with_laws
-from testkit import indexed, ones, permutation_entries
+from testkit import bfs_connectivity, indexed, ones, permutation_entries
 
 
 def cycle_pair(group):
@@ -188,6 +188,40 @@ def test_square_multiset_disconnects(c4):
         schreier_graph(c4, c4.trivial_subgroup(), s)
     )
     assert not report.connected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["cyclic:6", "cyclic:8", "dihedral:16", "sym:4", "cyclic:2xsym:4", "alt:5"]),
+    stabilizer_gen=st.integers(min_value=0),
+    picks=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    trivial=st.booleans(),
+)
+def test_connectivity_matches_breadth_first_search(name, stabilizer_gen, picks, trivial):
+    # few picks leave many graphs disconnected; index 0 (the identity) and
+    # stabilizer members put loops on some or all points
+    group = catalog_group(name)
+    stabilizer = group.trivial_subgroup() if trivial else group.subgroup_generated_by(
+        [stabilizer_gen % group.order]
+    )
+    multiset = symmetrize(group, [(i % group.order, 1) for i in picks])
+    graph = schreier_graph(group, stabilizer, multiset)
+    assert connectivity_and_bipartiteness(graph) == bfs_connectivity(graph)
+
+
+def test_connectivity_above_the_floor_matches_breadth_first_search():
+    # sym:7 on the cosets of the even (1 6)(2 3), 2520 points: (0 1) with a
+    # 7-cycle connects them, with the odd (1 2 3 4 5 6) also 2-colours them,
+    # and with (2 3) leaves them disconnected and bipartite
+    group = catalog_group("sym:7")
+    stabilizer = group.subgroup_generated([Permutation.from_cycles([[1, 6], [2, 3]], 7)])
+    expected = [(True, False), (True, True), (False, True)]
+    for second, shape in zip([[0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], [2, 3]], expected):
+        multiset = symmetrize(group, ones(group, [Permutation.from_cycles(c, 7) for c in [[[0, 1]], [second]]]))
+        graph = schreier_graph(group, stabilizer, multiset)
+        report = connectivity_and_bipartiteness(graph)
+        assert (report.connected, report.bipartite) == shape
+        assert report == bfs_connectivity(graph)
 
 
 # ---------------------------------------------------------------------------

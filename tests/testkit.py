@@ -4,6 +4,8 @@ connection multisets hold."""
 
 import math
 
+import numpy as np
+
 from schreierlab import (
     CosetAction,
     GroupTooLargeError,
@@ -18,6 +20,7 @@ from schreierlab import (
 from schreierlab.bounds import DerivedIndexReport
 from schreierlab.inequalities import DERIVED_INDEX
 from schreierlab.permutations import DEFAULT_ORDER_CAP, DEFAULT_SUBGROUP_LIMIT, Transversal
+from schreierlab.schreier import ConnectivityReport
 
 # small catalog groups, abelian and not, of orders 12 to 48
 SMALL_GROUPS = ["sym:4", "dihedral:16", "cyclic:2xsym:4", "elem-abelian:2^4", "heisenberg:3", "alt:4"]
@@ -186,3 +189,32 @@ def lattice_over_every_cyclic_rep(group, floor, limit=DEFAULT_SUBGROUP_LIMIT):
                 frontier.append((grown, gens + (z,)))
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
     return [(tuple(sorted(s)), known[s]) for s in ordered]
+
+
+def bfs_connectivity(graph):
+    """Components and 2-colorability by breadth-first search over the slot
+    table: each component's least point gets color 0 and every point found
+    the other color than its finder; bipartite when every edge then joins
+    two colors.  The oracle for the array passes of
+    ``connectivity_and_bipartiteness``."""
+    neighbours = graph.slots.tolist()
+    color = [-1] * graph.vertex_count
+    components = 0
+    for start in range(graph.vertex_count):
+        if color[start] >= 0:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        for v in queue:
+            for w in neighbours[v]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+    color = np.array(color)
+    bipartite = bool(np.all(color[graph.slots] != color[:, None]))
+    return ConnectivityReport(
+        connected=(components == 1),
+        bipartite=bipartite,
+        classes=tuple(color.tolist()) if bipartite else None,
+    )
