@@ -877,8 +877,9 @@ def _orbit_minima(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
 def _block_cost(n_points: int, k: int, dihedral: bool) -> float:
     """Sum of dim^3 over the blocks ``block_eigenvalues`` solves for a
     symmetry of order k, a complex block weighted 3 (its measured cost
-    against a real one): modes 0 and k / 2 are real, and a flip halves
-    them and makes every other mode real."""
+    against a real one): n / k rows per character of C_k, real at q = 0
+    and k / 2 and solved once per conjugate pair q, k - q; with a flip, D_k
+    halves the real ones and makes each pair a real 2 x 2 representation."""
     size = n_points / k
     real, complex_ = 1 + (k % 2 == 0), (k - 1) // 2
     if dihedral:

@@ -5,16 +5,20 @@ scale makes that affordable, and spectrum-containment checks need all of it.
 
 A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
 ``eigvalsh``.  From that size on, ``spectral_summary`` splits the walk by
-a group of symmetries that permute the cosets freely and commute with the
-walk, one block per irreducible representation (Babai, J. Combin. Theory
-B 27, 1979).  Left multiplication by y in the normaliser N_G(H) (Hx ->
-Hyx), of order k modulo H (``CosetAction.block_symmetry``), makes the walk
-block-circulant, one Hermitian block of size n/k per Fourier mode; a z in
-N_G(H) inverting y modulo H makes <y, z> dihedral, with real irreducible
-representations (Serre, *Linear Representations of Finite Groups*, 5.3),
-so every block is real and modes 0 and k/2 halve (``block_eigenvalues``).
-The symmetric group S_r on the r points that H fixes (twisted by a
-transposition of two more of them in an alternating group) centralises H
+a group K of symmetries that permute the cosets freely and commute with
+the walk, one block per irreducible representation of K (Babai, J. Combin.
+Theory B 27, 1979).  One engine (``_representation_spectrum``) builds and
+solves every block from each point's orbit, its name (the k in K that
+carries the orbit's least point to it) and K's representations; two front
+ends name the points and list the representations.  Left multiplication by
+y in the normaliser N_G(H) (Hx -> Hyx), of order k modulo H
+(``CosetAction.block_symmetry``), makes the walk block-circulant, one
+Hermitian block of size n/k per Fourier mode; a z in N_G(H) inverting y
+modulo H makes <y, z> dihedral, with real irreducible representations
+(Serre, *Linear Representations of Finite Groups*, 5.3), so every block is
+real and modes 0 and k/2 halve (``block_eigenvalues``).  The symmetric
+group S_r on the r points that H fixes (twisted by a transposition of two
+more of them in an alternating group) centralises H
 (``CosetAction.symmetric_group``): one real block of m d rows for each
 irreducible representation of S_r, of dimension d, m = n / r!, from
 Young's orthogonal form (``symmetric_block_eigenvalues``).  The path is
@@ -22,15 +26,14 @@ the one whose blocks cost least by the sum of dim^3, a complex block
 counted 3 (about three real ``eigvalsh`` of its size); the N_G(H) search
 (2-3 ms on sym:7 and alt:7) is skipped when no order that divides n and
 that a permutation of the degree can have could beat S_r, and the dense
-path runs when N_G(H) = H and r < 2.  Each symmetry is
-checked exactly on the slot table and the slot rows of one point per
-orbit fill the blocks by weighted bincounts, so no n x n array is built;
-the dimension cap still bounds the number of points.  Small graphs stay
-dense as the set-up costs more than it saves (heisenberg:7, 343 points,
-k = 7: 13-18 against 5.9-7.0 ms).  The 2520 cosets of (2 7) in sym:7 and
-alt:7 regular, m = 21, take 5.0-6.4 and 4.1-5.9 ms against 36-44 and
-34-43 ms by dihedral blocks of order 6 (best of 5, three alternating
-runs, one BLAS thread, 2-vCPU Xeon).
+path runs when N_G(H) = H and r < 2.  Each symmetry is checked exactly on
+the slot table and the slot rows of one point per orbit fill the blocks by
+weighted bincounts, so no n x n array is built; the dimension cap still
+bounds the number of points.  Small graphs stay dense as the set-up costs
+more than it saves (heisenberg:7, 343 points, k = 7: 13-18 against 5.9-7.0
+ms).  The 2520 cosets of (2 7) in sym:7 and alt:7 regular, m = 21, take
+5.0-6.4 and 4.1-5.9 ms against 36-44 and 34-43 ms by dihedral blocks of
+order 6 (best of 5, three alternating runs, one BLAS thread, 2-vCPU Xeon).
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -58,12 +61,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import MatrixTooLargeError
-from .permutations import Permutation, _block_cost, _least_prime_factor, _orbit_minima, _partitions
+from .permutations import _block_cost, _least_prime_factor, _orbit_minima, _partitions
 
 if TYPE_CHECKING:
     from .schreier import SchreierGraph
@@ -98,21 +101,82 @@ def sym_eigenvalues(matrix: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nd
 
 def _walk_symmetry(perm, graph: SchreierGraph, name: str) -> np.ndarray:
     """``perm`` as an index array, checked to be a permutation of the points
-    that commutes with the walk.  One that commutes with every column of
-    the slot table (``perm[slots] == slots[perm]``), as left multiplication
-    by N_G(H) does, is accepted at once; otherwise the sorted edge ends of
-    each point, with multiplicity, must map onto those of its image, which
-    also accepts a symmetry that swaps the columns of s and s^-1."""
+    that commutes with every column of the slot table (``perm[slots] ==
+    slots[perm]``), as left multiplication by N_G(H) does, and so with the
+    walk."""
     perm = np.asarray(perm, dtype=np.intp)
     n, slots = graph.vertex_count, graph.slots
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"the {name} is not a permutation of the points")
-    if np.array_equal(perm[slots], slots[perm]):
-        return perm
-    ends = np.sort(np.repeat(slots, graph.weights, axis=1), axis=1)
-    if not np.array_equal(np.sort(perm[ends], axis=1), ends[perm]):
+    if not np.array_equal(perm[slots], slots[perm]):
         raise ValueError(f"the {name} does not commute with the walk")
     return perm
+
+
+def _representation_spectrum(
+    graph: SchreierGraph, label: np.ndarray, name: np.ndarray, order: int,
+    representations: Callable[[np.ndarray], list[tuple[np.ndarray, int]]], dim_cap: int,
+) -> np.ndarray:
+    """The walk spectrum, sorted descending, from a group K of ``order``
+    elements that commutes with the walk and acts freely: each orbit, by
+    ``label`` its least point o, has |K| points, and ``name[v]`` codes the k
+    with v = k o.  The walk entry between k o_i and l o_j is c_ij(k^-1 l),
+    c_ij(h) the weight of the edges from o_i to h o_j over the degree, so
+    the walk is similar to the sum over the irreducible representations rho
+    of K of sum_h c(h) (x) rho(h), a Hermitian block of m d_rho rows for m
+    orbits (Diaconis, *Group Representations in Probability and
+    Statistics*, 1988, ch. 3).  ``representations`` maps the sorted names
+    on the edges of the o_i to ``(matrices, copies)`` pairs: R
+    representations of one dimension d at those names (``R x u x d x d``),
+    whose spectra count ``copies`` times, the rows so counted adding up to
+    the number of points.  Over the slot rows of the o_i, one weighted
+    ``bincount`` of w rho(h)[a, b] for an edge of weight w into h o_j, at
+    the cell (i d + a, j d + b), builds a pair's blocks, a second one their
+    imaginary parts; a 1 x 1 block is its eigenvalue, its imaginary part
+    held to ``ROUNDOFF_TOL``."""
+    reps, orbit = np.unique(label, return_inverse=True)
+    if (np.bincount(orbit) != order).any():
+        raise ValueError(f"the symmetries do not act freely: an orbit has other than {order} points")
+    m, ends = len(reps), graph.slots[reps]
+    codes, inverse = np.unique(name[ends], return_inverse=True)
+    families = representations(codes)
+    if m * sum(len(matrices) * copies * matrices.shape[-1] for matrices, copies in families) != graph.vertex_count:
+        raise ValueError("the representations' dimensions do not add up to the number of points")
+    weight, spectra = (graph.weights / graph.degree)[:, None, None], []
+    for matrices, copies in families:
+        count, d, rows = len(matrices), matrices.shape[-1], m * matrices.shape[-1]
+        # the cell of block r, row i d + a, column j d + b, for the edge from o_i into orbit j
+        row = (np.arange(count)[:, None] * m + np.arange(m))[..., None, None, None] * d + np.arange(d)[:, None]
+        cells = (row * rows + (orbit[ends] * d)[..., None, None] + np.arange(d)).ravel()
+        values = weight * matrices[:, inverse.reshape(ends.shape)]
+        blocks = np.bincount(cells, values.real.ravel(), minlength=count * rows**2)
+        if np.iscomplexobj(values):
+            blocks = blocks + 1j * np.bincount(cells, values.imag.ravel(), minlength=count * rows**2)
+        if rows > 1:
+            spectra += [sym_eigenvalues(block, dim_cap) for block in blocks.reshape(count, rows, rows)] * copies
+        elif np.max(np.abs(blocks.imag), initial=0.0) > ROUNDOFF_TOL:
+            raise ValueError(f"a 1 x 1 block is not real within {ROUNDOFF_TOL:g}")
+        else:
+            spectra += [blocks.real] * copies
+    return np.sort(np.concatenate(spectra))[::-1].copy()
+
+
+def fourier_representations(names: np.ndarray, k: int, flipped: bool) -> list[tuple[np.ndarray, int]]:
+    """The irreducible representations of C_k = <L>, or of D_k = <L, F>
+    when ``flipped``, at the ``names`` t + k s of L^t F^s.  C_k has the
+    characters exp(2 pi i q t / k), real at q = 0 and k / 2; q and k - q
+    are conjugate, with one spectrum counted twice.  D_k has the
+    characters cos(2 pi q t / k) (+-1)^s at q = 0 and k / 2 and, for 0 < q
+    < k / 2, the real R(2 pi q t / k) diag(1, -1)^s, R a rotation (Serre,
+    *Linear Representations of Finite Groups*, 5.3)."""
+    t, s = names % k, names // k
+    angles = 2 * np.pi / k * (np.arange(k // 2 + 1)[:, None] * t % k)  # q t reduced mod k: exact at every k
+    characters, turns = np.cos(angles[[0] + [k // 2] * (k % 2 == 0)]), angles[1 : (k + 1) // 2]
+    if not flipped:
+        return [(characters[..., None, None], 1), (np.exp(1j * turns)[..., None, None], 2)]
+    sign, cos, sin = (-1.0) ** s, np.cos(turns), np.sin(turns)
+    rotations = np.stack([cos, -sin * sign, sin, cos * sign], axis=-1).reshape(*turns.shape, 2, 2)
+    return [(np.concatenate([characters, characters * sign])[..., None, None], 1), (rotations, 2)]
 
 
 def block_eigenvalues(
@@ -120,93 +184,38 @@ def block_eigenvalues(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> np.ndarray:
     """The walk spectrum, sorted descending, from a cyclic or dihedral
-    symmetry.
-
-    ``left`` is a permutation L of the points whose cycles all have one
-    length k and which commutes with the walk, checked exactly on the slot
-    table (it may swap the columns of s and s^-1).  With the cycles laid
-    out as ``order[i, t] = L^t(o_i)``, the walk entry between L^s(o_i) and
-    L^t(o_j) is c[i, j, t - s mod k], where c[i, j, d] is the weight of
-    the edges from o_i to L^d(o_j) over the degree.  So the walk is
-    block-circulant, with the spectrum of the k Hermitian blocks
-    sum_d c[:, :, d] w^(-q d), w = exp(2 pi i / k); modes q and k - q are
-    complex conjugates with one spectrum, so only q <= k / 2 is solved.
-    No c is built: the slot rows of the points o_i hold every edge that
-    counts, so each real part of every mode is one weighted ``bincount``
-    of the edge phases, w cos(2 pi q d / k) and -w sin(2 pi q d / k) for
-    an edge of weight w, into the cells (i, j).
-
-    ``flip`` is None or an involution F that commutes with the walk, with
-    F L = L^-1 F, mapping no cycle to itself.  Cycle i is then paired with
-    the cycle of F(o_i), its base point; with the pairs laid out first, the
-    partners' rows of c are the pairs' reflected in d, so only the pairs'
-    are read, and each mode block is [[A, B], [conj B, conj A]].  For the
-    modes S = A + B and T = A - B, it is unitarily similar to the real
-    symmetric [[Re S, -Im T], [Im S, Re T]] = [[Re A + Re B, Im B - Im A],
-    [Im A + Im B, Re A - Re B]]; a real mode (q = 0, k / 2) splits into S
-    and T.  An edge into the partner of pair j counts in cell (i, j) of S
-    with its sign and of T with the opposite one.  Blocks above 1 x 1 go
-    through ``sym_eigenvalues``; a 1 x 1 block is its eigenvalue, its
-    imaginary part held to ``ROUNDOFF_TOL``.
-    """
+    symmetry (``fourier_representations``).  ``left`` is a permutation L,
+    commuting with the walk, whose cycles all have one length k: pointer
+    doubling labels each point with the least point o of its cycle and
+    names L^t(o) t.  ``flip`` is None or an involution F that commutes with
+    the walk, inverts L and maps no cycle to itself: an orbit is then a
+    cycle and its image, labelled by the lesser least point o, and L^t(c) =
+    L^(t - j) F(o), F(o) = L^j(c), is named t - j + k.  L and F must map
+    the label and name of L^t F^s o to those of L^(t + 1) F^s o and L^-t
+    F^(1 - s) o, which holds just when F is such an involution."""
     n = graph.vertex_count
     _check_dimension(n, dim_cap)
     left = _walk_symmetry(left, graph, "symmetry")
-    cycles = Permutation._raw(tuple(left.tolist())).cycles(include_fixed=True)
-    k = len(cycles[0])
-    if any(len(cycle) != k for cycle in cycles):
-        raise ValueError(f"the symmetry has cycles of other lengths than {k}")
-    order = np.array(cycles)  # order[i, t] = L^t(o_i), o_i the least point of cycle i
-    m = rows = len(order)
+    cycle, jump = np.arange(n), left
+    for _ in range(max(n - 1, 1).bit_length()):
+        # cycle[x] is the least of x, L(x), ..., L^(2^j - 1)(x); jump is L^(2^j)
+        cycle, jump = np.minimum(cycle, cycle[jump]), jump[jump]
+    out, power = np.flatnonzero(cycle == np.arange(n))[:, None], left
+    k = n // len(out)
+    while out.shape[1] < k:  # out[i, t] = L^t(o_i) for t below its width w, and power is L^w
+        out, power = np.concatenate([out, power[out]], axis=1), power[power]
+    name = np.zeros(n, dtype=np.intp)
+    name[out[:, :k]] = np.arange(k)
+    label, order = cycle, k
     if flip is not None:
         flip = _walk_symmetry(flip, graph, "flip")
-        if not np.array_equal(flip[flip], np.arange(n)):
-            raise ValueError("the flip is not an involution")
-        if not np.array_equal(flip[left], np.argsort(left)[flip]):
-            raise ValueError("the flip does not invert the symmetry")
-        partner = np.argsort(order.ravel())[flip[order[:, 0]]] // k  # the cycle of F(o_i)
-        if np.any(partner == np.arange(m)):
-            raise ValueError("the flip maps a cycle of the symmetry to itself")
-        pairs = order[np.arange(m) < partner]
-        # L^t(F(o_i)) = F(L^-t(o_i))
-        order, rows = np.concatenate([pairs, flip[pairs][:, -np.arange(k) % k]]), m // 2
-    # the edge from o_i along column c ends at L^d(o_j), which sits at j * k + d
-    cycle, d = np.divmod(np.argsort(order.ravel())[graph.slots[order[:rows, 0]]], k)
-    weight = np.broadcast_to(graph.weights / graph.degree, cycle.shape)
-    cells = np.arange(rows)[:, None] * rows + cycle
-    if flip is None:
-        shape = (rows, rows)
-    else:  # the rows of S above those of T, an edge into a partner folded onto its pair
-        cells, sign = cells - rows * (cycle >= rows), np.where(cycle < rows, 1, -1)
-        cells, weight = np.concatenate([cells, cells + rows * rows]), np.concatenate([weight, weight * sign])
-        d, shape = np.concatenate([d, d]), (2 * rows, rows)
-    q = np.arange(k // 2 + 1)[:, None, None]
-    phase = 2 * np.pi / k * (q * d % k)
-    cells = (cells + q * shape[0] * shape[1]).ravel()  # mode q's block after those before it
-
-    def part(values: np.ndarray) -> np.ndarray:
-        """One real part of every mode's block, by mode."""
-        return np.bincount(cells, values.ravel(), minlength=len(q) * shape[0] * shape[1]).reshape(-1, *shape)
-
-    re, im = part(weight * np.cos(phase)), part(-weight * np.sin(phase))
-    # modes 0 and k / 2 are real (the coefficients w^(q d) are +-1), the rest complex
-    real, complex_ = [0] + [k // 2] * (k % 2 == 0), slice(1, (k + 1) // 2)
-    if flip is None:
-        groups = [(re[real], 1), (re[complex_] + 1j * im[complex_], 2)]  # mode k - q counted with q
-    else:
-        s, t = slice(None, rows), slice(rows, None)
-        forms = np.block([[re[complex_, s], -im[complex_, t]], [im[complex_, s], re[complex_, t]]])
-        groups = [(re[real].reshape(-1, rows, rows), 1), (forms, 2)]
-    del re, im  # the blocks are copies: free the parts before solving
-    spectra = []
-    for blocks, times in groups:
-        if blocks.shape[-1] > 1:
-            spectra += [sym_eigenvalues(block, dim_cap) for block in blocks] * times
-        elif np.max(np.abs(blocks.imag), initial=0.0) > ROUNDOFF_TOL:
-            raise ValueError(f"a 1 x 1 block is not real within {ROUNDOFF_TOL:g}")
-        else:
-            spectra += [blocks.real.ravel()] * times
-    return np.sort(np.concatenate(spectra))[::-1].copy()
+        label, order = np.minimum(cycle, cycle[flip[cycle]]), 2 * k
+        name = np.where(cycle == label, name, (name - name[flip[label]]) % k + k)
+        t, s, maps = name % k, name // k, np.stack([left, flip])
+        if not ((label[maps] == label).all() and (name[maps] == [(t + 1) % k + k * s, -t % k + k * (1 - s)]).all()):
+            raise ValueError("the flip is not an involution that inverts the symmetry and pairs its cycles")
+    representations = functools.partial(fourier_representations, k=k, flipped=flip is not None)
+    return _representation_spectrum(graph, label, name, order, representations, dim_cap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,41 +278,28 @@ def symmetric_block_eigenvalues(
     (``_walk_symmetry``) and make orbits of r! points.  The members of a
     coset Hx agree on the f_i, so with o_j the least point of its orbit,
     the point k o_j is named by the p with x(f_i) = o_j(f_p(i)); t and c
-    must act on the names as s_0 * p and c * p.  The walk entry between k
-    o_i and l o_j is c_ij(k^-1 l), so the walk is similar to the sum over
-    the irreducible representations rho of S_r of d_rho copies of sum_h
-    c(h) (x) rho(h) (Diaconis, *Group Representations in Probability and
-    Statistics*, 1988, ch. 3): per rho, a real symmetric block of m d_rho
-    rows for m orbits, one weighted ``bincount`` of Young's orthogonal form
-    at the edges of the o_i (``young_matrices``)."""
+    must act on the names as s_0 * p and c * p.  The names are encoded once
+    as sum_i p(i) r^i, and the engine (``_representation_spectrum``) takes,
+    per irreducible representation rho of S_r, d_rho copies of a real
+    symmetric block of m d_rho rows for m orbits, from Young's orthogonal
+    form at the edges of the o_j (``young_matrices``), whose reduced words
+    are found once for every rho."""
     n, r = graph.vertex_count, len(points)
     _check_dimension(n, dim_cap)
     maps = [_walk_symmetry(graph.action.left_action_of_index(g), graph, "symmetry") for g in generators]
     label = _orbit_minima(maps, n)
-    reps, orbit = np.unique(label, return_inverse=True)
-    if (np.bincount(orbit) != math.factorial(r)).any():
-        raise ValueError(f"the symmetric group does not act freely: an orbit has other than {r}! points")
     on_points = graph.group.images[graph.action.transversal.rep_indices][:, points]
     name = (on_points[:, :, None] == on_points[label][:, None, :]).argmax(axis=2)
     t, c = maps
     if not (np.array_equal(name[t], name[:, np.r_[1, 0, 2:r]]) and np.array_equal(name[c], np.roll(name, 1, axis=1))):
         raise ValueError("the generators do not act on the fixed points as (f_1 f_2) and (f_r ... f_1)")
-    m, ends = len(reps), graph.slots[reps]
-    codes, inverse = np.unique(name[ends] @ r ** np.arange(r), return_inverse=True)
-    words = reduced_words(codes[:, None] // r ** np.arange(r) % r)
-    weight = (graph.weights / graph.degree)[None, :, None, None]
-    spectra = []
-    for form in young_forms(r):
-        d = form.shape[-1]
-        values = weight * young_matrices(form, words)[inverse.reshape(ends.shape)]
-        # cell (i d + a, j d + b) of the block, for the edge from o_i into orbit j
-        cells = ((np.arange(m)[:, None] * m * d + orbit[ends]) * d)[..., None, None]
-        cells = cells + np.arange(d)[:, None] * m * d + np.arange(d)
-        block = np.bincount(cells.ravel(), values.ravel(), minlength=(m * d) ** 2).reshape(m * d, m * d)
-        spectra += [sym_eigenvalues(block, dim_cap)] * d
-    if sum(map(len, spectra)) != n:
-        raise ValueError("the representations' dimensions do not add up to the number of points")
-    return np.sort(np.concatenate(spectra))[::-1].copy()
+    place = r ** np.arange(r)
+
+    def representations(codes: np.ndarray) -> list[tuple[np.ndarray, int]]:
+        words = reduced_words(codes[:, None] // place % r)
+        return [(young_matrices(form, words)[None], form.shape[-1]) for form in young_forms(r)]
+
+    return _representation_spectrum(graph, label, name @ place, math.factorial(r), representations, dim_cap)
 
 
 @dataclass(frozen=True)

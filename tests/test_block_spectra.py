@@ -1,11 +1,15 @@
 """The block spectra against dense eigvalsh and closed forms.
 
-``block_eigenvalues`` solves one block per Fourier mode of a cyclic
-symmetry from N_G(H)/H, as a real symmetric block when an inverting flip
-makes the symmetry dihedral; ``symmetric_block_eigenvalues`` solves one
-block per irreducible representation of a symmetric group on the points
-H fixes, by Young's orthogonal form.  Every test here compares a spectrum
-with an independent one, eigenvalue by eigenvalue.
+One engine builds and solves every block from each point's orbit, its
+name and a list of representations.  ``block_eigenvalues`` names the
+points by a cyclic symmetry from N_G(H)/H, with the characters of C_k, or
+by a dihedral one when an inverting flip exists, with the real
+representations of D_k (``fourier_representations``);
+``symmetric_block_eigenvalues`` names them by a symmetric group on the
+points H fixes, with Young's orthogonal form.  Every spectrum test here
+compares a spectrum with an independent one, eigenvalue by eigenvalue;
+the representation tables are checked against the group laws, and each
+refusal names the condition that failed.
 """
 
 import itertools
@@ -34,6 +38,7 @@ from schreierlab.notation import permutation_to_text
 from schreierlab.permutations import _partitions
 from schreierlab.spectral import (
     block_eigenvalues,
+    fourier_representations,
     reduced_words,
     symmetric_block_eigenvalues,
     young_forms,
@@ -262,11 +267,16 @@ def test_symmetry_that_is_not_free_or_not_a_permutation_is_refused():
     graph = schreier_graph(
         group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
     )
-    # the reflection x -> -x of the 6-cycle commutes with the walk but fixes 0 and 3
-    with pytest.raises(ValueError, match="cycles of other lengths"):
-        block_eigenvalues(graph, -np.arange(6) % 6)
     with pytest.raises(ValueError, match="not a permutation"):
         block_eigenvalues(graph, np.zeros(6, dtype=int))
+    # g^2 alone makes two 3-cycles: fixing one and turning the other along
+    # g^2 commutes with every column, but the map has three fixed points
+    g = group.generators[0]
+    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group, ones(group, [g * g])))
+    turn = graph.slots[:, 0]
+    still = np.isin(np.arange(6), [0, turn[0], turn[turn[0]]])
+    with pytest.raises(ValueError, match="do not act freely"):
+        block_eigenvalues(graph, np.where(still, np.arange(6), turn))
 
 
 def test_flip_that_breaks_a_dihedral_condition_is_refused():
@@ -283,8 +293,8 @@ def test_flip_that_breaks_a_dihedral_condition_is_refused():
     swap = np.arange(16)
     swap[[0, 1]] = [1, 0]
     for flip, message in [
-        (left(square), "not an involution"),  # y^2 has order 4
-        (left(central), "does not invert"),  # y^(k/2) commutes with y
+        (left(square), "not an involution that inverts"),  # y^2 has order 4
+        (left(central), "not an involution that inverts"),  # y^(k/2) commutes with y
         (swap, "does not commute"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -293,27 +303,22 @@ def test_flip_that_breaks_a_dihedral_condition_is_refused():
 
 
 def test_flip_that_keeps_a_cycle_is_refused():
-    # x -> -x on the 8-cycle is an involution that commutes with the walk and
-    # inverts the rotation, but the rotation has one cycle, which it keeps
+    # the left map of g^4 on cyclic:8 is an involution that commutes with the
+    # walk and inverts itself, but as a flip of itself it keeps every cycle
     group = catalog_group("cyclic:8")
     graph = schreier_graph(
         group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
     )
     g = group.generators[0]
-    powers = [Permutation.identity(group.degree)]
-    for _ in range(7):
-        powers.append(powers[-1] * g)
-    point = [graph.action.transversal.slot_of[group.index_of(x)] for x in powers]
-    left, flip = np.empty(8, dtype=int), np.empty(8, dtype=int)
-    left[point] = [point[(e + 1) % 8] for e in range(8)]
-    flip[point] = [point[-e % 8] for e in range(8)]
-    with pytest.raises(ValueError, match="maps a cycle of the symmetry to itself"):
-        block_eigenvalues(graph, left, flip)
+    half_turn = graph.action.left_action_of_index(group.index_of(g * g * g * g))
+    with pytest.raises(ValueError, match="pairs its cycles"):
+        block_eigenvalues(graph, half_turn, half_turn)
 
 
-def test_walk_symmetry_that_swaps_columns_is_accepted():
+def test_walk_symmetry_that_swaps_columns_is_refused():
     # x -> 1 - x on the 8-cycle is free (2x = 1 has no solution mod 8) and
-    # preserves the walk, but it sends the column of g to that of g^-1
+    # preserves the walk, but it sends the column of g to that of g^-1: no
+    # left map by N_G(H) does that, and the check is column by column
     group = catalog_group("cyclic:8")
     graph = schreier_graph(
         group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
@@ -326,8 +331,8 @@ def test_walk_symmetry_that_swaps_columns_is_accepted():
     left = np.empty(8, dtype=int)
     left[point] = [point[(1 - e) % 8] for e in range(8)]
     assert not np.array_equal(graph.slots[left], left[graph.slots])
-    eigenvalues = block_eigenvalues(graph, left)
-    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+    with pytest.raises(ValueError, match="does not commute"):
+        block_eigenvalues(graph, left)
 
 
 def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
@@ -406,6 +411,50 @@ def test_odd_cyclic_blocks_without_a_flip_match_dense():
     eigenvalues = block_eigenvalues(graph, left)
     assert len(eigenvalues) == 125
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+def dihedral_product(a, b, k):
+    """The name of L^t F^s L^u F^v = L^(t + (-1)^s u) F^(s + v) in D_k, each
+    element L^t F^s named t + k s; the names below k are C_k."""
+    t, s, u, v = a % k, a // k, b % k, b // k
+    return (t + (-1) ** s * u) % k + k * ((s + v) % 2)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("k", range(2, 13))
+def test_fourier_representations_are_the_irreducible_representations(k, flipped):
+    order = 2 * k if flipped else k
+    families = fourier_representations(np.arange(order), k, flipped)
+    # a block's spectrum counts once per copy, a conjugate pair q, k - q as
+    # one representation with 2 copies: the dimensions per orbit add up to |K|
+    assert sum(len(matrices) * copies * matrices.shape[-1] for matrices, copies in families) == order
+    a, b = np.random.default_rng(k).integers(order, size=(2, 60))
+    characters = []
+    for matrices, copies in families:
+        eye = np.eye(matrices.shape[-1])
+        assert np.allclose(matrices[:, a] @ matrices[:, b], matrices[:, dihedral_product(a, b, k)])
+        assert np.allclose(matrices.conj().swapaxes(-1, -2) @ matrices, eye)  # unitary or orthogonal
+        assert np.allclose(matrices[:, 0], eye)
+        characters.extend(np.trace(matrices, axis1=-2, axis2=-1))
+    characters = np.array(characters)
+    assert np.allclose(characters @ characters.conj().T / order, np.eye(len(characters)))
+
+
+def test_representations_that_miss_a_dimension_are_refused(monkeypatch):
+    # one family dropped from the cyclic (cyclic:9) and the dihedral
+    # (dihedral:16) tables: the blocks no longer cover every point
+    full = spectral.fourier_representations
+    monkeypatch.setattr(spectral, "fourier_representations", lambda *args, **kwargs: full(*args, **kwargs)[1:])
+    for name, flipped in [("cyclic:9", False), ("dihedral:16", True)]:
+        group = catalog_group(name)
+        graph = schreier_graph(
+            group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
+        )
+        y, k, z = graph.action.block_symmetry()
+        assert (z is not None) == flipped
+        left = graph.action.left_action_of_index
+        with pytest.raises(ValueError, match="do not add up"):
+            block_eigenvalues(graph, left(y), None if z is None else left(z))
 
 
 # -- the abelian character-sum oracle ------------------------------------------
@@ -561,13 +610,18 @@ def test_symmetric_group_that_does_not_commute_is_refused(monkeypatch):
 
 
 def test_symmetric_group_that_is_not_free_or_misnamed_is_refused():
-    # (0 1) lies in the stabilizer: its left map fixes every coset
-    group = catalog_group("sym:5")
-    stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1]], 5)])
+    # over <(0 1)(2 3)> in sym:6, (4 5)(0 1) and (4 5)(0 2)(1 3) normalise
+    # H and both swap the names on the points 4 and 5, but modulo H they
+    # generate a Klein four-group, not S_2: orbits of 4 cosets, not 2
+    group = catalog_group("sym:6")
+    stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1], [2, 3]], 6)])
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(2), 3))
-    swap = group.index_of(Permutation.from_cycles([[0, 1]], 5))
-    with pytest.raises(ValueError, match="does not act freely"):
-        symmetric_block_eigenvalues(graph, [swap, swap], [0, 1])
+    t, c = (
+        group.index_of(Permutation.from_cycles(cycles, 6)) for cycles in ([[4, 5], [0, 1]], [[4, 5], [0, 2], [1, 3]])
+    )
+    with pytest.raises(ValueError, match="do not act freely"):
+        symmetric_block_eigenvalues(graph, [t, c], [4, 5])
+    group = catalog_group("sym:5")
     # t and c exchanged: a free S5 of sym:5 regular, but not named by the points
     graph = schreier_graph(group, group.trivial_subgroup(), drawn_multiset(group, np.random.default_rng(2), 3))
     (t, c), points = graph.action.symmetric_group()
@@ -656,7 +710,7 @@ def test_large_action_paths_are_pinned(monkeypatch, name, stabilizer_cycles, pat
     monkeypatch.setattr(spectral, "sym_eigenvalues", counted)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert taken == [path]
-    if path[0] == "symmetric":  # one block of m d rows per irreducible representation
+    if path[0] == "symmetric":  # one block of m d rows per irreducible representation, 1 x 1 read off
         r = {1: 6, 21: 5}[path[2]]
-        assert solved == [path[2] * form.shape[-1] for form in young_forms(r)]
+        assert solved == [path[2] * form.shape[-1] for form in young_forms(r) if path[2] * form.shape[-1] > 1]
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
