@@ -43,16 +43,6 @@ def parse_cycle_text(text: str) -> list[list[int]]:
     return cycles
 
 
-def permutation_from_text(text: str, degree: int | None = None) -> Permutation:
-    cycles = parse_cycle_text(text)
-    needed = max((max(c) + 1 for c in cycles), default=1)
-    if degree is None:
-        degree = needed
-    elif degree < needed:
-        raise ValueError(f"degree {degree} too small for {text!r}")
-    return Permutation.from_cycles(cycles, degree)
-
-
 def permutation_to_text(p: Permutation) -> str:
     cycles = p.cycles()
     if not cycles:

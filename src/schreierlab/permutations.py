@@ -5,8 +5,9 @@ a deterministic canonical order (breadth-first discovery from the identity,
 following the given generator order); ``Permutation`` objects are built only
 where input is parsed or output printed.  At desk scale full tables are the
 right trade-off: every downstream computation (transversals, subgroup
-lattices, commutator series, coset actions) needs fast membership tests and
-iteration rather than compact stabilizer-chain machinery.
+lattices, normalisers, commutator series, coset actions, and the searches of
+N_G(H) by which ``spectral.py`` plans block spectra) needs fast membership
+tests and iteration rather than compact stabilizer-chain machinery.
 
 Two rules keep products cheap.  A product is read at the base: an element
 is fixed by its images on a few base points, so ``p * q`` is named by q's
@@ -615,6 +616,19 @@ class FiniteGroup:
             np.flatnonzero(column == point).tolist(), sorted(set(schreier.ravel().tolist()) - {0})
         )
 
+    def normaliser(self, members: Iterable[int], generators: Iterable[int]) -> np.ndarray:
+        """The ascending element indices of N_G(H), H the subgroup on
+        ``members`` that the indices ``generators`` generate: the g with
+        g^-1 y g in H for each generator y, each y filtering the candidates
+        left by two ``products`` reads (the identity skipped)."""
+        found, in_h = np.arange(self.order), np.zeros(self.order, dtype=bool)
+        in_h[list(members)] = True
+        generators = [y for y in generators if y]
+        inverse = np.array(self.inverse_indices()) if generators else None
+        for y in generators:
+            found = found[in_h[self.products(self.products(inverse[found], y), found)]]
+        return found
+
 
 def group_from_generators(
     generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP
@@ -738,8 +752,7 @@ class CosetAction:
     """
 
     def __init__(self, group: FiniteGroup, stabilizer: FiniteGroup):
-        self.group = group
-        self.stabilizer = stabilizer
+        self.group, self.stabilizer = group, stabilizer
         self.transversal = Transversal(group, stabilizer)
         self.n_points = self.transversal.coset_count
         self.base_point = int(self.transversal.slot_of[0])
@@ -762,102 +775,6 @@ class CosetAction:
         t = self.transversal
         return t.slot_of[self.group.products(element_index, t.rep_indices)]
 
-    def block_symmetry(self) -> tuple[int, int, Optional[int]]:
-        """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
-        solve (``_block_cost``).  Left multiplication by y permutes the
-        cosets freely in cycles of length k, the order of yH in N_G(H)/H,
-        commuting with the right action; z is None or the least element of
-        N_G(H) outside <y>H with z^2 and z y z^-1 y (given z^2, (zy)^2) in
-        H, so that <yH, zH> is dihedral.  N_G(H) is found by conjugating H's
-        generators by all candidates in one gather, and the coset orders in
-        index order, in batches of doubling size; one equal to |N_G(H):H|
-        makes N_G(H)/H cyclic, without z, and returns at once.  Otherwise
-        each order, descending, is tried with its least y and the least z
-        of one pass over N_G(H), until the dihedral cost, which grows as the
-        order falls, is no better than the best found.  ``(0, 1, None)``
-        means H is self-normalising.
-        """
-        images, slot_of = self.group.images, self.transversal.slot_of
-        in_h = slot_of == self.base_point
-        candidates = np.arange(len(images))
-        if self.stabilizer.order > 1:
-            inverses = images[np.array(self.group.inverse_indices())]
-            for h_images in self.stabilizer.generator_images:
-                # rows of g^-1 h g, for every candidate g
-                conjugates = np.take_along_axis(
-                    images[candidates], h_images[inverses[candidates]], axis=1
-                )
-                candidates = candidates[in_h[self.group._indices_of_rows(conjugates)]]
-        index = len(candidates) // self.stabilizer.order
-        orders = np.ones(len(candidates), dtype=np.int64)  # candidates[0] is the identity
-        start, size = 1, 1
-        while start < len(candidates) and orders.max() < index:
-            batch = slice(start, start + size)
-            orders[batch] = self._coset_orders(candidates[batch], in_h, index)
-            start, size = start + size, 2 * size
-        k = int(orders.max())
-        best = (int(candidates[np.argmax(orders)]), k, None)
-        if k == index:
-            return best
-        cost = _block_cost(self.n_points, k, dihedral=False)
-        for order in sorted(set(orders.tolist()), reverse=True):
-            dihedral = _block_cost(self.n_points, order, dihedral=True)
-            if dihedral >= cost:
-                break
-            y = int(candidates[np.argmax(orders == order)])
-            powers = list(itertools.accumulate([y] * (order - 1), self.group.mult, initial=0))
-            z = candidates[~np.isin(slot_of[candidates], slot_of[powers])]
-            z = z[in_h[self.group.products(z, z)]]
-            zy = self.group.products(z, y)
-            z = z[in_h[self.group.products(zy, zy)]]
-            if len(z):
-                best, cost = (y, order, int(z[0])), dihedral
-        return best
-
-    def symmetric_group(self) -> Optional[tuple[list[int], list[int]]]:
-        """``(generators, points)``: the indices of t = (f_1 f_2) and c =
-        (f_r ... f_1) = t_1 ... t_(r-1), t_i = (f_i f_i+1), which generate
-        Sym(F), F the points fixed by H's generators, when G holds them;
-        else of t and c times (a b)^sign, a and b the last two points of F,
-        a copy of S_r in the even permutations; or None.  This K
-        centralises H, so its left maps permute the cosets freely and
-        commute with the walk: r >= 2 and r! divides the coset count."""
-        degree = self.group.degree
-        fixed = np.flatnonzero((self.stabilizer.generator_images == np.arange(degree)).all(axis=0))
-        for points, tail in ((fixed, fixed[:0]), (fixed[:-2], fixed[-2:])):
-            r = len(points)
-            if r < 2 or self.n_points % math.factorial(r):
-                continue
-            rows = np.tile(np.arange(degree, dtype=np.int32), (2, 1))
-            rows[0, points[:2]], rows[1, points] = points[1::-1], np.roll(points, 1)
-            rows[0, tail] = rows[1 - r % 2, tail] = tail[::-1]  # t's; and c's for even r
-            found = self.group._find(rows)
-            if found is not None:
-                return found, points.tolist()
-        return None
-
-    def _coset_orders(self, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
-        """For each element y of N_G(H), the least t >= 1 with y^t in H
-        (``in_h`` marks H's members).  The t with y^t in H are the multiples
-        of that least one, and y^b is in H for b = gcd(``index`` =
-        |N_G(H):H|, y's order as a permutation); so for each y only the
-        proper divisors of its b are tried, in ascending order, and b
-        stands when none is in H.  When H is trivial, y^t is in H only for
-        t a multiple of y's order, so the b are the orders, returned at
-        once."""
-        generators = self.group.images[elements]
-        bound = np.gcd(index, _permutation_orders(generators))
-        if self.stabilizer.order == 1:
-            return bound
-        orders = bound.copy()
-        steps = {d for b in set(bound.tolist()) for d in range(1, b) if b % d == 0}
-        for t in sorted(steps):
-            test = np.flatnonzero((orders == bound) & (bound % t == 0) & (bound > t))
-            if len(test):
-                home = in_h[self.group._indices_of_rows(_power_images(generators[test], t))]
-                orders[test[home]] = t
-        return orders
-
 
 def _orbit_minima(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Each point of range(n) labelled with the least point of its orbit
@@ -872,46 +789,6 @@ def _orbit_minima(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
         if (least == label).all():
             return label
         label = least
-
-
-def _block_cost(n_points: int, k: int, dihedral: bool) -> float:
-    """Sum of dim^3 over the blocks ``block_eigenvalues`` solves for a
-    symmetry of order k, a complex block weighted 3 (its measured cost
-    against a real one): n / k rows per character of C_k, real at q = 0
-    and k / 2 and solved once per conjugate pair q, k - q; with a flip, D_k
-    halves the real ones and makes each pair a real 2 x 2 representation."""
-    size = n_points / k
-    real, complex_ = 1 + (k % 2 == 0), (k - 1) // 2
-    if dihedral:
-        return (real / 4 + complex_) * size**3
-    return (real + 3 * complex_) * size**3
-
-
-def _permutation_orders(images: np.ndarray) -> np.ndarray:
-    """Order of each row of an ``m x degree`` image array: the lcm of its
-    cycle lengths.  Pointer doubling labels each point with the least point
-    of its cycle, and a cycle's length is its label's count."""
-    m, n = images.shape
-    rows = np.arange(m)[:, None]
-    label, jump = np.broadcast_to(np.arange(n), images.shape), images
-    for _ in range(max(n - 1, 1).bit_length()):
-        # label[x] is the least of x, y(x), ..., y^(2^j - 1)(x); jump is y^(2^j)
-        label, jump = np.minimum(label, label[rows, jump]), jump[rows, jump]
-    lengths = np.bincount((label + n * rows).ravel(), minlength=m * n).reshape(m, n)
-    return np.lcm.reduce(np.maximum(lengths, 1), axis=1)
-
-
-def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
-    """Row-wise power of an ``m x degree`` image array, by squaring; a
-    product ``p * q`` is q's images gathered at p's."""
-    power = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
-    while exponent:
-        if exponent & 1:
-            power = np.take_along_axis(images, power, axis=1)
-        exponent >>= 1
-        if exponent:
-            images = np.take_along_axis(images, images, axis=1)
-    return power
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
@@ -1026,14 +903,10 @@ def intermediate_subgroups(
     @functools.cache
     def conjugations() -> list[list[int]]:
         """The maps x -> g^-1 x g, as index lists, for generators g of N_G(Y)
-        over Y that move some cyclic subgroup: N_G(Y) holds the g with
-        g^-1 y g in Y for each floor generator y, and is generated by G's
-        generators when it is G and greedily otherwise."""
-        every = np.arange(group.order)
-        normaliser, inverse, in_floor = every, np.array(inv), np.isin(every, list(floor_idx))
-        for y in floor_gens:
-            conjugates = group.products(group.products(inverse[normaliser], y), normaliser)
-            normaliser = normaliser[in_floor[conjugates]]
+        over Y that move some cyclic subgroup: N_G(Y) (``normaliser``) holds
+        the g with g^-1 y g in Y for each floor generator y, and is generated
+        by G's generators when it is G and greedily otherwise."""
+        every, normaliser = np.arange(group.order), group.normaliser(floor_idx, floor_gens)
         if len(normaliser) == group.order and len(group.generator_images) < group.order.bit_length():
             gens = group._indices_of_rows(group.generator_images).tolist()
         else:

@@ -4,36 +4,38 @@ The full spectrum is computed rather than extremal eigenvalues only: desk
 scale makes that affordable, and spectrum-containment checks need all of it.
 
 A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
-``eigvalsh``.  From that size on, ``spectral_summary`` splits the walk by
-a group K of symmetries that permute the cosets freely and commute with
-the walk, one block per irreducible representation of K (Babai, J. Combin.
+``eigvalsh``.  From that size on, ``spectral_summary`` splits the walk by a
+group K of symmetries that permute the cosets freely and commute with the
+walk, one block per irreducible representation of K (Babai, J. Combin.
 Theory B 27, 1979).  One engine (``_representation_spectrum``) builds and
 solves every block from each point's orbit, its name (the k in K that
 carries the orbit's least point to it) and K's representations; two front
-ends name the points and list the representations.  Left multiplication by
-y in the normaliser N_G(H) (Hx -> Hyx), of order k modulo H
-(``CosetAction.block_symmetry``), makes the walk block-circulant, one
-Hermitian block of size n/k per Fourier mode; a z in N_G(H) inverting y
-modulo H makes <y, z> dihedral, with real irreducible representations
-(Serre, *Linear Representations of Finite Groups*, 5.3), so every block is
-real and modes 0 and k/2 halve (``block_eigenvalues``).  The symmetric
-group S_r on the r points that H fixes (twisted by a transposition of two
-more of them in an alternating group) centralises H
-(``CosetAction.symmetric_group``): one real block of m d rows for each
-irreducible representation of S_r, of dimension d, m = n / r!, from
-Young's orthogonal form (``symmetric_block_eigenvalues``).  The path is
-the one whose blocks cost least by the sum of dim^3, a complex block
+ends name the points and list the representations.  Left multiplication by y
+in the normaliser N_G(H) (Hx -> Hyx, ``FiniteGroup.normaliser``), of order k
+modulo H, makes the walk block-circulant, one Hermitian block of size n/k
+per Fourier mode; a z in N_G(H) inverting y modulo H makes <y, z> dihedral,
+with real irreducible representations (Serre, *Linear Representations of
+Finite Groups*, 5.3), so every block is real and modes 0 and k/2 halve
+(``block_eigenvalues``).  The symmetric group S_r on the r points that H
+fixes (twisted by a transposition of two more of them in an alternating
+group) centralises H: one real block of m d rows for each irreducible
+representation of S_r, of dimension d, m = n / r!, from Young's orthogonal
+form (``symmetric_block_eigenvalues``).  The plan is made here too: two
+searches of a ``CosetAction`` (``block_symmetry``, ``symmetric_group``) find
+the symmetries, and one price (``_price``) ranks them, the sum of rows^3
+over the blocks the engine solves, counted from the mode lists of
+``fourier_representations`` and from ``young_forms``, a complex block
 counted 3 (about three real ``eigvalsh`` of its size); the N_G(H) search
-(2-3 ms on sym:7 and alt:7) is skipped when no order that divides n and
-that a permutation of the degree can have could beat S_r, and the dense
-path runs when N_G(H) = H and r < 2.  Each symmetry is checked exactly on
-the slot table and the slot rows of one point per orbit fill the blocks by
-weighted bincounts, so no n x n array is built; the dimension cap still
-bounds the number of points.  Small graphs stay dense as the set-up costs
-more than it saves (heisenberg:7, 343 points, k = 7: 13-18 against 5.9-7.0
-ms).  The 2520 cosets of (2 7) in sym:7 and alt:7 regular, m = 21, take
-5.0-6.4 and 4.1-5.9 ms against 36-44 and 34-43 ms by dihedral blocks of
-order 6 (best of 5, three alternating runs, one BLAS thread, 2-vCPU Xeon).
+(2-3 ms on sym:7 and alt:7) is skipped when no order that divides n and that
+a permutation of the degree can have could beat S_r, and the dense path runs
+when N_G(H) = H and r < 2.  Each symmetry is checked exactly on the slot
+table and the slot rows of one point per orbit fill the blocks by weighted
+bincounts, so no n x n array is built; the dimension cap still bounds the
+number of points.  Small graphs stay dense as the set-up costs more than it
+saves (heisenberg:7, 343 points, k = 7: 13-18 against 5.9-7.0 ms).  The 2520
+cosets of (2 7) in sym:7 and alt:7 regular, m = 21, take 5.0-6.4 and 4.1-5.9
+ms against 36-44 and 34-43 ms by dihedral blocks of order 6 (best of 5,
+three alternating runs, one BLAS thread, 2-vCPU Xeon).
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -66,9 +68,10 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import MatrixTooLargeError
-from .permutations import _block_cost, _least_prime_factor, _orbit_minima, _partitions
+from .permutations import _least_prime_factor, _orbit_minima, _partitions
 
 if TYPE_CHECKING:
+    from .permutations import CosetAction
     from .schreier import SchreierGraph
 
 DEFAULT_DIM_CAP = 3000
@@ -161,6 +164,21 @@ def _representation_spectrum(
     return np.sort(np.concatenate(spectra))[::-1].copy()
 
 
+def _fourier_modes(k: int) -> tuple[list[int], range]:
+    """The modes q of the characters exp(2 pi i q t / k) of C_k, one per
+    conjugate pair q, k - q: the real ones, q = 0 and k / 2, and the
+    complex ones, 0 < q < k / 2."""
+    return [0] + [k // 2] * (k % 2 == 0), range(1, (k + 1) // 2)
+
+
+def _fourier_families(k: int, flipped: bool) -> list[tuple[int, int, bool]]:
+    """The ``(blocks, d, complex)`` of each family that
+    ``fourier_representations`` lists, counted from the modes: with a flip
+    the real modes double and the complex ones become real 2 x 2 blocks."""
+    real, turns = _fourier_modes(k)
+    return [(len(real) * (1 + flipped), 1, False), (len(turns), 1 + flipped, not flipped)]
+
+
 def fourier_representations(names: np.ndarray, k: int, flipped: bool) -> list[tuple[np.ndarray, int]]:
     """The irreducible representations of C_k = <L>, or of D_k = <L, F>
     when ``flipped``, at the ``names`` t + k s of L^t F^s.  C_k has the
@@ -170,13 +188,26 @@ def fourier_representations(names: np.ndarray, k: int, flipped: bool) -> list[tu
     < k / 2, the real R(2 pi q t / k) diag(1, -1)^s, R a rotation (Serre,
     *Linear Representations of Finite Groups*, 5.3)."""
     t, s = names % k, names // k
-    angles = 2 * np.pi / k * (np.arange(k // 2 + 1)[:, None] * t % k)  # q t reduced mod k: exact at every k
-    characters, turns = np.cos(angles[[0] + [k // 2] * (k % 2 == 0)]), angles[1 : (k + 1) // 2]
+    # q t reduced mod k: exact at every k
+    real, turns = (2 * np.pi / k * (np.array(modes)[:, None] * t % k) for modes in _fourier_modes(k))
+    characters = np.cos(real)
     if not flipped:
         return [(characters[..., None, None], 1), (np.exp(1j * turns)[..., None, None], 2)]
     sign, cos, sin = (-1.0) ** s, np.cos(turns), np.sin(turns)
     rotations = np.stack([cos, -sin * sign, sin, cos * sign], axis=-1).reshape(*turns.shape, 2, 2)
     return [(np.concatenate([characters, characters * sign])[..., None, None], 1), (rotations, 2)]
+
+
+def _cycle_minima(images: np.ndarray) -> np.ndarray:
+    """Each point x of row i of an ``m x n`` array of permutations labelled
+    with i n plus the least point of its cycle, by pointer doubling: the
+    rows, offset by n each, are one permutation of range(m n)."""
+    m, n = images.shape
+    label, jump = np.arange(m * n), (images + n * np.arange(m)[:, None]).ravel()
+    for _ in range(max(n - 1, 1).bit_length()):
+        # label[x] is the least of x, y(x), ..., y^(2^j - 1)(x); jump is y^(2^j)
+        label, jump = np.minimum(label, label[jump]), jump[jump]
+    return label.reshape(m, n)
 
 
 def block_eigenvalues(
@@ -196,10 +227,7 @@ def block_eigenvalues(
     n = graph.vertex_count
     _check_dimension(n, dim_cap)
     left = _walk_symmetry(left, graph, "symmetry")
-    cycle, jump = np.arange(n), left
-    for _ in range(max(n - 1, 1).bit_length()):
-        # cycle[x] is the least of x, L(x), ..., L^(2^j - 1)(x); jump is L^(2^j)
-        cycle, jump = np.minimum(cycle, cycle[jump]), jump[jump]
+    cycle = _cycle_minima(left[None])[0]
     out, power = np.flatnonzero(cycle == np.arange(n))[:, None], left
     k = n // len(out)
     while out.shape[1] < k:  # out[i, t] = L^t(o_i) for t below its width w, and power is L^w
@@ -272,8 +300,8 @@ def symmetric_block_eigenvalues(
     graph: SchreierGraph, generators: list[int], points: list[int], dim_cap: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
     """The walk spectrum, sorted descending, from a symmetric group K
-    acting freely on the cosets (``CosetAction.symmetric_group``): t and c
-    of ``generators`` act on the fixed ``points`` f_i as (f_1 f_2) and (f_r
+    acting freely on the cosets (``symmetric_group``): t and c of
+    ``generators`` act on the fixed ``points`` f_i as (f_1 f_2) and (f_r
     ... f_1).  Their left maps must commute with the walk
     (``_walk_symmetry``) and make orbits of r! points.  The members of a
     coset Hx agree on the f_i, so with o_j the least point of its orbit,
@@ -321,6 +349,124 @@ class SpectralSummary:
     two_sided_lambda: float
 
 
+def _price(n: int, order: int, families: list[tuple[int, int, bool]]) -> float:
+    """The cost of solving the walk by blocks of a group K of ``order``
+    elements: the sum of rows^3 over the blocks the engine solves, each
+    family's ``(blocks, d, complex)`` giving blocks of m d rows for m = n /
+    |K| orbits, a complex block counted 3 (about three real ``eigvalsh`` of
+    its size)."""
+    return sum(blocks * (1 + 2 * complex_) * (n / order * d) ** 3 for blocks, d, complex_ in families)
+
+
+def symmetric_group(action: CosetAction) -> Optional[tuple[list[int], list[int]]]:
+    """``(generators, points)``: the indices of t = (f_1 f_2) and c = (f_r
+    ... f_1) = t_1 ... t_(r-1), t_i = (f_i f_i+1), which generate Sym(F), F
+    the points fixed by H's generators, when G holds them; else of t and c
+    times (a b)^sign, a and b the last two points of F, a copy of S_r in
+    the even permutations; or None.  This K centralises H, so its left
+    maps permute the cosets freely and commute with the walk: r >= 2 and
+    r! divides the coset count."""
+    degree = action.group.degree
+    fixed = np.flatnonzero((action.stabilizer.generator_images == np.arange(degree)).all(axis=0))
+    for points, tail in ((fixed, fixed[:0]), (fixed[:-2], fixed[-2:])):
+        r = len(points)
+        if r < 2 or action.n_points % math.factorial(r):
+            continue
+        rows = np.tile(np.arange(degree, dtype=np.int32), (2, 1))
+        rows[0, points[:2]], rows[1, points] = points[1::-1], np.roll(points, 1)
+        rows[0, tail] = rows[1 - r % 2, tail] = tail[::-1]  # t's; and c's for even r
+        found = action.group._find(rows)
+        if found is not None:
+            return found, points.tolist()
+    return None
+
+
+def block_symmetry(action: CosetAction) -> tuple[int, int, Optional[int]]:
+    """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
+    solve (``_price``).  Left multiplication by y permutes the cosets
+    freely in cycles of length k, the order of yH in N_G(H)/H, commuting
+    with the right action; z is None or the least element of N_G(H)
+    outside <y>H with z^2 and z y z^-1 y (given z^2, (zy)^2) in H, so that
+    <yH, zH> is dihedral.  N_G(H) is ``FiniteGroup.normaliser``, and the
+    coset orders are found in index order, in batches of doubling size;
+    one equal to |N_G(H):H| makes N_G(H)/H cyclic, without z, and returns
+    at once.  Otherwise each order, descending, is tried with its least y
+    and the least z of one pass over N_G(H), until the dihedral cost,
+    which grows as the order falls, is no better than the best found.
+    ``(0, 1, None)`` means H is self-normalising."""
+    group, slot_of, n = action.group, action.transversal.slot_of, action.n_points
+    in_h = slot_of == action.base_point
+    candidates = group.normaliser(np.flatnonzero(in_h), group._indices_of_rows(action.stabilizer.generator_images))
+    index = len(candidates) // action.stabilizer.order
+    orders = np.ones(len(candidates), dtype=np.int64)  # candidates[0] is the identity
+    start = 1
+    while start < len(candidates) and orders.max() < index:
+        orders[start : 2 * start] = _coset_orders(action, candidates[start : 2 * start], in_h, index)
+        start *= 2
+    k = int(orders.max())
+    best = (int(candidates[np.argmax(orders)]), k, None)
+    if k == index:
+        return best
+    cost = _price(n, k, _fourier_families(k, False))
+    for order in sorted(set(orders.tolist()), reverse=True):
+        dihedral = _price(n, 2 * order, _fourier_families(order, True))
+        if dihedral >= cost:
+            break
+        y = int(candidates[np.argmax(orders == order)])
+        powers = list(itertools.accumulate([y] * (order - 1), group.mult, initial=0))
+        z = candidates[~np.isin(slot_of[candidates], slot_of[powers])]
+        z = z[in_h[group.products(z, z)]]
+        zy = group.products(z, y)
+        z = z[in_h[group.products(zy, zy)]]
+        if len(z):
+            best, cost = (y, order, int(z[0])), dihedral
+    return best
+
+
+def _coset_orders(action: CosetAction, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
+    """For each element y of N_G(H), the least t >= 1 with y^t in H
+    (``in_h`` marks H's members).  The t with y^t in H are the multiples of
+    that least one, and y^b is in H for b = gcd(``index`` = |N_G(H):H|, y's
+    order as a permutation); so for each y only the proper divisors of its
+    b are tried, in ascending order, and b stands when none is in H.  When
+    H is trivial, y^t is in H only for t a multiple of y's order, so the b
+    are the orders, returned at once."""
+    generators = action.group.images[elements]
+    bound = np.gcd(index, _permutation_orders(generators))
+    if action.stabilizer.order == 1:
+        return bound
+    orders = bound.copy()
+    steps = {d for b in set(bound.tolist()) for d in range(1, b) if b % d == 0}
+    for t in sorted(steps):
+        test = np.flatnonzero((orders == bound) & (bound % t == 0) & (bound > t))
+        if len(test):
+            home = in_h[action.group._indices_of_rows(_power_images(generators[test], t))]
+            orders[test[home]] = t
+    return orders
+
+
+def _permutation_orders(images: np.ndarray) -> np.ndarray:
+    """Order of each row of an ``m x degree`` image array: the lcm of its
+    cycle lengths.  Pointer doubling labels each point with the least point
+    of its cycle (``_cycle_minima``), and a cycle's length is its label's
+    count."""
+    lengths = np.bincount(_cycle_minima(images).ravel(), minlength=images.size).reshape(images.shape)
+    return np.lcm.reduce(np.maximum(lengths, 1), axis=1)
+
+
+def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
+    """Row-wise power of an ``m x degree`` image array, by squaring; a
+    product ``p * q`` is q's images gathered at p's."""
+    power = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
+    while exponent:
+        if exponent & 1:
+            power = np.take_along_axis(images, power, axis=1)
+        exponent >>= 1
+        if exponent:
+            images = np.take_along_axis(images, images, axis=1)
+    return power
+
+
 def _least_degree(k: int) -> int:
     """The least degree of a permutation whose order k divides: the sum of
     the prime powers in k, one cycle of length p^a for each."""
@@ -334,22 +480,22 @@ def _least_degree(k: int) -> int:
 
 
 def _block_spectrum(graph: SchreierGraph, dim_cap: int) -> Optional[np.ndarray]:
-    """The walk spectrum by the symmetry whose blocks cost least (the sum
-    of dim^3, ``_block_cost``), or None for the dense path.  The search of
-    N_G(H) is skipped when no order k that could beat the symmetric group
-    is possible: left multiplication by y moves the n cosets in cycles of
+    """The walk spectrum by the symmetry whose blocks cost least
+    (``_price``), or None for the dense path.  The search of N_G(H) is
+    skipped when no order k that could beat the symmetric group is
+    possible: left multiplication by y moves the n cosets in cycles of
     length k, so k divides n, and k divides the order of y, a permutation
     of the degree."""
     n, action = graph.vertex_count, graph.action
-    found, cost, least = action.symmetric_group(), math.inf, 0.0
+    found, cost, least = symmetric_group(action), math.inf, 0.0
     if found is not None:
         r = len(found[1])
-        cost = sum((n // math.factorial(r) * form.shape[-1]) ** 3 for form in young_forms(r))
+        cost = _price(n, math.factorial(r), [(1, form.shape[-1], False) for form in young_forms(r)])
         divisors = ((i, n // i) for i in range(1, math.isqrt(n) + 1) if n % i == 0)
         orders = (k for pair in divisors for k in pair if k > 1 and _least_degree(k) <= graph.group.degree)
-        least = min((_block_cost(n, k, dihedral=True) for k in orders), default=math.inf)
-    y, k, z = action.block_symmetry() if least < cost else (0, 1, None)
-    if cost <= _block_cost(n, k, dihedral=z is not None):
+        least = min((_price(n, 2 * k, _fourier_families(k, True)) for k in orders), default=math.inf)
+    y, k, z = block_symmetry(action) if least < cost else (0, 1, None)
+    if cost <= _price(n, k * (1 + (z is not None)), _fourier_families(k, z is not None)):
         return symmetric_block_eigenvalues(graph, *found, dim_cap)
     if k > 1:
         left = action.left_action_of_index
@@ -368,13 +514,7 @@ def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Sp
     if eigenvalues[-1] < -1.0 - GAP_TOL:
         raise ValueError(f"eigenvalue {eigenvalues[-1]} below -1; bad walk matrix")
     if len(eigenvalues) == 1:
-        return SpectralSummary(
-            eigenvalues=(float(leading),),
-            lambda2=0.0,
-            lambda_min=0.0,
-            gap=2.0,
-            two_sided_lambda=0.0,
-        )
+        return SpectralSummary((float(leading),), lambda2=0.0, lambda_min=0.0, gap=2.0, two_sided_lambda=0.0)
     lambda2 = float(eigenvalues[1])
     lambda_min = float(eigenvalues[-1])
     gap = min(max(1.0 - lambda2, 0.0), 2.0)
@@ -402,8 +542,5 @@ def rayleigh_quotient(matrix: np.ndarray, vector: np.ndarray) -> float:
 def dump_matrix(matrix: np.ndarray) -> str:
     """Plain-text matrix dump: first line n, then n rows of n entries."""
     matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    lines = [str(n)]
-    for row in matrix:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(f"{v:.17g}" for v in row) for row in matrix)
+    return "\n".join([str(len(matrix)), *rows]) + "\n"

@@ -8,8 +8,9 @@ representations of D_k (``fourier_representations``);
 ``symmetric_block_eigenvalues`` names them by a symmetric group on the
 points H fixes, with Young's orthogonal form.  Every spectrum test here
 compares a spectrum with an independent one, eigenvalue by eigenvalue;
-the representation tables are checked against the group laws, and each
-refusal names the condition that failed.
+the representation tables are checked against the group laws, the
+planner's one price (``_price``) against the closed forms of each block
+family, and each refusal names the condition that failed.
 """
 
 import itertools
@@ -38,9 +39,11 @@ from schreierlab.notation import permutation_to_text
 from schreierlab.permutations import _partitions
 from schreierlab.spectral import (
     block_eigenvalues,
+    block_symmetry,
     fourier_representations,
     reduced_words,
     symmetric_block_eigenvalues,
+    symmetric_group,
     young_forms,
     young_matrices,
 )
@@ -114,7 +117,7 @@ def test_block_spectrum_matches_dense(monkeypatch, name, stabilizer_gens, seed):
     group = catalog_group(name)
     stabilizer = group.subgroup_generated(group.elements[i % group.order] for i in stabilizer_gens)
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(seed), 3))
-    y, k, z = graph.action.block_symmetry()
+    y, k, z = block_symmetry(graph.action)
     orders = normaliser_coset_orders(group, stabilizer)
     # the choice: the least y of the largest order, unless the least y of
     # some order has an inverter whose real blocks cost less
@@ -139,7 +142,7 @@ def assert_coset_orders_match_brute_force(group, stabilizer):
     expected = normaliser_coset_orders(group, stabilizer)
     elements = np.array(sorted(expected))
     in_h = action.transversal.slot_of == action.base_point
-    got = action._coset_orders(elements, in_h, len(expected) // stabilizer.order)
+    got = spectral._coset_orders(action, elements, in_h, len(expected) // stabilizer.order)
     assert dict(zip(elements.tolist(), got.tolist())) == expected
 
 
@@ -170,7 +173,7 @@ def test_coset_orders_above_the_table_limit(name, stabilizer_cycles):
 
 def test_alt7_regular_symmetry_is_an_element_of_order_six_with_a_flip():
     group = catalog_group("alt:7")
-    assert CosetAction(group, group.trivial_subgroup()).block_symmetry() == (19, 6, 714)
+    assert block_symmetry(CosetAction(group, group.trivial_subgroup())) == (19, 6, 714)
 
 
 # (group, stabilizer generators as cycles, expected k): odd and even k,
@@ -195,7 +198,7 @@ def test_block_spectrum_on_chosen_symmetries(name, stabilizer_cycles, expected_k
         Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
     )
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(5), 2))
-    y, k, z = graph.action.block_symmetry()
+    y, k, z = block_symmetry(graph.action)
     assert (k, z is not None) == (expected_k, (name, k) in FLIPPED)
     left = graph.action.left_action_of_index
     eigenvalues = block_eigenvalues(graph, left(y), None if z is None else left(z))
@@ -210,7 +213,7 @@ def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
     graph = schreier_graph(
         group, group.point_stabilizer(0), symmetrize(group, ones(group, group.generators))
     )
-    assert graph.action.block_symmetry() == (0, 1, None)
+    assert block_symmetry(graph.action) == (0, 1, None)
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     calls = []
     monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: calls.append(args))
@@ -237,7 +240,7 @@ def test_summary_uses_blocks_from_the_floor_on(monkeypatch):
     # dihedral:16 has a rotation of order 8 and a reflection inverting it:
     # modes 1..3 are one real 2 x 2 block each, and the halves of modes 0
     # and 4 are 1 x 1, read off without a solve
-    assert graph.action.block_symmetry() == (1, 8, 2)
+    assert block_symmetry(graph.action) == (1, 8, 2)
     assert solved == [2] * 3
     assert np.max(np.abs(np.array(summary.eigenvalues) - dense(graph))) < AGREEMENT
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 17)
@@ -284,7 +287,7 @@ def test_flip_that_breaks_a_dihedral_condition_is_refused():
     graph = schreier_graph(
         group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
     )
-    y, k, z = graph.action.block_symmetry()
+    y, k, z = block_symmetry(graph.action)
     left = graph.action.left_action_of_index
     powers = [0]
     for _ in range(k - 1):
@@ -380,7 +383,7 @@ def test_large_action_shapes_match_dense(name, stabilizer_cycles, expected_k):
     )
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    y, k, z = graph.action.block_symmetry()
+    y, k, z = block_symmetry(graph.action)
     assert (k, z is None) == (expected_k, name == "cyclic:1024")
     assert (y, k, z) == LARGE_SYMMETRIES[name, sum(map(len, stabilizer_cycles))]
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
@@ -394,7 +397,7 @@ def test_many_draws_with_repeats_match_dense():
     multiset = drawn_multiset(group, np.random.default_rng(3), 150)
     assert multiset.size == 300 and max(m for _, m in multiset.entries) > 1
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
-    _, k, z = graph.action.block_symmetry()
+    _, k, z = block_symmetry(graph.action)
     assert (k, z is not None) == (6, True)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
@@ -440,6 +443,19 @@ def test_fourier_representations_are_the_irreducible_representations(k, flipped)
     assert np.allclose(characters @ characters.conj().T / order, np.eye(len(characters)))
 
 
+@pytest.mark.parametrize("flipped", [False, True])
+def test_price_of_cyclic_and_dihedral_blocks_is_the_closed_form(flipped):
+    # the families counted from the mode lists are those the engine solves,
+    # and their price is exactly cost() for every k up to 64
+    for k in range(1, 65):
+        order = 2 * k if flipped else k
+        families = spectral._fourier_families(k, flipped)
+        listed = fourier_representations(np.arange(order), k, flipped)
+        assert [(len(m), m.shape[-1], np.iscomplexobj(m)) for m, _ in listed] == families
+        for n in (order, 6 * order, 35 * order):
+            assert spectral._price(n, order, families) == cost(n, k, flipped)
+
+
 def test_representations_that_miss_a_dimension_are_refused(monkeypatch):
     # one family dropped from the cyclic (cyclic:9) and the dihedral
     # (dihedral:16) tables: the blocks no longer cover every point
@@ -450,7 +466,7 @@ def test_representations_that_miss_a_dimension_are_refused(monkeypatch):
         graph = schreier_graph(
             group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
         )
-        y, k, z = graph.action.block_symmetry()
+        y, k, z = block_symmetry(graph.action)
         assert (z is not None) == flipped
         left = graph.action.left_action_of_index
         with pytest.raises(ValueError, match="do not add up"):
@@ -497,7 +513,7 @@ def test_character_sums_above_the_floor(name, expected_k):
     multiset = drawn_multiset(group, np.random.default_rng(11), 3)
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    assert graph.action.block_symmetry()[1:] == (expected_k, None)
+    assert block_symmetry(graph.action)[1:] == (expected_k, None)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - character_sums(name, multiset))) < AGREEMENT
 
@@ -564,6 +580,16 @@ def test_young_matrices_multiply_like_the_permutations(r, data):
         assert np.allclose(young_matrices(form, reduced_words(swaps)), form)
 
 
+@pytest.mark.parametrize("r", range(2, 8))
+def test_price_of_symmetric_blocks_is_the_sum_of_cubed_rows(r):
+    # d from the hook-length formula, not from young_forms
+    dimensions = [hook_dimension(shape) for shape in _partitions(r)]
+    families = [(1, form.shape[-1], False) for form in young_forms(r)]
+    for m in (1, 2, 21):
+        expected = sum((m * d) ** 3 for d in dimensions)
+        assert spectral._price(m * math.factorial(r), math.factorial(r), families) == expected
+
+
 # (group, stabilizer cycles, r): S5 on sym:5 regular (m = 1); the twisted
 # S4 of alt:6 regular, (f_i f_i+1)(4 5); S4 on the points 2-5 of sym:6 over
 # <(0 1)> (m = 15); S2 on the points 3, 4 of sym:5 over <(0 1 2)>
@@ -588,7 +614,7 @@ def test_symmetric_blocks_match_dense(case, picks):
     )
     # repeats and the identity give multiplicities and loops
     graph = schreier_graph(group, stabilizer, symmetrize(group, [(i % group.order, 1) for i in picks]))
-    generators, points = graph.action.symmetric_group()
+    generators, points = symmetric_group(graph.action)
     assert len(points) == r
     eigenvalues = symmetric_block_eigenvalues(graph, generators, points)
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
@@ -600,7 +626,7 @@ def test_symmetric_group_that_does_not_commute_is_refused(monkeypatch):
     group = catalog_group("sym:6")
     stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1]], 6)])
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(2), 3))
-    (t, c), points = graph.action.symmetric_group()
+    (t, c), points = symmetric_group(graph.action)
     left = graph.action.left_action_of_index
     monkeypatch.setattr(
         graph.action, "left_action_of_index", lambda y: np.roll(left(y), 1) if y == c else left(y)
@@ -624,7 +650,7 @@ def test_symmetric_group_that_is_not_free_or_misnamed_is_refused():
     group = catalog_group("sym:5")
     # t and c exchanged: a free S5 of sym:5 regular, but not named by the points
     graph = schreier_graph(group, group.trivial_subgroup(), drawn_multiset(group, np.random.default_rng(2), 3))
-    (t, c), points = graph.action.symmetric_group()
+    (t, c), points = symmetric_group(graph.action)
     with pytest.raises(ValueError, match="do not act on the fixed points"):
         symmetric_block_eigenvalues(graph, [c, t], points)
 
@@ -633,9 +659,9 @@ def test_no_symmetric_group_without_its_generators_in_the_group():
     # cyclic:1024 holds no transposition and 1024! does not divide 1024;
     # the point stabilizer of sym:5 fixes one point only
     group = catalog_group("cyclic:1024")
-    assert CosetAction(group, group.trivial_subgroup()).symmetric_group() is None
+    assert symmetric_group(CosetAction(group, group.trivial_subgroup())) is None
     group = catalog_group("sym:5")
-    assert CosetAction(group, group.point_stabilizer(0)).symmetric_group() is None
+    assert symmetric_group(CosetAction(group, group.point_stabilizer(0))) is None
 
 
 @pytest.mark.parametrize("degree", range(1, 13))
@@ -658,7 +684,7 @@ def test_large_degree_with_a_symmetric_group_takes_the_cheapest_path(monkeypatch
     graph = schreier_graph(
         group, group.subgroup_generated([half_turn]), drawn_multiset(group, np.random.default_rng(4), 3)
     )
-    generators, points = graph.action.symmetric_group()
+    generators, points = symmetric_group(graph.action)
     assert (points, graph.vertex_count) == ([0, 1, 2, 3], 1152)
     taken = []
     monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: taken.append(args) or block_eigenvalues(*args))

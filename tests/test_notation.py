@@ -5,40 +5,39 @@ from schreierlab.notation import (
     multiset_to_text,
     parse_group_text,
     parse_multiset_text,
-    permutation_from_text,
     permutation_to_text,
 )
 
 
 def test_parse_simple_cycle():
-    p = permutation_from_text("(1 2 3)")
+    (p,) = parse_group_text("(1 2 3)")
     assert p.images == (1, 2, 0)
 
 
 def test_parse_disjoint_cycles():
-    p = permutation_from_text("(1 2 3)(4 5)")
+    (p,) = parse_group_text("(1 2 3)(4 5)")
     assert p.images == (1, 2, 0, 4, 3)
 
 
 def test_parse_identity():
-    assert permutation_from_text("()", degree=4) == Permutation.identity(4)
+    assert parse_group_text("()", degree=4) == [Permutation.identity(4)]
 
 
 def test_parse_with_commas_and_degree():
-    p = permutation_from_text("(1,2)", degree=5)
+    (p,) = parse_group_text("(1,2)", degree=5)
     assert p.images == (1, 0, 2, 3, 4)
 
 
 def test_parse_rejects_garbage():
     for bad in ("", "1 2 3", "(1 2))", "(0 1)", "(1 1 2)"):
         with pytest.raises(ValueError):
-            permutation_from_text(bad)
+            parse_group_text(bad)
 
 
 def test_round_trip_text():
     for images in [(1, 2, 0, 4, 3), (0, 1, 2), (1, 0, 3, 2)]:
         p = Permutation(images)
-        assert permutation_from_text(permutation_to_text(p), degree=p.degree) == p
+        assert parse_group_text(permutation_to_text(p), degree=p.degree) == [p]
 
 
 def test_group_file_with_comments_and_header():

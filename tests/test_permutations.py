@@ -21,6 +21,7 @@ from schreierlab import (
     intermediate_subgroups,
     lower_central_series,
 )
+from schreierlab.notation import parse_group_text
 from schreierlab.permutations import CosetAction, FiniteGroup, Transversal
 from schreierlab.sweeps import _MIDSIZE_POOL, _NILPOTENT_GROUPS, _SMALL_POOL
 from testkit import (
@@ -608,6 +609,52 @@ def test_faithful_reduction_order_is_core_index():
         y = group.subgroup_generated([group.elements[group.order // 2]])
         image, _ = faithful_reduction(group, y)
         assert image.order == group.order // normal_core(group, y).order
+
+
+# ---------------------------------------------------------------------------
+# normalisers
+
+
+def brute_normaliser(group, subgroup):
+    """The indices of every g with g^-1 X g = X, X the subgroup's members,
+    by Permutation products."""
+    members = set(subgroup.elements)
+    return [i for i, g in enumerate(group.elements) if {g.inverse() * h * g for h in members} == members]
+
+
+def assert_normaliser_matches_brute_force(group, subgroup):
+    generators = [group.index_of(p) for p in subgroup.generators]
+    found = group.normaliser(group.indices_of(subgroup), generators)
+    assert found.tolist() == brute_normaliser(group, subgroup)
+    return len(found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["sym:4", "alt:5", "dihedral:16", "heisenberg:3", "cyclic:2xsym:4"]),
+    picks=st.lists(st.integers(min_value=0), max_size=3),
+)
+def test_normaliser_matches_brute_force(name, picks):
+    group = catalog_group(name)
+    subgroup = group.subgroup_generated(group.elements[i % group.order] for i in picks)
+    assert_normaliser_matches_brute_force(group, subgroup)
+
+
+# above the table limit (512), where products are read at the base
+@pytest.mark.parametrize(
+    "name, cycles, order",
+    [
+        ("sym:6", "(1 2)(3 4)", 16),
+        ("sym:7", "(2 5)(3 6)", 48),
+        ("alt:7", "(1 2 3)", 72),
+        ("sym:7", "(2 7)", 240),
+    ],
+)
+def test_normaliser_above_the_table_limit(name, cycles, order):
+    group = catalog_group(name)
+    subgroup = group.subgroup_generated(parse_group_text(cycles, degree=group.degree))
+    assert group.order > 512
+    assert assert_normaliser_matches_brute_force(group, subgroup) == order
 
 
 # ---------------------------------------------------------------------------
