@@ -9,7 +9,7 @@ group K of symmetries that permute the cosets freely and commute with the
 walk, one block per irreducible representation of K (Babai, J. Combin.
 Theory B 27, 1979).  One engine (``_representation_spectrum``) builds and
 solves every block from each point's orbit, its name (the k in K that
-carries the orbit's least point to it) and K's representations; two front
+carries the orbit's least point to it) and K's representations; three front
 ends name the points and list the representations.  Left multiplication by y
 in the normaliser N_G(H) (Hx -> Hyx, ``FiniteGroup.normaliser``), of order k
 modulo H, makes the walk block-circulant, one Hermitian block of size n/k
@@ -20,22 +20,28 @@ Finite Groups*, 5.3), so every block is real and modes 0 and k/2 halve
 fixes (twisted by a transposition of two more of them in an alternating
 group) centralises H: one real block of m d rows for each irreducible
 representation of S_r, of dimension d, m = n / r!, from Young's orthogonal
-form (``symmetric_block_eigenvalues``).  The plan is made here too: two
-searches of a ``CosetAction`` (``block_symmetry``, ``symmetric_group``) find
-the symmetries, and one price (``_price``) ranks them, the sum of rows^3
+form (``symmetric_block_eigenvalues``).  The whole of K = N_G(H)/H
+(``normalizer_quotient``) gives one real block of m d rows per class of its
+real irreducible representations, found by Dixon's method
+(``real_representations``, ``quotient_block_eigenvalues``).  The plan is
+made here too: three searches of a ``CosetAction`` find the symmetries,
+sharing one N_G(H), and one price (``_price``) ranks them, the sum of rows^3
 over the blocks the engine solves, counted from the mode lists of
-``fourier_representations`` and from ``young_forms``, a complex block
-counted 3 (about three real ``eigvalsh`` of its size); the N_G(H) search
-(2-3 ms on sym:7 and alt:7) is skipped when no order that divides n and that
-a permutation of the degree can have could beat S_r, and the dense path runs
-when N_G(H) = H and r < 2.  Each symmetry is checked exactly on the slot
-table and the slot rows of one point per orbit fill the blocks by weighted
-bincounts, so no n x n array is built; the dimension cap still bounds the
-number of points.  Small graphs stay dense as the set-up costs more than it
-saves (heisenberg:7, 343 points, k = 7: 13-18 against 5.9-7.0 ms).  The 2520
-cosets of (2 7) in sym:7 and alt:7 regular, m = 21, take 5.0-6.4 and 4.1-5.9
-ms against 36-44 and 34-43 ms by dihedral blocks of order 6 (best of 5,
-three alternating runs, one BLAS thread, 2-vCPU Xeon).
+``fourier_representations``, from ``young_forms`` and from K's classes, a
+complex block counted 3 (about three real ``eigvalsh`` of its size); a tie
+goes to Young's form.  N_G(H) (2-3 ms on sym:7 and alt:7) is not searched
+when K is not needed (H trivial, or K = S_r) and no cyclic order could beat
+S_r, and the dense path runs when N_G(H) = H and r < 2.  Each symmetry is
+checked exactly on the slot table and the slot rows of one point per orbit
+fill the blocks by weighted bincounts, so no n x n array is built; the
+dimension cap still bounds the number of points.  Small graphs stay dense as
+the set-up costs more than it saves (heisenberg:7, 343 points, k = 7: 13-18
+against 5.9-7.0 ms).  The 2520 cosets of (2 7) in sym:7 and alt:7 regular,
+m = 21, take 5.0-6.4 and 4.1-5.9 ms against 36-44 and 34-43 ms by dihedral
+blocks of order 6; those of (2 5)(3 6) and (2 7)(3 4)(5 6), K = C2 x C2 x S3
+and S4, m = 105, take 19.9-20.5 and 20.6-21.1 ms against 32.9-33.3 and
+51.4-52.4 ms by dihedral blocks of orders 12 and 8 (best of 5 or 7, three
+alternating runs, one BLAS thread, 2-vCPU Xeon).
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -52,6 +58,10 @@ this module they are compared only in the ledger of named inequalities,
   counterexample search's gap loss among them), the cycle oracle, and the
   walk spectrum's ends at 1 and -1.
 * ``CONTAINMENT_TOL`` (1e-6): eigenvalues of two different graphs compared.
+
+Dixon's step cuts eigenvalues apart at a relative gap of ``SPLIT_GAP``
+(1e-7), holds each eigenspace to ``GAP_TOL``, and rounds characters to
+``CHARACTER_DIGITS`` (6) digits.
 
 ``BLOCK_FLOOR`` (512) is the least number of points at which the spectrum
 is taken block by block; every graph of the sweep lies below it.
@@ -80,6 +90,8 @@ LOG_TOL = 1e-9
 GAP_TOL = 1e-8
 CONTAINMENT_TOL = 1e-6
 BLOCK_FLOOR = 512
+SPLIT_GAP = 1e-7
+CHARACTER_DIGITS = 6
 
 
 def _check_dimension(n: int, dim_cap: int) -> None:
@@ -111,7 +123,7 @@ def _walk_symmetry(perm, graph: SchreierGraph, name: str) -> np.ndarray:
     n, slots = graph.vertex_count, graph.slots
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"the {name} is not a permutation of the points")
-    if not np.array_equal(perm[slots], slots[perm]):
+    if not np.array_equal(perm.take(slots), slots.take(perm, axis=0)):
         raise ValueError(f"the {name} does not commute with the walk")
     return perm
 
@@ -330,6 +342,66 @@ def symmetric_block_eigenvalues(
     return _representation_spectrum(graph, label, name @ place, math.factorial(r), representations, dim_cap)
 
 
+def quotient_table(maps: np.ndarray) -> np.ndarray:
+    """The multiplication table of the group K of left ``maps`` (``k x n``,
+    the identity first), read off the orbit of point 0: ``table[a, b]`` is
+    the c with (a b) 0 = a (b 0) = c 0, -1 where no map carries 0 there."""
+    where = np.full(maps.shape[1], -1)
+    where[maps[:, 0]] = np.arange(len(maps))
+    return where[maps[:, maps[:, 0]]]
+
+
+def real_representations(table: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The real irreducible representations of the group with multiplication
+    ``table`` (0 the identity) in its right regular representation M, M_h V
+    = V[table[:, h]], as families for ``_representation_spectrum``: ``(R x
+    |K| x d x d, copies)``, R classes of orthogonal matrices that each occur
+    ``copies`` times.  By Dixon's method (Math. Comp. 24, 1970), A = sum_a
+    M_a X M_a^T, X symmetric from a fixed seed, commutes with M, and for a
+    generic X its eigenspaces, cut where the eigenvalues part by more than
+    ``SPLIT_GAP`` of the largest, are irreducible; each is checked to be
+    invariant, M_h V = V rho(h) within ``GAP_TOL``, rho(h) = V^T M_h V.
+    Copies of one representation, real, complex or quaternionic (Serre,
+    *Linear Representations of Finite Groups*, 13.2), share a character,
+    rounded to ``CHARACTER_DIGITS`` digits, and their blocks a spectrum."""
+    x = np.random.default_rng(0).standard_normal(table.shape)
+    values, vectors = np.linalg.eigh(sum((x + x.T)[np.ix_(column, column)] for column in table.T))
+    classes: dict[bytes, list] = {}
+    for basis in np.split(vectors, np.flatnonzero(np.diff(values) > SPLIT_GAP * np.abs(values).max()) + 1, axis=1):
+        moved = basis[table.T]  # moved[h] is M_h V
+        rho = basis.T @ moved
+        if np.abs(moved - basis @ rho).max() > GAP_TOL:
+            raise ValueError(f"an eigenspace of the averaged matrix is not invariant within {GAP_TOL:g}")
+        character = np.round(np.trace(rho, axis1=1, axis2=2), CHARACTER_DIGITS) + 0.0  # no -0.0
+        classes.setdefault(character.tobytes(), [rho, 0])[1] += 1
+    shapes = sorted({(rho.shape[-1], copies) for rho, copies in classes.values()})
+    return [(np.stack([rho for rho, c in classes.values() if (rho.shape[-1], c) == (d, copies)]), copies)
+            for d, copies in shapes]
+
+
+def quotient_block_eigenvalues(
+    graph: SchreierGraph, maps: np.ndarray, families: list[tuple[np.ndarray, int]], dim_cap: int = DEFAULT_DIM_CAP
+) -> np.ndarray:
+    """The walk spectrum, sorted descending, from the left ``maps`` of K =
+    N_G(H)/H (``normalizer_quotient``), each checked to commute with the
+    walk (``_walk_symmetry``).  A point v is labelled by the least of its
+    images, the least point o of its orbit, and named by the k with v = k
+    o; every map must move the labels and names as K's elements move under
+    the table read off the orbit of point 0 (``quotient_table``): k (l o) =
+    (k l) o.  The engine takes K's ``families`` (``real_representations``
+    of that table), one real block of m d rows per class."""
+    n = graph.vertex_count
+    _check_dimension(n, dim_cap)
+    maps = np.array([_walk_symmetry(left, graph, "symmetry") for left in maps])
+    label, name, table = maps.min(axis=0), np.zeros(n, dtype=np.intp), quotient_table(maps)
+    name[maps[:, label == np.arange(n)]] = np.arange(len(maps))[:, None]
+    if not ((label[maps] == label).all() and (name[maps] == table[:, name]).all()):
+        raise ValueError("the maps do not move the names as they move the elements of K")
+    return _representation_spectrum(
+        graph, label, name, len(maps), lambda codes: [(rhos[:, codes], copies) for rhos, copies in families], dim_cap
+    )
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalues in descending order plus the derived expansion figures.
@@ -381,22 +453,40 @@ def symmetric_group(action: CosetAction) -> Optional[tuple[list[int], list[int]]
     return None
 
 
-def block_symmetry(action: CosetAction) -> tuple[int, int, Optional[int]]:
+def _normaliser(action: CosetAction) -> np.ndarray:
+    """The ascending element indices of N_G(H), H the stabilizer
+    (``FiniteGroup.normaliser``)."""
+    members = np.flatnonzero(action.transversal.slot_of == action.base_point)
+    return action.group.normaliser(members, action.group._indices_of_rows(action.stabilizer.generator_images))
+
+
+def normalizer_quotient(action: CosetAction, normaliser: Optional[np.ndarray] = None) -> np.ndarray:
+    """The left maps Hx -> Hyx of K = N_G(H)/H, a ``|K| x n`` array, by the
+    least y of each coset of H in N_G(H) (``normaliser``, found unless
+    given), the identity first, in one outer ``products`` read."""
+    if normaliser is None:
+        normaliser = _normaliser(action)
+    t = action.transversal
+    elements = normaliser[np.unique(t.slot_of[normaliser], return_index=True)[1]]
+    return t.slot_of[action.group.products(elements, t.rep_indices, outer=True)]
+
+
+def block_symmetry(action: CosetAction, normaliser: Optional[np.ndarray] = None) -> tuple[int, int, Optional[int]]:
     """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
-    solve (``_price``).  Left multiplication by y permutes the cosets
-    freely in cycles of length k, the order of yH in N_G(H)/H, commuting
-    with the right action; z is None or the least element of N_G(H)
-    outside <y>H with z^2 and z y z^-1 y (given z^2, (zy)^2) in H, so that
-    <yH, zH> is dihedral.  N_G(H) is ``FiniteGroup.normaliser``, and the
-    coset orders are found in index order, in batches of doubling size;
-    one equal to |N_G(H):H| makes N_G(H)/H cyclic, without z, and returns
-    at once.  Otherwise each order, descending, is tried with its least y
-    and the least z of one pass over N_G(H), until the dihedral cost,
-    which grows as the order falls, is no better than the best found.
-    ``(0, 1, None)`` means H is self-normalising."""
+    solve (``_price``).  Left multiplication by y permutes the cosets freely
+    in cycles of length k, the order of yH in N_G(H)/H, commuting with the
+    right action; z is None or the least element of N_G(H) outside <y>H with
+    z^2 and z y z^-1 y (given z^2, (zy)^2) in H, so that <yH, zH> is
+    dihedral.  N_G(H) is ``normaliser`` (by default
+    ``FiniteGroup.normaliser``); coset orders are found in index order, in
+    batches of doubling size; one equal to |N_G(H):H| makes N_G(H)/H cyclic,
+    without z, and returns at once.  Otherwise each order, descending, is
+    tried with its least y and the least z of one pass over N_G(H), until
+    the dihedral cost, which grows as the order falls, is no better than the
+    best found.  ``(0, 1, None)`` means H is self-normalising."""
     group, slot_of, n = action.group, action.transversal.slot_of, action.n_points
     in_h = slot_of == action.base_point
-    candidates = group.normaliser(np.flatnonzero(in_h), group._indices_of_rows(action.stabilizer.generator_images))
+    candidates = _normaliser(action) if normaliser is None else normaliser
     index = len(candidates) // action.stabilizer.order
     orders = np.ones(len(candidates), dtype=np.int64)  # candidates[0] is the identity
     start = 1
@@ -479,23 +569,49 @@ def _least_degree(k: int) -> int:
     return total
 
 
+def _dihedral_floor(n: int, orders) -> float:
+    """The least price of cyclic or dihedral blocks for an order k of yH in
+    ``orders``: dihedral blocks of order 2k cost no more than cyclic ones of
+    order k."""
+    return min((_price(n, 2 * k, _fourier_families(k, True)) for k in orders if k > 1), default=math.inf)
+
+
 def _block_spectrum(graph: SchreierGraph, dim_cap: int) -> Optional[np.ndarray]:
     """The walk spectrum by the symmetry whose blocks cost least
-    (``_price``), or None for the dense path.  The search of N_G(H) is
-    skipped when no order k that could beat the symmetric group is
-    possible: left multiplication by y moves the n cosets in cycles of
-    length k, so k divides n, and k divides the order of y, a permutation
-    of the degree."""
+    (``_price``), or None for the dense path; a tie goes to Young's form,
+    then to cyclic or dihedral blocks.  K = N_G(H)/H is skipped when H is
+    trivial (K = G, and Dixon's |K|^3 is n^3) or K is S_r (N_G(H) fixes the
+    set F of H's fixed points, so |K| <= |F|! (degree - |F|)! / |H|), and
+    Dixon's step runs only when |K|^3 is below the price of S_r and of
+    cyclic blocks of K's largest order.  Cyclic or dihedral blocks are
+    searched only when some order k of yH could win: k is an order in K,
+    or, without K, a divisor of n (y moves the cosets in cycles of length k)
+    that divides the order of a permutation of the degree."""
     n, action = graph.vertex_count, graph.action
-    found, cost, least = symmetric_group(action), math.inf, 0.0
+    stabilizer, degree = action.stabilizer, graph.group.degree
+    found, cost, price, normaliser = symmetric_group(action), math.inf, math.inf, None
     if found is not None:
         r = len(found[1])
         cost = _price(n, math.factorial(r), [(1, form.shape[-1], False) for form in young_forms(r)])
-        divisors = ((i, n // i) for i in range(1, math.isqrt(n) + 1) if n % i == 0)
-        orders = (k for pair in divisors for k in pair if k > 1 and _least_degree(k) <= graph.group.degree)
-        least = min((_price(n, 2 * k, _fourier_families(k, True)) for k in orders), default=math.inf)
-    y, k, z = block_symmetry(action) if least < cost else (0, 1, None)
-    if cost <= _price(n, k * (1 + (z is not None)), _fourier_families(k, z is not None)):
+    divisors = ((i, n // i) for i in range(1, math.isqrt(n) + 1) if n % i == 0)
+    least = _dihedral_floor(n, [k for pair in divisors for k in pair if _least_degree(k) <= degree])
+    fixed = int((stabilizer.generator_images == np.arange(degree)).all(axis=0).sum())
+    bound = math.factorial(fixed) * math.factorial(degree - fixed) // stabilizer.order
+    if stabilizer.order > 1 and (found is None or bound > math.factorial(r)):
+        normaliser = _normaliser(action)
+        maps = normalizer_quotient(action, normaliser)
+        table = quotient_table(maps)
+        orders = _permutation_orders(table)  # row a of the table is left multiplication by a
+        top = int(orders.max())
+        least = _dihedral_floor(n, set(orders.tolist()))
+        if len(maps) ** 3 < min(cost, _price(n, top, _fourier_families(top, False))):
+            families = real_representations(table)
+            price = _price(n, len(maps), [(len(rhos), rhos.shape[-1], False) for rhos, _ in families])
+    y, k, z = block_symmetry(action, normaliser) if least < min(cost, price) else (0, 1, None)
+    fourier = _price(n, k * (1 + (z is not None)), _fourier_families(k, z is not None))
+    if price < min(cost, fourier):
+        return quotient_block_eigenvalues(graph, maps, families, dim_cap)
+    if cost <= fourier:
         return symmetric_block_eigenvalues(graph, *found, dim_cap)
     if k > 1:
         left = action.left_action_of_index

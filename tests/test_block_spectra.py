@@ -6,7 +6,10 @@ points by a cyclic symmetry from N_G(H)/H, with the characters of C_k, or
 by a dihedral one when an inverting flip exists, with the real
 representations of D_k (``fourier_representations``);
 ``symmetric_block_eigenvalues`` names them by a symmetric group on the
-points H fixes, with Young's orthogonal form.  Every spectrum test here
+points H fixes, with Young's orthogonal form; ``quotient_block_eigenvalues``
+names them by the whole of K = N_G(H)/H (``normalizer_quotient``), with its
+real irreducible representations found by Dixon's method
+(``real_representations``).  Every spectrum test here
 compares a spectrum with an independent one, eigenvalue by eigenvalue;
 the representation tables are checked against the group laws, the
 planner's one price (``_price``) against the closed forms of each block
@@ -37,10 +40,15 @@ from schreierlab import spectral
 from schreierlab.catalog import abelian_names_up_to
 from schreierlab.notation import permutation_to_text
 from schreierlab.permutations import _partitions
+from schreierlab.permutations import FiniteGroup
 from schreierlab.spectral import (
     block_eigenvalues,
     block_symmetry,
     fourier_representations,
+    normalizer_quotient,
+    quotient_block_eigenvalues,
+    quotient_table,
+    real_representations,
     reduced_words,
     symmetric_block_eigenvalues,
     symmetric_group,
@@ -355,10 +363,12 @@ def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
 
 
 # the shapes of the large-actions benchmark workload, above the floor: the
-# stabilizer of sym:7 is a transposition or a triple transposition by seed,
-# and alt:7 has no inverter of a 7-cycle, so it uses an element of order 6.
-# Each shape's (y, k, z), by group and number of stabilizer cycles, is
-# pinned: a faster search must choose the same y and z, not only the same k
+# stabilizer of sym:7 is a transposition, a double or a triple transposition
+# by seed, and alt:7 has no inverter of a 7-cycle, so it uses an element of
+# order 6.  Each shape's (y, k, z), by group and number of stabilizer
+# cycles, is pinned: a faster search must choose the same y and z, not only
+# the same k; the planner takes N_G(H)/H instead on the double and triple
+# transpositions (LARGE_PATHS)
 LARGE_SYMMETRIES = {
     ("sym:7", 1): (543, 6, 131),
     ("alt:7", 0): (19, 6, 714),
@@ -696,15 +706,21 @@ def test_large_degree_with_a_symmetric_group_takes_the_cheapest_path(monkeypatch
 
 # the path spectral_summary takes on each large-actions shape and on sym:6
 # regular: (symmetric group: its t in 1-based cycles, twisted by (6 7) on
-# alt:7, and the number m of orbits) or (cyclic or dihedral: k and whether
-# there is a flip)
+# alt:7, and the number m of orbits), (cyclic or dihedral: k and whether
+# there is a flip) or (N_G(H)/H: its order and m).  K = N_G(H)/H is S4 over
+# the triple transposition (2 7)(3 4)(5 6) and C2 x C2 x S3 over the double
+# transposition (2 5)(3 6); QUOTIENT_ROWS gives the rows of its blocks
 LARGE_PATHS = [
     ("sym:7", [[[1, 6]]], ("symmetric", "(1 3)", 21)),
     ("alt:7", [], ("symmetric", "(1 2)(6 7)", 21)),
-    ("sym:7", [[[1, 6], [2, 3], [4, 5]]], ("blocks", 4, True)),
+    ("sym:7", [[[1, 6], [2, 3], [4, 5]]], ("quotient", 24, 105)),
     ("cyclic:1024", [], ("blocks", 1024, False)),
     ("sym:6", [], ("symmetric", "(1 2)", 1)),
+    ("sym:7", [[[1, 4], [2, 5]]], ("quotient", 24, 105)),
 ]
+# by the number of stabilizer cycles: S4 has representations of dimension
+# 1, 1, 2, 3, 3; C2 x C2 x S3 has eight of dimension 1 and four of dimension 2
+QUOTIENT_ROWS = {3: [105, 105, 210, 315, 315], 2: [105] * 8 + [210] * 4}
 
 
 @pytest.mark.parametrize("name,stabilizer_cycles,path", LARGE_PATHS)
@@ -716,6 +732,7 @@ def test_large_action_paths_are_pinned(monkeypatch, name, stabilizer_cycles, pat
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
     taken, solved = [], []
     symmetric, blocks, solve = spectral.symmetric_block_eigenvalues, block_eigenvalues, spectral.sym_eigenvalues
+    quotient = quotient_block_eigenvalues
 
     def by_symmetric(graph, generators, points, dim_cap):
         r = len(points)
@@ -727,16 +744,182 @@ def test_large_action_paths_are_pinned(monkeypatch, name, stabilizer_cycles, pat
         taken.append(("blocks", k, flip is not None))
         return blocks(graph, left, flip, dim_cap)
 
+    def by_quotient(graph, maps, families, dim_cap):
+        taken.append(("quotient", len(maps), graph.vertex_count // len(maps)))
+        return quotient(graph, maps, families, dim_cap)
+
     def counted(matrix, dim_cap=spectral.DEFAULT_DIM_CAP):
         solved.append(len(matrix))
         return solve(matrix, dim_cap)
 
     monkeypatch.setattr(spectral, "symmetric_block_eigenvalues", by_symmetric)
     monkeypatch.setattr(spectral, "block_eigenvalues", by_blocks)
+    monkeypatch.setattr(spectral, "quotient_block_eigenvalues", by_quotient)
     monkeypatch.setattr(spectral, "sym_eigenvalues", counted)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert taken == [path]
     if path[0] == "symmetric":  # one block of m d rows per irreducible representation, 1 x 1 read off
         r = {1: 6, 21: 5}[path[2]]
         assert solved == [path[2] * form.shape[-1] for form in young_forms(r) if path[2] * form.shape[-1] > 1]
+    if path[0] == "quotient":  # one block per class of representations, not per copy
+        assert sorted(solved) == QUOTIENT_ROWS[len(stabilizer_cycles[0])]
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+
+
+# -- blocks from N_G(H)/H ------------------------------------------------------
+
+
+def quotient_spectrum(graph, maps):
+    return quotient_block_eigenvalues(graph, maps, real_representations(quotient_table(maps)))
+
+
+def stabilized_graph(name, stabilizer_cycles, multiset_seed=7):
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(
+        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
+    )
+    return schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(multiset_seed), 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["sym:5", "sym:6", "alt:6"]),
+    stabilizer_gens=st.lists(st.integers(min_value=0), min_size=1, max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_quotient_blocks_match_dense(name, stabilizer_gens, seed):
+    # below the floor, called directly: every subgroup generated by one or
+    # two non-identity elements, self-normalising ones (K trivial) and the
+    # whole group (one point) among them
+    group = catalog_group(name)
+    stabilizer = group.subgroup_generated(group.elements[1 + i % (group.order - 1)] for i in stabilizer_gens)
+    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(seed), 3))
+    maps = normalizer_quotient(graph.action)
+    # Hx h = Hx for every h in H just when x normalises H: |K| cosets are fixed by H
+    moved = graph.action.permutation_of_index(np.array(group._find(stabilizer.generator_images)))
+    assert len(maps) == (moved == np.arange(graph.vertex_count)[:, None]).all(axis=1).sum()
+    assert np.max(np.abs(quotient_spectrum(graph, maps) - dense(graph))) < AGREEMENT
+
+
+def quaternion_table():
+    """The multiplication table of Q8 = {+-1, +-i, +-j, +-k}, 1 first, from
+    Hamilton's product of unit quaternions (a, b, c, d) = a + b i + c j + d k."""
+    units = np.concatenate([np.eye(4), -np.eye(4)])
+
+    def product(p, q):
+        a, b, c, d = p
+        e, f, g, h = q
+        return [a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e]
+
+    return np.array([[np.flatnonzero((units == product(p, q)).all(axis=1))[0] for q in units] for p in units])
+
+
+def regular_table(name):
+    group = catalog_group(name)
+    return group.products(np.arange(group.order), np.arange(group.order), outer=True)
+
+
+# (group, each class as (dimension, copies, <chi, chi> / |K|)), the last 1,
+# 2 or 4 for a real, complex or quaternionic class: C5 has the trivial
+# character and two complex pairs, each a real rotation of dimension 2; Q8
+# has four real characters and one quaternionic representation of real
+# dimension 4; every representation of S4 is real
+FROBENIUS_SCHUR = [
+    ("cyclic:5", [(1, 1, 1), (2, 1, 2), (2, 1, 2)]),
+    ("quaternion", [(1, 1, 1)] * 4 + [(4, 1, 4)]),
+    ("sym:4", [(1, 1, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1), (3, 3, 1)]),
+]
+
+
+@pytest.mark.parametrize("name,expected", FROBENIUS_SCHUR)
+def test_real_representations_of_each_frobenius_schur_type(name, expected):
+    table = quaternion_table() if name == "quaternion" else regular_table(name)
+    order = len(table)
+    classes = [(rho, copies) for rhos, copies in real_representations(table) for rho in rhos]
+    assert sum(rho.shape[-1] * copies for rho, copies in classes) == order
+    found = []
+    for rho, copies in classes:
+        eye = np.eye(rho.shape[-1])
+        assert np.allclose(rho[0], eye)
+        assert np.allclose(rho.swapaxes(1, 2) @ rho, eye)  # orthogonal
+        a, b = np.divmod(np.arange(order**2), order)
+        assert np.allclose(rho[a] @ rho[b], rho[table[a, b]])  # a homomorphism
+        character = np.trace(rho, axis1=1, axis2=2)
+        found.append((rho.shape[-1], copies, round(float(character @ character) / order)))
+    assert sorted(found) == sorted(expected)
+
+
+def test_quotient_blocks_agree_with_young_blocks():
+    # over <(0 1)> in sym:6 and <(1 6)> in sym:7, K = N_G(H)/H is the
+    # symmetric group on the fixed points: S4 with m = 15, S5 with m = 21
+    for name, cycles in [("sym:6", [[[0, 1]]]), ("sym:7", [[[1, 6]]])]:
+        graph = stabilized_graph(name, cycles)
+        generators, points = symmetric_group(graph.action)
+        maps = normalizer_quotient(graph.action)
+        assert len(maps) == math.factorial(len(points))
+        young = symmetric_block_eigenvalues(graph, generators, points)
+        assert np.max(np.abs(quotient_spectrum(graph, maps) - young)) < AGREEMENT
+
+
+def test_quotient_map_that_does_not_commute_is_refused():
+    graph = stabilized_graph("sym:6", [[[0, 1]]])
+    maps = normalizer_quotient(graph.action)
+    families = real_representations(quotient_table(maps))
+    maps[1] = np.roll(maps[1], 1)
+    with pytest.raises(ValueError, match="does not commute"):
+        quotient_block_eigenvalues(graph, maps, families)
+
+
+def test_eigenspace_that_is_not_invariant_is_refused(monkeypatch):
+    # a negative gap cuts every eigenvector apart: a single vector of an
+    # eigenspace of S4's representations of dimension 2 or 3 is not invariant
+    table = quotient_table(normalizer_quotient(stabilized_graph("sym:6", [[[0, 1]]]).action))
+    monkeypatch.setattr(spectral, "SPLIT_GAP", -1.0)
+    with pytest.raises(ValueError, match="not invariant"):
+        real_representations(table)
+
+
+def test_maps_that_do_not_move_the_names_as_elements_are_refused():
+    # with S = {s, s^-1} the right map by s commutes with the walk, and so
+    # does a left map followed by it; put in K's list, it breaks K's table
+    group = catalog_group("sym:6")
+    stabilizer = group.subgroup_generated([Permutation.from_cycles([[0, 1]], 6)])
+    s = group.index_of(Permutation.from_cycles([[1, 2, 3, 4, 5]], 6))
+    graph = schreier_graph(group, stabilizer, symmetrize(group, [(s, 1)]))
+    maps = normalizer_quotient(graph.action)
+    families = real_representations(quotient_table(maps))
+    assert np.max(np.abs(quotient_block_eigenvalues(graph, maps, families) - dense(graph))) < AGREEMENT
+    maps[1] = graph.action.permutation_of_index(s)[maps[1]]
+    with pytest.raises(ValueError, match="do not move the names"):
+        quotient_block_eigenvalues(graph, maps, families)
+
+
+def test_quotient_table_is_read_off_one_orbit():
+    # the left maps of sym:4 regular are the group itself: k (l o) = (k l) o
+    group = catalog_group("sym:4")
+    graph = schreier_graph(group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators)))
+    maps = normalizer_quotient(graph.action)
+    table = quotient_table(maps)
+    for a in range(len(maps)):
+        for b in range(len(maps)):
+            assert np.array_equal(maps[a][maps[b]], maps[table[a, b]])
+
+
+@pytest.mark.parametrize(
+    "name,stabilizer_cycles", [("sym:7", [[[1, 6]]]), ("alt:7", []), ("sym:6", []), ("cyclic:1024", [])]
+)
+def test_quotient_search_is_skipped_where_it_cannot_win(monkeypatch, name, stabilizer_cycles):
+    # over (2 7), |N_G(H) : H| <= 5! 2! / 2 = 5!, so K is the S5 Young's
+    # form already uses; over a trivial H, K is G, and Dixon's |K|^3 is n^3.
+    # The first three never need N_G(H); cyclic:1024 searches it for its
+    # cyclic blocks but builds no K.  LARGE_PATHS checks these spectra
+    graph = stabilized_graph(name, stabilizer_cycles)
+    assert graph.vertex_count >= spectral.BLOCK_FLOOR
+    called = []
+    normaliser = FiniteGroup.normaliser
+    monkeypatch.setattr(FiniteGroup, "normaliser", lambda *args: called.append("normaliser") or normaliser(*args))
+    quotient = spectral.normalizer_quotient
+    monkeypatch.setattr(spectral, "normalizer_quotient", lambda *args: called.append("K") or quotient(*args))
+    spectral_summary(graph)
+    assert called == (["normaliser"] if name == "cyclic:1024" else [])
