@@ -5,43 +5,43 @@ scale makes that affordable, and spectrum-containment checks need all of it.
 
 A graph with fewer than ``BLOCK_FLOOR`` (512) points gets one dense
 ``eigvalsh``.  From that size on, ``spectral_summary`` splits the walk by a
-group K of symmetries that permute the cosets freely and commute with the
-walk, one block per irreducible representation of K (Babai, J. Combin.
-Theory B 27, 1979).  One engine (``_representation_spectrum``) builds and
-solves every block from each point's orbit, its name (the k in K that
-carries the orbit's least point to it) and K's representations; three front
-ends name the points and list the representations.  Left multiplication by y
-in the normaliser N_G(H) (Hx -> Hyx, ``FiniteGroup.normaliser``), of order k
-modulo H, makes the walk block-circulant, one Hermitian block of size n/k
-per Fourier mode; a z in N_G(H) inverting y modulo H makes <y, z> dihedral,
-with real irreducible representations (Serre, *Linear Representations of
-Finite Groups*, 5.3), so every block is real and modes 0 and k/2 halve
-(``block_eigenvalues``).  The symmetric group S_r on the r points that H
-fixes (twisted by a transposition of two more of them in an alternating
-group) centralises H: one real block of m d rows for each irreducible
-representation of S_r, of dimension d, m = n / r!, from Young's orthogonal
-form (``symmetric_block_eigenvalues``).  The whole of K = N_G(H)/H
+group of symmetries that permute the cosets freely and commute with the
+walk, one block per irreducible representation (Babai, J. Combin. Theory B
+27, 1979).  Every such symmetry lies in K = N_G(H)/H, H the stabilizer:
+left multiplication by y in the normaliser N_G(H) (Hx -> Hyx,
+``FiniteGroup.normaliser``) depends only on yH.  One engine
+(``_representation_spectrum``) builds and solves every block from each
+point's orbit, its name (the k in the subgroup that carries the orbit's
+least point to it) and the subgroup's representations; three front ends,
+one per subgroup of K, name the points and list the representations.  The
+cyclic subgroup of an element of order k makes the walk block-circulant,
+one Hermitian block of size n/k per Fourier mode (``block_eigenvalues``).
+The symmetric group S_r on the r points that H fixes (twisted by a
+transposition of two more of them in an alternating group) centralises H:
+one real block of m d rows for each irreducible representation of S_r, of
+dimension d, m = n / r!, from Young's orthogonal form
+(``symmetric_block_eigenvalues``).  The whole of K
 (``normalizer_quotient``) gives one real block of m d rows per class of its
 real irreducible representations, found by Dixon's method
 (``real_representations``, ``quotient_block_eigenvalues``).  The plan is
-made here too: three searches of a ``CosetAction`` find the symmetries,
-sharing one N_G(H), and one price (``_price``) ranks them, the sum of rows^3
-over the blocks the engine solves, counted from the mode lists of
+made here too (``_block_spectrum``): K is the one group searched, its
+element orders read off its table (or off G's images when H is trivial and
+K is G), and one price (``_price``) ranks the three subgroups, the sum of
+rows^3 over the blocks the engine solves, counted from the mode lists of
 ``fourier_representations``, from ``young_forms`` and from K's classes, a
 complex block counted 3 (about three real ``eigvalsh`` of its size); a tie
 goes to Young's form.  N_G(H) (2-3 ms on sym:7 and alt:7) is not searched
-when K is not needed (H trivial, or K = S_r) and no cyclic order could beat
-S_r, and the dense path runs when N_G(H) = H and r < 2.  Each symmetry is
-checked exactly on the slot table and the slot rows of one point per orbit
-fill the blocks by weighted bincounts, so no n x n array is built; the
-dimension cap still bounds the number of points.  Small graphs stay dense as
-the set-up costs more than it saves (heisenberg:7, 343 points, k = 7: 13-18
-against 5.9-7.0 ms).  The 2520 cosets of (2 7) in sym:7 and alt:7 regular,
-m = 21, take 5.0-6.4 and 4.1-5.9 ms against 36-44 and 34-43 ms by dihedral
-blocks of order 6; those of (2 5)(3 6) and (2 7)(3 4)(5 6), K = C2 x C2 x S3
-and S4, m = 105, take 19.9-20.5 and 20.6-21.1 ms against 32.9-33.3 and
-51.4-52.4 ms by dihedral blocks of orders 12 and 8 (best of 5 or 7, three
-alternating runs, one BLAS thread, 2-vCPU Xeon).
+when H is trivial or K = S_r, and the dense path runs when N_G(H) = H and r
+< 2.  Each symmetry is checked exactly on the slot table and the slot rows
+of one point per orbit fill the blocks by weighted bincounts, so no n x n
+array is built; the dimension cap still bounds the number of points.  Small
+graphs stay dense as the set-up costs more than it saves (heisenberg:7, 343
+points, k = 7: 13-18 against 5.9-7.0 ms).  The 2520 cosets of (2 7) in
+sym:7 and alt:7 regular, m = 21, take 5.0-7.5 and 4.6-4.7 ms against 83-84
+and 68-71 ms by cyclic blocks of orders 6 and 7; those of (2 5)(3 6) and
+(2 7)(3 4)(5 6), K = C2 x C2 x S3 and S4, m = 105, take 18.1-18.4 and
+18.3-20.9 ms against 79-80 and 145-149 ms by cyclic blocks of orders 6 and 4
+(best of 7, three runs, one BLAS thread, 2-vCPU Xeon).
 
 Every tolerance in the package is defined here, one per stage.  Outside
 this module they are compared only in the ledger of named inequalities,
@@ -183,31 +183,20 @@ def _fourier_modes(k: int) -> tuple[list[int], range]:
     return [0] + [k // 2] * (k % 2 == 0), range(1, (k + 1) // 2)
 
 
-def _fourier_families(k: int, flipped: bool) -> list[tuple[int, int, bool]]:
+def _fourier_families(k: int) -> list[tuple[int, int, bool]]:
     """The ``(blocks, d, complex)`` of each family that
-    ``fourier_representations`` lists, counted from the modes: with a flip
-    the real modes double and the complex ones become real 2 x 2 blocks."""
+    ``fourier_representations`` lists, counted from the modes."""
     real, turns = _fourier_modes(k)
-    return [(len(real) * (1 + flipped), 1, False), (len(turns), 1 + flipped, not flipped)]
+    return [(len(real), 1, False), (len(turns), 1, True)]
 
 
-def fourier_representations(names: np.ndarray, k: int, flipped: bool) -> list[tuple[np.ndarray, int]]:
-    """The irreducible representations of C_k = <L>, or of D_k = <L, F>
-    when ``flipped``, at the ``names`` t + k s of L^t F^s.  C_k has the
-    characters exp(2 pi i q t / k), real at q = 0 and k / 2; q and k - q
-    are conjugate, with one spectrum counted twice.  D_k has the
-    characters cos(2 pi q t / k) (+-1)^s at q = 0 and k / 2 and, for 0 < q
-    < k / 2, the real R(2 pi q t / k) diag(1, -1)^s, R a rotation (Serre,
-    *Linear Representations of Finite Groups*, 5.3)."""
-    t, s = names % k, names // k
+def fourier_representations(names: np.ndarray, k: int) -> list[tuple[np.ndarray, int]]:
+    """The irreducible representations of C_k = <L> at the ``names`` t of
+    L^t: the characters exp(2 pi i q t / k), real at q = 0 and k / 2; q and
+    k - q are conjugate, with one spectrum counted twice."""
     # q t reduced mod k: exact at every k
-    real, turns = (2 * np.pi / k * (np.array(modes)[:, None] * t % k) for modes in _fourier_modes(k))
-    characters = np.cos(real)
-    if not flipped:
-        return [(characters[..., None, None], 1), (np.exp(1j * turns)[..., None, None], 2)]
-    sign, cos, sin = (-1.0) ** s, np.cos(turns), np.sin(turns)
-    rotations = np.stack([cos, -sin * sign, sin, cos * sign], axis=-1).reshape(*turns.shape, 2, 2)
-    return [(np.concatenate([characters, characters * sign])[..., None, None], 1), (rotations, 2)]
+    real, turns = (2 * np.pi / k * (np.array(modes)[:, None] * names % k) for modes in _fourier_modes(k))
+    return [(np.cos(real)[..., None, None], 1), (np.exp(1j * turns)[..., None, None], 2)]
 
 
 def _cycle_minima(images: np.ndarray) -> np.ndarray:
@@ -222,20 +211,12 @@ def _cycle_minima(images: np.ndarray) -> np.ndarray:
     return label.reshape(m, n)
 
 
-def block_eigenvalues(
-    graph: SchreierGraph, left: np.ndarray, flip: Optional[np.ndarray] = None,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> np.ndarray:
-    """The walk spectrum, sorted descending, from a cyclic or dihedral
-    symmetry (``fourier_representations``).  ``left`` is a permutation L,
-    commuting with the walk, whose cycles all have one length k: pointer
-    doubling labels each point with the least point o of its cycle and
-    names L^t(o) t.  ``flip`` is None or an involution F that commutes with
-    the walk, inverts L and maps no cycle to itself: an orbit is then a
-    cycle and its image, labelled by the lesser least point o, and L^t(c) =
-    L^(t - j) F(o), F(o) = L^j(c), is named t - j + k.  L and F must map
-    the label and name of L^t F^s o to those of L^(t + 1) F^s o and L^-t
-    F^(1 - s) o, which holds just when F is such an involution."""
+def block_eigenvalues(graph: SchreierGraph, left: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """The walk spectrum, sorted descending, from a cyclic symmetry
+    (``fourier_representations``).  ``left`` is a permutation L, commuting
+    with the walk, whose cycles all have one length k: pointer doubling
+    labels each point with the least point o of its cycle and names L^t(o)
+    t."""
     n = graph.vertex_count
     _check_dimension(n, dim_cap)
     left = _walk_symmetry(left, graph, "symmetry")
@@ -246,16 +227,8 @@ def block_eigenvalues(
         out, power = np.concatenate([out, power[out]], axis=1), power[power]
     name = np.zeros(n, dtype=np.intp)
     name[out[:, :k]] = np.arange(k)
-    label, order = cycle, k
-    if flip is not None:
-        flip = _walk_symmetry(flip, graph, "flip")
-        label, order = np.minimum(cycle, cycle[flip[cycle]]), 2 * k
-        name = np.where(cycle == label, name, (name - name[flip[label]]) % k + k)
-        t, s, maps = name % k, name // k, np.stack([left, flip])
-        if not ((label[maps] == label).all() and (name[maps] == [(t + 1) % k + k * s, -t % k + k * (1 - s)]).all()):
-            raise ValueError("the flip is not an involution that inverts the symmetry and pairs its cycles")
-    representations = functools.partial(fourier_representations, k=k, flipped=flip is not None)
-    return _representation_spectrum(graph, label, name, order, representations, dim_cap)
+    representations = functools.partial(fourier_representations, k=k)
+    return _representation_spectrum(graph, cycle, name, k, representations, dim_cap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,86 +426,15 @@ def symmetric_group(action: CosetAction) -> Optional[tuple[list[int], list[int]]
     return None
 
 
-def _normaliser(action: CosetAction) -> np.ndarray:
-    """The ascending element indices of N_G(H), H the stabilizer
-    (``FiniteGroup.normaliser``)."""
-    members = np.flatnonzero(action.transversal.slot_of == action.base_point)
-    return action.group.normaliser(members, action.group._indices_of_rows(action.stabilizer.generator_images))
-
-
-def normalizer_quotient(action: CosetAction, normaliser: Optional[np.ndarray] = None) -> np.ndarray:
+def normalizer_quotient(action: CosetAction) -> np.ndarray:
     """The left maps Hx -> Hyx of K = N_G(H)/H, a ``|K| x n`` array, by the
-    least y of each coset of H in N_G(H) (``normaliser``, found unless
-    given), the identity first, in one outer ``products`` read."""
-    if normaliser is None:
-        normaliser = _normaliser(action)
-    t = action.transversal
-    elements = normaliser[np.unique(t.slot_of[normaliser], return_index=True)[1]]
-    return t.slot_of[action.group.products(elements, t.rep_indices, outer=True)]
-
-
-def block_symmetry(action: CosetAction, normaliser: Optional[np.ndarray] = None) -> tuple[int, int, Optional[int]]:
-    """``(y, k, z)``: the symmetry of N_G(H) whose blocks cost least to
-    solve (``_price``).  Left multiplication by y permutes the cosets freely
-    in cycles of length k, the order of yH in N_G(H)/H, commuting with the
-    right action; z is None or the least element of N_G(H) outside <y>H with
-    z^2 and z y z^-1 y (given z^2, (zy)^2) in H, so that <yH, zH> is
-    dihedral.  N_G(H) is ``normaliser`` (by default
-    ``FiniteGroup.normaliser``); coset orders are found in index order, in
-    batches of doubling size; one equal to |N_G(H):H| makes N_G(H)/H cyclic,
-    without z, and returns at once.  Otherwise each order, descending, is
-    tried with its least y and the least z of one pass over N_G(H), until
-    the dihedral cost, which grows as the order falls, is no better than the
-    best found.  ``(0, 1, None)`` means H is self-normalising."""
-    group, slot_of, n = action.group, action.transversal.slot_of, action.n_points
-    in_h = slot_of == action.base_point
-    candidates = _normaliser(action) if normaliser is None else normaliser
-    index = len(candidates) // action.stabilizer.order
-    orders = np.ones(len(candidates), dtype=np.int64)  # candidates[0] is the identity
-    start = 1
-    while start < len(candidates) and orders.max() < index:
-        orders[start : 2 * start] = _coset_orders(action, candidates[start : 2 * start], in_h, index)
-        start *= 2
-    k = int(orders.max())
-    best = (int(candidates[np.argmax(orders)]), k, None)
-    if k == index:
-        return best
-    cost = _price(n, k, _fourier_families(k, False))
-    for order in sorted(set(orders.tolist()), reverse=True):
-        dihedral = _price(n, 2 * order, _fourier_families(order, True))
-        if dihedral >= cost:
-            break
-        y = int(candidates[np.argmax(orders == order)])
-        powers = list(itertools.accumulate([y] * (order - 1), group.mult, initial=0))
-        z = candidates[~np.isin(slot_of[candidates], slot_of[powers])]
-        z = z[in_h[group.products(z, z)]]
-        zy = group.products(z, y)
-        z = z[in_h[group.products(zy, zy)]]
-        if len(z):
-            best, cost = (y, order, int(z[0])), dihedral
-    return best
-
-
-def _coset_orders(action: CosetAction, elements: np.ndarray, in_h: np.ndarray, index: int) -> np.ndarray:
-    """For each element y of N_G(H), the least t >= 1 with y^t in H
-    (``in_h`` marks H's members).  The t with y^t in H are the multiples of
-    that least one, and y^b is in H for b = gcd(``index`` = |N_G(H):H|, y's
-    order as a permutation); so for each y only the proper divisors of its
-    b are tried, in ascending order, and b stands when none is in H.  When
-    H is trivial, y^t is in H only for t a multiple of y's order, so the b
-    are the orders, returned at once."""
-    generators = action.group.images[elements]
-    bound = np.gcd(index, _permutation_orders(generators))
-    if action.stabilizer.order == 1:
-        return bound
-    orders = bound.copy()
-    steps = {d for b in set(bound.tolist()) for d in range(1, b) if b % d == 0}
-    for t in sorted(steps):
-        test = np.flatnonzero((orders == bound) & (bound % t == 0) & (bound > t))
-        if len(test):
-            home = in_h[action.group._indices_of_rows(_power_images(generators[test], t))]
-            orders[test[home]] = t
-    return orders
+    least y of each coset of H in N_G(H) (``FiniteGroup.normaliser``), in
+    ascending order, the identity first, in one outer ``products`` read."""
+    group, t = action.group, action.transversal
+    members = np.flatnonzero(t.slot_of == action.base_point)
+    normaliser = group.normaliser(members, group._indices_of_rows(action.stabilizer.generator_images))
+    elements = normaliser[t.rep_of[normaliser] == normaliser]  # each coset's least member is its representative
+    return t.slot_of[group.products(elements, t.rep_indices, outer=True)]
 
 
 def _permutation_orders(images: np.ndarray) -> np.ndarray:
@@ -542,19 +444,6 @@ def _permutation_orders(images: np.ndarray) -> np.ndarray:
     count."""
     lengths = np.bincount(_cycle_minima(images).ravel(), minlength=images.size).reshape(images.shape)
     return np.lcm.reduce(np.maximum(lengths, 1), axis=1)
-
-
-def _power_images(images: np.ndarray, exponent: int) -> np.ndarray:
-    """Row-wise power of an ``m x degree`` image array, by squaring; a
-    product ``p * q`` is q's images gathered at p's."""
-    power = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
-    while exponent:
-        if exponent & 1:
-            power = np.take_along_axis(images, power, axis=1)
-        exponent >>= 1
-        if exponent:
-            images = np.take_along_axis(images, images, axis=1)
-    return power
 
 
 def _least_degree(k: int) -> int:
@@ -569,54 +458,55 @@ def _least_degree(k: int) -> int:
     return total
 
 
-def _dihedral_floor(n: int, orders) -> float:
-    """The least price of cyclic or dihedral blocks for an order k of yH in
-    ``orders``: dihedral blocks of order 2k cost no more than cyclic ones of
-    order k."""
-    return min((_price(n, 2 * k, _fourier_families(k, True)) for k in orders if k > 1), default=math.inf)
-
-
 def _block_spectrum(graph: SchreierGraph, dim_cap: int) -> Optional[np.ndarray]:
-    """The walk spectrum by the symmetry whose blocks cost least
-    (``_price``), or None for the dense path; a tie goes to Young's form,
-    then to cyclic or dihedral blocks.  K = N_G(H)/H is skipped when H is
-    trivial (K = G, and Dixon's |K|^3 is n^3) or K is S_r (N_G(H) fixes the
-    set F of H's fixed points, so |K| <= |F|! (degree - |F|)! / |H|), and
-    Dixon's step runs only when |K|^3 is below the price of S_r and of
-    cyclic blocks of K's largest order.  Cyclic or dihedral blocks are
-    searched only when some order k of yH could win: k is an order in K,
-    or, without K, a divisor of n (y moves the cosets in cycles of length k)
-    that divides the order of a permutation of the degree."""
-    n, action = graph.vertex_count, graph.action
-    stabilizer, degree = action.stabilizer, graph.group.degree
-    found, cost, price, normaliser = symmetric_group(action), math.inf, math.inf, None
+    """The walk spectrum by the subgroup of K = N_G(H)/H whose blocks cost
+    least (``_price``), or None for the dense path; a tie goes to Young's
+    form, then to cyclic blocks.  Every symmetry lies in K: S_r on H's
+    fixed points (``symmetric_group``), the cyclic subgroup of the least
+    element of K of the largest order, and K itself.  When K is S_r (N_G(H)
+    fixes the set F of H's fixed points, so |K| <= |F|! (degree - |F|)! /
+    |H|), nothing more is searched: each block of a cyclic subgroup of S_r
+    holds whole Young blocks, so it never costs less.  Otherwise, for a
+    nontrivial H, K's element orders are the orders of the rows of its
+    table, and Dixon's step runs only when |K|^3 is below the price of S_r
+    and of cyclic blocks of K's largest order.  For a trivial H, K is G
+    (and Dixon's |K|^3 is n^3): element orders are read from G's images in
+    index order, in batches of doubling size, until one is |G|, and only
+    when some divisor k of n (y moves the cosets in cycles of length k)
+    that divides the order of a permutation of the degree could win."""
+    n, action, group = graph.vertex_count, graph.action, graph.group
+    stabilizer = action.stabilizer
+    found, cost, price, top = symmetric_group(action), math.inf, math.inf, 1
     if found is not None:
         r = len(found[1])
         cost = _price(n, math.factorial(r), [(1, form.shape[-1], False) for form in young_forms(r)])
-    divisors = ((i, n // i) for i in range(1, math.isqrt(n) + 1) if n % i == 0)
-    least = _dihedral_floor(n, [k for pair in divisors for k in pair if _least_degree(k) <= degree])
-    fixed = int((stabilizer.generator_images == np.arange(degree)).all(axis=0).sum())
-    bound = math.factorial(fixed) * math.factorial(degree - fixed) // stabilizer.order
+    fixed = int((stabilizer.generator_images == np.arange(group.degree)).all(axis=0).sum())
+    bound = math.factorial(fixed) * math.factorial(group.degree - fixed) // stabilizer.order
+    divisors = (k for i in range(1, math.isqrt(n) + 1) if n % i == 0 for k in (i, n // i))
     if stabilizer.order > 1 and (found is None or bound > math.factorial(r)):
-        normaliser = _normaliser(action)
-        maps = normalizer_quotient(action, normaliser)
+        maps = normalizer_quotient(action)
         table = quotient_table(maps)
         orders = _permutation_orders(table)  # row a of the table is left multiplication by a
-        top = int(orders.max())
-        least = _dihedral_floor(n, set(orders.tolist()))
-        if len(maps) ** 3 < min(cost, _price(n, top, _fourier_families(top, False))):
+        y = int(np.argmax(orders))
+        top, left = int(orders[y]), maps[y]
+        if len(maps) ** 3 < min(cost, _price(n, top, _fourier_families(top))):
             families = real_representations(table)
             price = _price(n, len(maps), [(len(rhos), rhos.shape[-1], False) for rhos, _ in families])
-    y, k, z = block_symmetry(action, normaliser) if least < min(cost, price) else (0, 1, None)
-    fourier = _price(n, k * (1 + (z is not None)), _fourier_families(k, z is not None))
+    elif stabilizer.order == 1 and min(
+        _price(n, k, _fourier_families(k)) for k in divisors if _least_degree(k) <= group.degree
+    ) < cost:
+        orders, start = np.ones(n, dtype=np.int64), 1  # element 0 is the identity
+        while start < n and orders.max() < n:
+            orders[start : 2 * start] = _permutation_orders(group.images[start : 2 * start])
+            start *= 2
+        y = int(np.argmax(orders))
+        top, left = int(orders[y]), action.left_action_of_index(y)
+    fourier = _price(n, top, _fourier_families(top))
     if price < min(cost, fourier):
         return quotient_block_eigenvalues(graph, maps, families, dim_cap)
     if cost <= fourier:
         return symmetric_block_eigenvalues(graph, *found, dim_cap)
-    if k > 1:
-        left = action.left_action_of_index
-        return block_eigenvalues(graph, left(y), None if z is None else left(z), dim_cap)
-    return None
+    return block_eigenvalues(graph, left, dim_cap) if top > 1 else None
 
 
 def spectral_summary(graph: SchreierGraph, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralSummary:

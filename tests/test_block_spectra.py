@@ -1,14 +1,13 @@
 """The block spectra against dense eigvalsh and closed forms.
 
 One engine builds and solves every block from each point's orbit, its
-name and a list of representations.  ``block_eigenvalues`` names the
-points by a cyclic symmetry from N_G(H)/H, with the characters of C_k, or
-by a dihedral one when an inverting flip exists, with the real
-representations of D_k (``fourier_representations``);
+name and a list of representations, each front end from a subgroup of K
+= N_G(H)/H.  ``block_eigenvalues`` names the points by a cyclic symmetry,
+with the characters of C_k (``fourier_representations``);
 ``symmetric_block_eigenvalues`` names them by a symmetric group on the
 points H fixes, with Young's orthogonal form; ``quotient_block_eigenvalues``
-names them by the whole of K = N_G(H)/H (``normalizer_quotient``), with its
-real irreducible representations found by Dixon's method
+names them by the whole of K (``normalizer_quotient``), with its real
+irreducible representations found by Dixon's method
 (``real_representations``).  Every spectrum test here
 compares a spectrum with an independent one, eigenvalue by eigenvalue;
 the representation tables are checked against the group laws, the
@@ -43,7 +42,6 @@ from schreierlab.permutations import _partitions
 from schreierlab.permutations import FiniteGroup
 from schreierlab.spectral import (
     block_eigenvalues,
-    block_symmetry,
     fourier_representations,
     normalizer_quotient,
     quotient_block_eigenvalues,
@@ -82,32 +80,39 @@ def normaliser_coset_orders(group, stabilizer):
     return orders
 
 
-def least_inverter(group, stabilizer, normaliser, y):
-    """Brute force: the least index z of N_G(H) with z^2 and z y z^-1 y in
-    H and z outside <y>H, by Permutation products; None when there is none."""
-    members = {p.images for p in stabilizer.elements}
-    g = group.elements[y]
-    powers, power = [], Permutation.identity(group.degree)
-    while not powers or power.images not in members:
-        powers.append(power)
-        power = power * g
-    for z in sorted(normaliser):
-        x = group.elements[z]
-        if (
-            (x * x).images in members
-            and (x * g * x.inverse() * g).images in members
-            and all((p.inverse() * x).images not in members for p in powers)
-        ):
-            return z
-    return None
-
-
-def cost(n, k, dihedral):
+def cost(n, k):
     """Sum of dim^3 over the blocks solved, a complex block counted 3 times."""
     real, complex_ = 1 + (k % 2 == 0), (k - 1) // 2
-    if dihedral:
-        return real * 2 * (n / k / 2) ** 3 + complex_ * (n / k) ** 3
     return real * (n / k) ** 3 + 3 * complex_ * (n / k) ** 3
+
+
+def taken_maps(monkeypatch):
+    """The list that records each left map the planner passes to
+    ``block_eigenvalues``."""
+    taken = []
+    monkeypatch.setattr(
+        spectral, "block_eigenvalues",
+        lambda graph, left, dim_cap: taken.append(left) or block_eigenvalues(graph, left, dim_cap),
+    )
+    return taken
+
+
+def force_cyclic(monkeypatch):
+    """Make the planner take cyclic blocks, from one point on, wherever K
+    is nontrivial: no symmetric group is found and every family but the
+    cyclic one is priced out.  Returns ``taken_maps``' list."""
+    price = spectral._price
+    monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
+    monkeypatch.setattr(spectral, "symmetric_group", lambda action: None)
+    monkeypatch.setattr(
+        spectral, "_price",
+        lambda n, order, families: price(n, order, families) if families == spectral._fourier_families(order) else math.inf,
+    )
+    return taken_maps(monkeypatch)
+
+
+def cycle_length(left):
+    return len(left) // len(Permutation(left.tolist()).cycles(include_fixed=True))
 
 
 @settings(
@@ -125,33 +130,34 @@ def test_block_spectrum_matches_dense(monkeypatch, name, stabilizer_gens, seed):
     group = catalog_group(name)
     stabilizer = group.subgroup_generated(group.elements[i % group.order] for i in stabilizer_gens)
     graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(seed), 3))
-    y, k, z = block_symmetry(graph.action)
     orders = normaliser_coset_orders(group, stabilizer)
-    # the choice: the least y of the largest order, unless the least y of
-    # some order has an inverter whose real blocks cost less
-    n, top = graph.vertex_count, max(orders.values())
-    expected = (min(i for i, t in orders.items() if t == top), top, None)
-    if top < len(orders) // stabilizer.order:  # N_G(H)/H is not cyclic
-        best = cost(n, top, dihedral=False)
-        for order in sorted(set(orders.values()), reverse=True):
-            least = min(i for i, t in orders.items() if t == order)
-            flip = least_inverter(group, stabilizer, orders, least)
-            if flip is not None and cost(n, order, dihedral=True) < best:
-                expected, best = (least, order, flip), cost(n, order, dihedral=True)
-    assert (y, k, z) == expected
-    assert orders[y] == k
+    # the cyclic symmetry: the least y of the largest order in K
+    top = max(orders.values())
+    y = min(i for i, t in orders.items() if t == top)
+    with monkeypatch.context() as forced:
+        taken = force_cyclic(forced)
+        eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert [left.tolist() for left in taken] == ([] if top == 1 else [graph.action.left_action_of_index(y).tolist()])
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
 
 def assert_coset_orders_match_brute_force(group, stabilizer):
-    action = CosetAction(group, stabilizer)
+    # the planner's element orders of K: a regular action reads G's images,
+    # any other the rows of K's table, one per coset of H in N_G(H) by its
+    # least member, in ascending order
     expected = normaliser_coset_orders(group, stabilizer)
-    elements = np.array(sorted(expected))
-    in_h = action.transversal.slot_of == action.base_point
-    got = spectral._coset_orders(action, elements, in_h, len(expected) // stabilizer.order)
-    assert dict(zip(elements.tolist(), got.tolist())) == expected
+    if stabilizer.order == 1:
+        assert spectral._permutation_orders(group.images).tolist() == [expected[i] for i in range(group.order)]
+        return
+    action = CosetAction(group, stabilizer)
+    slot_of, least = action.transversal.slot_of, {}
+    for y in sorted(expected):
+        least.setdefault(slot_of[y], y)
+    got = spectral._permutation_orders(quotient_table(normalizer_quotient(action)))
+    assert got.tolist() == [expected[y] for y in least.values()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,14 +185,18 @@ def test_coset_orders_above_the_table_limit(name, stabilizer_cycles):
     assert_coset_orders_match_brute_force(group, stabilizer)
 
 
-def test_alt7_regular_symmetry_is_an_element_of_order_six_with_a_flip():
-    group = catalog_group("alt:7")
-    assert block_symmetry(CosetAction(group, group.trivial_subgroup())) == (19, 6, 714)
+def test_regular_orders_stop_at_an_element_of_order_n(monkeypatch):
+    # element 1 of cyclic:1024 generates it: the first batch is the last
+    batches = []
+    orders = spectral._permutation_orders
+    monkeypatch.setattr(spectral, "_permutation_orders", lambda images: batches.append(len(images)) or orders(images))
+    taken = taken_maps(monkeypatch)
+    spectral_summary(stabilized_graph("cyclic:1024", []))
+    assert batches == [1] and cycle_length(taken[0]) == 1024
 
 
 # (group, stabilizer generators as cycles, expected k): odd and even k,
-# regular actions and stabilizers with a nontrivial N_G(H)/H; FLIPPED
-# lists the (group, k) whose symmetry is dihedral
+# regular actions and stabilizers with a nontrivial N_G(H)/H
 SYMMETRIES = [
     ("cyclic:9", [], 9),
     ("sym:4", [], 4),
@@ -196,23 +206,15 @@ SYMMETRIES = [
     ("alt:5", [[[0, 1, 2]]], 2),
     ("dihedral:16", [[[0, 4], [1, 3], [5, 7]]], 2),
 ]
-FLIPPED = {("sym:4", 4), ("alt:5", 5), ("cyclic:2xsym:4", 4)}
 
 
 @pytest.mark.parametrize("name,stabilizer_cycles,expected_k", SYMMETRIES)
-def test_block_spectrum_on_chosen_symmetries(name, stabilizer_cycles, expected_k):
-    group = catalog_group(name)
-    stabilizer = group.subgroup_generated(
-        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
-    )
-    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(5), 2))
-    y, k, z = block_symmetry(graph.action)
-    assert (k, z is not None) == (expected_k, (name, k) in FLIPPED)
-    left = graph.action.left_action_of_index
-    eigenvalues = block_eigenvalues(graph, left(y), None if z is None else left(z))
+def test_block_spectrum_on_chosen_symmetries(monkeypatch, name, stabilizer_cycles, expected_k):
+    graph = stabilized_graph(name, stabilizer_cycles, multiset_seed=5, draws=2)
+    taken = force_cyclic(monkeypatch)
+    eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert [cycle_length(left) for left in taken] == [expected_k]
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
-    if z is not None:  # the cyclic blocks alone give the same spectrum
-        assert np.max(np.abs(block_eigenvalues(graph, left(y)) - dense(graph))) < AGREEMENT
 
 
 def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
@@ -221,7 +223,7 @@ def test_self_normalising_stabilizer_takes_the_dense_path(monkeypatch):
     graph = schreier_graph(
         group, group.point_stabilizer(0), symmetrize(group, ones(group, group.generators))
     )
-    assert block_symmetry(graph.action) == (0, 1, None)
+    assert len(normalizer_quotient(graph.action)) == 1
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 1)
     calls = []
     monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: calls.append(args))
@@ -244,12 +246,12 @@ def test_summary_uses_blocks_from_the_floor_on(monkeypatch):
 
     monkeypatch.setattr(spectral, "sym_eigenvalues", counted)
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 16)
+    taken = taken_maps(monkeypatch)
     summary = spectral_summary(graph)
-    # dihedral:16 has a rotation of order 8 and a reflection inverting it:
-    # modes 1..3 are one real 2 x 2 block each, and the halves of modes 0
-    # and 4 are 1 x 1, read off without a solve
-    assert block_symmetry(graph.action) == (1, 8, 2)
-    assert solved == [2] * 3
+    # dihedral:16 has a rotation of order 8, element 1, with two cycles:
+    # each of the modes 0..4 is one 2 x 2 block, real at 0 and 4
+    assert [left.tolist() for left in taken] == [graph.action.left_action_of_index(1).tolist()]
+    assert solved == [2] * 5
     assert np.max(np.abs(np.array(summary.eigenvalues) - dense(graph))) < AGREEMENT
     monkeypatch.setattr(spectral, "BLOCK_FLOOR", 17)
     solved.clear()
@@ -290,42 +292,6 @@ def test_symmetry_that_is_not_free_or_not_a_permutation_is_refused():
         block_eigenvalues(graph, np.where(still, np.arange(6), turn))
 
 
-def test_flip_that_breaks_a_dihedral_condition_is_refused():
-    group = catalog_group("dihedral:16")
-    graph = schreier_graph(
-        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
-    )
-    y, k, z = block_symmetry(graph.action)
-    left = graph.action.left_action_of_index
-    powers = [0]
-    for _ in range(k - 1):
-        powers.append(group.mult(powers[-1], y))
-    square, central = powers[2], powers[k // 2]
-    swap = np.arange(16)
-    swap[[0, 1]] = [1, 0]
-    for flip, message in [
-        (left(square), "not an involution that inverts"),  # y^2 has order 4
-        (left(central), "not an involution that inverts"),  # y^(k/2) commutes with y
-        (swap, "does not commute"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            block_eigenvalues(graph, left(y), flip)
-    assert np.max(np.abs(block_eigenvalues(graph, left(y), left(z)) - dense(graph))) < AGREEMENT
-
-
-def test_flip_that_keeps_a_cycle_is_refused():
-    # the left map of g^4 on cyclic:8 is an involution that commutes with the
-    # walk and inverts itself, but as a flip of itself it keeps every cycle
-    group = catalog_group("cyclic:8")
-    graph = schreier_graph(
-        group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
-    )
-    g = group.generators[0]
-    half_turn = graph.action.left_action_of_index(group.index_of(g * g * g * g))
-    with pytest.raises(ValueError, match="pairs its cycles"):
-        block_eigenvalues(graph, half_turn, half_turn)
-
-
 def test_walk_symmetry_that_swaps_columns_is_refused():
     # x -> 1 - x on the 8-cycle is free (2x = 1 has no solution mod 8) and
     # preserves the walk, but it sends the column of g to that of g^-1: no
@@ -364,16 +330,15 @@ def test_summary_above_the_floor_builds_no_dense_matrix(monkeypatch):
 
 # the shapes of the large-actions benchmark workload, above the floor: the
 # stabilizer of sym:7 is a transposition, a double or a triple transposition
-# by seed, and alt:7 has no inverter of a 7-cycle, so it uses an element of
-# order 6.  Each shape's (y, k, z), by group and number of stabilizer
-# cycles, is pinned: a faster search must choose the same y and z, not only
-# the same k; the planner takes N_G(H)/H instead on the double and triple
-# transpositions (LARGE_PATHS)
+# by seed.  Each shape's cyclic symmetry (y, k), by group and number of
+# stabilizer cycles, is pinned: a faster search must choose the same y, not
+# only the same k.  Only cyclic:1024 takes it unforced; the planner takes
+# Young's form or N_G(H)/H on the others (LARGE_PATHS)
 LARGE_SYMMETRIES = {
-    ("sym:7", 1): (543, 6, 131),
-    ("alt:7", 0): (19, 6, 714),
-    ("cyclic:1024", 0): (1, 1024, None),
-    ("sym:7", 3): (2866, 4, 131),
+    ("sym:7", 1): (543, 6),
+    ("alt:7", 0): (2, 7),
+    ("cyclic:1024", 0): (1, 1024),
+    ("sym:7", 3): (2866, 4),
 }
 
 
@@ -381,35 +346,38 @@ LARGE_SYMMETRIES = {
     "name,stabilizer_cycles,expected_k",
     [
         ("sym:7", [[[1, 6]]], 6),
-        ("alt:7", [], 6),
+        ("alt:7", [], 7),
         ("cyclic:1024", [], 1024),
         ("sym:7", [[[1, 6], [2, 3], [4, 5]]], 4),
     ],
 )
-def test_large_action_shapes_match_dense(name, stabilizer_cycles, expected_k):
-    group = catalog_group(name)
-    stabilizer = group.subgroup_generated(
-        Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
-    )
-    graph = schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(7), 3))
+def test_large_action_shapes_match_dense(monkeypatch, name, stabilizer_cycles, expected_k):
+    graph = stabilized_graph(name, stabilizer_cycles)
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    y, k, z = block_symmetry(graph.action)
-    assert (k, z is None) == (expected_k, name == "cyclic:1024")
-    assert (y, k, z) == LARGE_SYMMETRIES[name, sum(map(len, stabilizer_cycles))]
+    expected = dense(graph)
+    y, k = LARGE_SYMMETRIES[name, sum(map(len, stabilizer_cycles))]
+    with monkeypatch.context() as forced:
+        taken = force_cyclic(forced)
+        eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert k == expected_k and [left.tolist() for left in taken] == [graph.action.left_action_of_index(y).tolist()]
+    assert np.max(np.abs(eigenvalues - expected)) < AGREEMENT
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
-    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+    assert np.max(np.abs(eigenvalues - expected)) < AGREEMENT
 
 
-def test_many_draws_with_repeats_match_dense():
+def test_many_draws_with_repeats_match_dense(monkeypatch):
     # the verify-thm1 shape: 150 draws symmetrized to degree 300, repeated
-    # draws and involutions giving multiplicities, k = 6 with a flip
+    # draws and involutions giving multiplicities, by Young's form and by
+    # cyclic blocks of order 6
     group = catalog_group("sym:6")
     multiset = drawn_multiset(group, np.random.default_rng(3), 150)
     assert multiset.size == 300 and max(m for _, m in multiset.entries) > 1
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
-    _, k, z = block_symmetry(graph.action)
-    assert (k, z is not None) == (6, True)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
+    taken = force_cyclic(monkeypatch)
+    eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert [cycle_length(left) for left in taken] == [6]
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
 
@@ -426,61 +394,47 @@ def test_odd_cyclic_blocks_without_a_flip_match_dense():
     assert np.max(np.abs(eigenvalues - dense(graph))) < AGREEMENT
 
 
-def dihedral_product(a, b, k):
-    """The name of L^t F^s L^u F^v = L^(t + (-1)^s u) F^(s + v) in D_k, each
-    element L^t F^s named t + k s; the names below k are C_k."""
-    t, s, u, v = a % k, a // k, b % k, b // k
-    return (t + (-1) ** s * u) % k + k * ((s + v) % 2)
-
-
-@pytest.mark.parametrize("flipped", [False, True])
 @pytest.mark.parametrize("k", range(2, 13))
-def test_fourier_representations_are_the_irreducible_representations(k, flipped):
-    order = 2 * k if flipped else k
-    families = fourier_representations(np.arange(order), k, flipped)
+def test_fourier_representations_are_the_irreducible_representations(k):
+    families = fourier_representations(np.arange(k), k)
     # a block's spectrum counts once per copy, a conjugate pair q, k - q as
     # one representation with 2 copies: the dimensions per orbit add up to |K|
-    assert sum(len(matrices) * copies * matrices.shape[-1] for matrices, copies in families) == order
-    a, b = np.random.default_rng(k).integers(order, size=(2, 60))
+    assert sum(len(matrices) * copies * matrices.shape[-1] for matrices, copies in families) == k
+    a, b = np.random.default_rng(k).integers(k, size=(2, 60))
     characters = []
     for matrices, copies in families:
         eye = np.eye(matrices.shape[-1])
-        assert np.allclose(matrices[:, a] @ matrices[:, b], matrices[:, dihedral_product(a, b, k)])
+        assert np.allclose(matrices[:, a] @ matrices[:, b], matrices[:, (a + b) % k])
         assert np.allclose(matrices.conj().swapaxes(-1, -2) @ matrices, eye)  # unitary or orthogonal
         assert np.allclose(matrices[:, 0], eye)
         characters.extend(np.trace(matrices, axis1=-2, axis2=-1))
     characters = np.array(characters)
-    assert np.allclose(characters @ characters.conj().T / order, np.eye(len(characters)))
+    assert np.allclose(characters @ characters.conj().T / k, np.eye(len(characters)))
 
 
-@pytest.mark.parametrize("flipped", [False, True])
-def test_price_of_cyclic_and_dihedral_blocks_is_the_closed_form(flipped):
+def test_price_of_cyclic_blocks_is_the_closed_form():
     # the families counted from the mode lists are those the engine solves,
     # and their price is exactly cost() for every k up to 64
     for k in range(1, 65):
-        order = 2 * k if flipped else k
-        families = spectral._fourier_families(k, flipped)
-        listed = fourier_representations(np.arange(order), k, flipped)
+        families = spectral._fourier_families(k)
+        listed = fourier_representations(np.arange(k), k)
         assert [(len(m), m.shape[-1], np.iscomplexobj(m)) for m, _ in listed] == families
-        for n in (order, 6 * order, 35 * order):
-            assert spectral._price(n, order, families) == cost(n, k, flipped)
+        for n in (k, 6 * k, 35 * k):
+            assert spectral._price(n, k, families) == cost(n, k)
 
 
 def test_representations_that_miss_a_dimension_are_refused(monkeypatch):
-    # one family dropped from the cyclic (cyclic:9) and the dihedral
-    # (dihedral:16) tables: the blocks no longer cover every point
+    # one family dropped from the characters of C_9 (cyclic:9) and of C_8
+    # (dihedral:16's rotation): the blocks no longer cover every point
     full = spectral.fourier_representations
     monkeypatch.setattr(spectral, "fourier_representations", lambda *args, **kwargs: full(*args, **kwargs)[1:])
-    for name, flipped in [("cyclic:9", False), ("dihedral:16", True)]:
+    for name in ["cyclic:9", "dihedral:16"]:
         group = catalog_group(name)
         graph = schreier_graph(
             group, group.trivial_subgroup(), symmetrize(group, ones(group, group.generators))
         )
-        y, k, z = block_symmetry(graph.action)
-        assert (z is not None) == flipped
-        left = graph.action.left_action_of_index
         with pytest.raises(ValueError, match="do not add up"):
-            block_eigenvalues(graph, left(y), None if z is None else left(z))
+            block_eigenvalues(graph, graph.action.left_action_of_index(1))
 
 
 # -- the abelian character-sum oracle ------------------------------------------
@@ -518,13 +472,14 @@ def test_character_sums_over_the_abelian_sweep_types():
 
 
 @pytest.mark.parametrize("name,expected_k", [("cyclic:1024", 1024), ("cyclic:16xcyclic:32", 32)])
-def test_character_sums_above_the_floor(name, expected_k):
+def test_character_sums_above_the_floor(monkeypatch, name, expected_k):
     group = catalog_group(name)
     multiset = drawn_multiset(group, np.random.default_rng(11), 3)
     graph = schreier_graph(group, group.trivial_subgroup(), multiset)
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
-    assert block_symmetry(graph.action)[1:] == (expected_k, None)
+    taken = taken_maps(monkeypatch)
     eigenvalues = np.array(spectral_summary(graph).eigenvalues)
+    assert [cycle_length(left) for left in taken] == [expected_k]
     assert np.max(np.abs(eigenvalues - character_sums(name, multiset))) < AGREEMENT
 
 
@@ -598,6 +553,17 @@ def test_price_of_symmetric_blocks_is_the_sum_of_cubed_rows(r):
     for m in (1, 2, 21):
         expected = sum((m * d) ** 3 for d in dimensions)
         assert spectral._price(m * math.factorial(r), math.factorial(r), families) == expected
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_young_blocks_cost_no_more_than_any_cyclic_subgroup_of_sym_r(r):
+    # where K is S_r no cyclic subgroup is searched: at every element order
+    # k of S_r, the lcm of a partition of r, Young's blocks cost no more
+    families = [(1, form.shape[-1], False) for form in young_forms(r)]
+    for k in {math.lcm(*shape) for shape in _partitions(r)}:
+        for m in (1, 2, 21, 105):
+            n = m * math.factorial(r)
+            assert spectral._price(n, math.factorial(r), families) <= spectral._price(n, k, spectral._fourier_families(k))
 
 
 # (group, stabilizer cycles, r): S5 on sym:5 regular (m = 1); the twisted
@@ -696,25 +662,24 @@ def test_large_degree_with_a_symmetric_group_takes_the_cheapest_path(monkeypatch
     )
     generators, points = symmetric_group(graph.action)
     assert (points, graph.vertex_count) == ([0, 1, 2, 3], 1152)
-    taken = []
-    monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: taken.append(args) or block_eigenvalues(*args))
+    taken = taken_maps(monkeypatch)
     expected = dense(graph)
     assert np.max(np.abs(np.array(spectral_summary(graph).eigenvalues) - expected)) < AGREEMENT
-    assert len(taken) == 1 and taken[0][2] is None  # cyclic, no flip
+    assert [cycle_length(left) for left in taken] == [48]
     assert np.max(np.abs(symmetric_block_eigenvalues(graph, generators, points) - expected)) < AGREEMENT
 
 
 # the path spectral_summary takes on each large-actions shape and on sym:6
 # regular: (symmetric group: its t in 1-based cycles, twisted by (6 7) on
-# alt:7, and the number m of orbits), (cyclic or dihedral: k and whether
-# there is a flip) or (N_G(H)/H: its order and m).  K = N_G(H)/H is S4 over
+# alt:7, and the number m of orbits), (cyclic: k) or (N_G(H)/H: its order
+# and m).  K = N_G(H)/H is S4 over
 # the triple transposition (2 7)(3 4)(5 6) and C2 x C2 x S3 over the double
 # transposition (2 5)(3 6); QUOTIENT_ROWS gives the rows of its blocks
 LARGE_PATHS = [
     ("sym:7", [[[1, 6]]], ("symmetric", "(1 3)", 21)),
     ("alt:7", [], ("symmetric", "(1 2)(6 7)", 21)),
     ("sym:7", [[[1, 6], [2, 3], [4, 5]]], ("quotient", 24, 105)),
-    ("cyclic:1024", [], ("blocks", 1024, False)),
+    ("cyclic:1024", [], ("blocks", 1024)),
     ("sym:6", [], ("symmetric", "(1 2)", 1)),
     ("sym:7", [[[1, 4], [2, 5]]], ("quotient", 24, 105)),
 ]
@@ -739,10 +704,9 @@ def test_large_action_paths_are_pinned(monkeypatch, name, stabilizer_cycles, pat
         taken.append(("symmetric", permutation_to_text(group.elements[generators[0]]), graph.vertex_count // math.factorial(r)))
         return symmetric(graph, generators, points, dim_cap)
 
-    def by_blocks(graph, left, flip, dim_cap):
-        k = graph.vertex_count // len(Permutation(left.tolist()).cycles(include_fixed=True))
-        taken.append(("blocks", k, flip is not None))
-        return blocks(graph, left, flip, dim_cap)
+    def by_blocks(graph, left, dim_cap):
+        taken.append(("blocks", cycle_length(left)))
+        return blocks(graph, left, dim_cap)
 
     def by_quotient(graph, maps, families, dim_cap):
         taken.append(("quotient", len(maps), graph.vertex_count // len(maps)))
@@ -773,12 +737,12 @@ def quotient_spectrum(graph, maps):
     return quotient_block_eigenvalues(graph, maps, real_representations(quotient_table(maps)))
 
 
-def stabilized_graph(name, stabilizer_cycles, multiset_seed=7):
+def stabilized_graph(name, stabilizer_cycles, multiset_seed=7, draws=3):
     group = catalog_group(name)
     stabilizer = group.subgroup_generated(
         Permutation.from_cycles(cycles, group.degree) for cycles in stabilizer_cycles
     )
-    return schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(multiset_seed), 3))
+    return schreier_graph(group, stabilizer, drawn_multiset(group, np.random.default_rng(multiset_seed), draws))
 
 
 @settings(max_examples=40, deadline=None)
@@ -906,14 +870,20 @@ def test_quotient_table_is_read_off_one_orbit():
             assert np.array_equal(maps[a][maps[b]], maps[table[a, b]])
 
 
+HALF_TURN = [[[4 + i, 52 + i] for i in range(48)]]
+
+
 @pytest.mark.parametrize(
-    "name,stabilizer_cycles", [("sym:7", [[[1, 6]]]), ("alt:7", []), ("sym:6", []), ("cyclic:1024", [])]
+    "name,stabilizer_cycles",
+    [("sym:7", [[[1, 6]]]), ("alt:7", []), ("sym:6", []), ("cyclic:1024", []), ("sym:4xcyclic:96", HALF_TURN)],
 )
 def test_quotient_search_is_skipped_where_it_cannot_win(monkeypatch, name, stabilizer_cycles):
     # over (2 7), |N_G(H) : H| <= 5! 2! / 2 = 5!, so K is the S5 Young's
-    # form already uses; over a trivial H, K is G, and Dixon's |K|^3 is n^3.
-    # The first three never need N_G(H); cyclic:1024 searches it for its
-    # cyclic blocks but builds no K.  LARGE_PATHS checks these spectra
+    # form already uses; over a trivial H, K is G, and Dixon's |K|^3 is n^3:
+    # none of these searches N_G(H), cyclic:1024 reading its cyclic blocks
+    # off G's images.  Over the central c^48 of sym:4 x cyclic:96, N_G(H) is
+    # searched once and the cyclic blocks, of its element 3 of order 48, come
+    # from K's table.  LARGE_PATHS checks these spectra
     graph = stabilized_graph(name, stabilizer_cycles)
     assert graph.vertex_count >= spectral.BLOCK_FLOOR
     called = []
@@ -921,5 +891,8 @@ def test_quotient_search_is_skipped_where_it_cannot_win(monkeypatch, name, stabi
     monkeypatch.setattr(FiniteGroup, "normaliser", lambda *args: called.append("normaliser") or normaliser(*args))
     quotient = spectral.normalizer_quotient
     monkeypatch.setattr(spectral, "normalizer_quotient", lambda *args: called.append("K") or quotient(*args))
+    taken = taken_maps(monkeypatch)
     spectral_summary(graph)
-    assert called == (["normaliser"] if name == "cyclic:1024" else [])
+    assert called == (["K", "normaliser"] if name == "sym:4xcyclic:96" else [])
+    if name == "sym:4xcyclic:96":
+        assert [left.tolist() for left in taken] == [graph.action.left_action_of_index(3).tolist()]
